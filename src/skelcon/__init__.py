@@ -14,24 +14,24 @@ from .errors import (SkelconError, ParseError, SchemaError, ValidationError,
 from .data import (SkeletonSequence, LabeledSample, Dataset, DataSplit,
                    ValidationReport, validate_sequence, save_dataset,
                    load_dataset, generate_synthetic, make_split,
-                   chain_tree_bones, default_bones, HUMAN25_BONES, NUM_ACTORS)
+                   chain_tree_bones, HUMAN25_BONES, NUM_ACTORS)
 from .augment import (ShearParams, JitterParams, CropResizeParams,
                       AugmentationSpec, ViewDraw, pose_augment, joint_jitter,
                       temporal_crop_resize, draw_shear, draw_jitter, draw_crop,
                       draw_view, apply_view, make_query_key_pair)
 from .represent import (GraphView, REPRESENTATIONS, bone_adjacency,
-                        normalized_adjacency, to_image, to_sequence, to_graph,
-                        image_to_coords, sequence_to_coords, graph_to_coords,
-                        batch_views)
-from .encoders import (EncoderConfig, EncoderState, desk_config, full_scale_config,
+                        normalized_adjacency, graph_adjacency, to_image,
+                        to_sequence, to_graph, image_to_coords,
+                        sequence_to_coords, graph_to_coords, batch_views)
+from .encoders import (EncoderConfig, EncoderState, desk_config,
                        init_encoder, parameter_count, encode,
-                       project_and_normalize, encoder_forward, encoder_backward,
+                       encoder_forward, encoder_backward,
                        head_forward, head_backward, embed_forward,
                        embed_backward, save_checkpoint, load_checkpoint)
 from .contrast import (NegativeQueue, InfoNCEResult, info_nce, MomentumPair,
                        make_pair, momentum_update, TrainerConfig, TrainerState,
-                       LossReport, Schedule, make_trainer, intra_step,
-                       inter_step, train_step, contrast_losses, warmup_queues,
+                       LossReport, Schedule, make_trainer,
+                       train_step, contrast_losses, warmup_queues,
                        pretrain, save_trainer, load_trainer)
 from .downstream import (Metrics, ProbeSchedule, FinetuneSchedule,
                          RetrievalIndex, SeedSummary, center_crop,

@@ -17,7 +17,7 @@ randomness lives entirely in the parameter-drawing helpers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,24 +95,25 @@ class CropResizeParams:
 
 @dataclass(frozen=True)
 class AugmentationSpec:
-    """Seeded description of the composed query/key augmentation."""
+    """Description of the composed query/key augmentation; the random draws
+    come from the generator handed to `draw_view`."""
 
     spatial_mode: str = "randomized"
     temporal: bool = True
     l_min: float = 0.1
     jitter_joints: int = 15
     output_length: int = 64
-    seed: int = 0
 
     def __post_init__(self):
         if self.spatial_mode not in SPATIAL_MODES:
-            raise ValueError(f"spatial_mode must be one of {SPATIAL_MODES}")
+            raise ValueError(f"spatial_mode must be one of {SPATIAL_MODES}, "
+                             f"got {self.spatial_mode!r}")
         if not 0.0 < self.l_min <= 1.0:
             raise ValueError(f"l_min {self.l_min} outside (0, 1]")
         if self.jitter_joints < 1:
-            raise ValueError("jitter_joints must be >= 1")
+            raise ValueError(f"jitter_joints must be >= 1, got {self.jitter_joints}")
         if self.output_length < 2:
-            raise ValueError("output_length must be >= 2")
+            raise ValueError(f"output_length must be >= 2, got {self.output_length}")
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,9 @@ def _build_config(args) -> ExperimentConfig:
     return resolve_config({}, overrides)
 
 
-def _prepare(config: ExperimentConfig):
+def _prepare(config: ExperimentConfig, out_dir):
+    """Snapshot the resolved config into `out_dir`, then load and split the data."""
+    write_resolved(config, out_dir)
     dataset = config.dataset.load()
     split = config.dataset.split(dataset)
     train = dataset.subset(list(split.train_ids))
@@ -53,31 +55,21 @@ def _prepare(config: ExperimentConfig):
     return dataset, split, train, test
 
 
+def _write_json(out_dir, name: str, record: dict) -> None:
+    with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
+        json.dump(record, fh, sort_keys=True, indent=1)
+        fh.write("\n")
+
+
 def _write_manifest(out_dir, subcommand: str, config: ExperimentConfig,
                     artifacts: list[str]) -> None:
-    manifest = {
+    _write_json(out_dir, "run.json", {
         "run_id": config.run_id(subcommand),
         "subcommand": subcommand,
         "seed": config.seed,
         "format_versions": FORMAT_VERSIONS,
         "artifacts": sorted(artifacts),
-    }
-    with open(os.path.join(out_dir, "run.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-
-
-def _write_metrics(out_dir, record: dict) -> str:
-    path = os.path.join(out_dir, "metrics.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(record, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-    return path
-
-
-def _is_checkpoint(path: str) -> bool:
-    with open(path, "rb") as fh:
-        return fh.read(len(CHECKPOINT_MAGIC)) == CHECKPOINT_MAGIC
+    })
 
 
 def _load_encoder(config: ExperimentConfig, need: str = "checkpoint") -> EncoderState:
@@ -89,8 +81,9 @@ def _load_encoder(config: ExperimentConfig, need: str = "checkpoint") -> Encoder
             "or set downstream.checkpoint")
     if not os.path.exists(path):
         raise ConfigError(f"downstream.checkpoint: no such file: {path}")
-    if _is_checkpoint(path):
-        return load_checkpoint(path)
+    with open(path, "rb") as fh:
+        if fh.read(len(CHECKPOINT_MAGIC)) == CHECKPOINT_MAGIC:
+            return load_checkpoint(path)
     trainer = contrast.load_trainer(path)
     rep = config.downstream.representation or trainer.representations[0]
     if rep not in trainer.pairs:
@@ -112,11 +105,26 @@ def _gate(config: ExperimentConfig, mean_accuracy: float) -> int:
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _resume(path, config: ExperimentConfig) -> contrast.TrainerState:
+    """The trainer saved at `path`, refused if the config would train it
+    differently from how it was started; only the epoch count may change."""
+    trainer = contrast.load_trainer(path)
+    sections = [("trainer", trainer.config, config.trainer), ("augment", trainer.aug, config.aug)]
+    sections += [(f"encoders.{rep}", trainer.pairs[rep].query.config, config.encoders[rep])
+                 for rep in trainer.representations]
+    drift = [f"{name}.{key}" for name, saved, wanted in sections
+             for key, value in asdict(saved).items() if asdict(wanted)[key] != value]
+    if trainer.seed != config.seed:
+        drift.append("seed")
+    if drift:
+        raise ConfigError(f"{', '.join(drift)}: differ from the run resumed from {path}")
+    return trainer
+
+
 def _cmd_pretrain(args, config: ExperimentConfig) -> int:
-    dataset, split, train, _ = _prepare(config)
-    if args.resume:
-        trainer = contrast.load_trainer(args.resume)
-    else:
+    trainer = _resume(args.resume, config) if args.resume else None
+    dataset, split, train, _ = _prepare(config, args.out)
+    if trainer is None:
         trainer = contrast.make_trainer(config.trainer, config.encoders,
                                         config.aug, dataset.bones, config.seed)
     records = contrast.pretrain(trainer, [s.sequence for s in train],
@@ -132,50 +140,45 @@ def _cmd_pretrain(args, config: ExperimentConfig) -> int:
     return 0
 
 
-def _probe_metrics(config: ExperimentConfig, state: EncoderState,
-                   dataset: Dataset, train, test, protocol: str):
+def _features(config: ExperimentConfig, state: EncoderState, dataset: Dataset,
+              train, test) -> tuple:
+    """(train features, train labels, test features, test labels)."""
     crop = config.aug.output_length
-    f_train, y_train = ds.extract_features(state, train, dataset.bones, crop)
-    f_test, y_test = ds.extract_features(state, test, dataset.bones, crop)
-    return ds.linear_probe(f_train, y_train, f_test, y_test,
-                           config.downstream.probe, protocol)
+    return (*ds.extract_features(state, train, dataset.bones, crop),
+            *ds.extract_features(state, test, dataset.bones, crop))
+
+
+def _report(args, config: ExperimentConfig, task: str, protocol: str, metrics) -> int:
+    """Write one scored task's metrics and run manifest, then gate on it."""
+    record = ds.summarize(task, protocol, [config.seed], [metrics.accuracy]).to_record()
+    record.update(correct=metrics.correct, total=metrics.total,
+                  per_class={str(k): v for k, v in metrics.per_class.items()})
+    _write_json(args.out, "metrics.json", record)
+    _write_manifest(args.out, args.subcommand, config, ["config.json", "metrics.json"])
+    print(f"{task.rsplit('/', 1)[-1]} accuracy {metrics.accuracy:.4f} "
+          f"({metrics.correct}/{metrics.total})")
+    return _gate(config, metrics.accuracy)
 
 
 def _cmd_probe(args, config: ExperimentConfig) -> int:
-    dataset, split, train, test = _prepare(config)
+    dataset, split, train, test = _prepare(config, args.out)
     state = _load_encoder(config, "probe")
-    metrics = _probe_metrics(config, state, dataset, train, test, split.protocol)
-    summary = ds.summarize("probe", split.protocol, [config.seed], [metrics.accuracy])
-    record = summary.to_record()
-    record.update(correct=metrics.correct, total=metrics.total,
-                  per_class={str(k): v for k, v in metrics.per_class.items()})
-    _write_metrics(args.out, record)
-    _write_manifest(args.out, "probe", config, ["config.json", "metrics.json"])
-    print(f"probe accuracy {metrics.accuracy:.4f} ({metrics.correct}/{metrics.total})")
-    return _gate(config, metrics.accuracy)
+    metrics = ds.linear_probe(*_features(config, state, dataset, train, test),
+                              config.downstream.probe, split.protocol)
+    return _report(args, config, "probe", split.protocol, metrics)
 
 
 def _cmd_retrieve(args, config: ExperimentConfig) -> int:
-    dataset, split, train, test = _prepare(config)
+    dataset, split, train, test = _prepare(config, args.out)
     state = _load_encoder(config, "retrieve")
-    crop = config.aug.output_length
-    f_train, y_train = ds.extract_features(state, train, dataset.bones, crop)
-    f_test, y_test = ds.extract_features(state, test, dataset.bones, crop)
-    index = ds.build_index(f_train, y_train)
-    _, metrics = ds.knn_retrieve(index, f_test, y_test, split.protocol)
-    summary = ds.summarize("retrieve/knn-1", split.protocol, [config.seed],
-                           [metrics.accuracy])
-    record = summary.to_record()
-    record.update(correct=metrics.correct, total=metrics.total,
-                  per_class={str(k): v for k, v in metrics.per_class.items()})
-    _write_metrics(args.out, record)
-    _write_manifest(args.out, "retrieve", config, ["config.json", "metrics.json"])
-    print(f"knn-1 accuracy {metrics.accuracy:.4f} ({metrics.correct}/{metrics.total})")
-    return _gate(config, metrics.accuracy)
+    f_train, y_train, f_test, y_test = _features(config, state, dataset, train, test)
+    _, metrics = ds.knn_retrieve(ds.build_index(f_train, y_train), f_test, y_test,
+                                 split.protocol)
+    return _report(args, config, "retrieve/knn-1", split.protocol, metrics)
 
 
 def _cmd_finetune(args, config: ExperimentConfig) -> int:
-    dataset, split, train, test = _prepare(config)
+    dataset, split, train, test = _prepare(config, args.out)
     mode = config.downstream.finetune_mode
     if mode == "supervised-only":
         rep = (config.downstream.representation
@@ -189,7 +192,7 @@ def _cmd_finetune(args, config: ExperimentConfig) -> int:
                           seeds=config.downstream.seeds,
                           crop_length=config.aug.output_length,
                           protocol=split.protocol)
-    _write_metrics(args.out, summary.to_record())
+    _write_json(args.out, "metrics.json", summary.to_record())
     _write_manifest(args.out, "finetune", config, ["config.json", "metrics.json"])
     print(f"{summary.task}: mean accuracy {summary.mean:.4f} +/- {summary.std:.4f} "
           f"over seeds {list(summary.seeds)}")
@@ -197,7 +200,7 @@ def _cmd_finetune(args, config: ExperimentConfig) -> int:
 
 
 def _cmd_export(args, config: ExperimentConfig) -> int:
-    dataset, split, _, test = _prepare(config)
+    dataset, split, _, test = _prepare(config, args.out)
     state = _load_encoder(config, "export")
     path = os.path.join(args.out, "embeddings.jsonl")
     count = ds.export_embeddings(state, test, dataset.bones, path,
@@ -209,7 +212,7 @@ def _cmd_export(args, config: ExperimentConfig) -> int:
 
 
 def _cmd_augment_preview(args, config: ExperimentConfig, count: int = 4) -> int:
-    dataset, split, train, _ = _prepare(config)
+    dataset, split, train, _ = _prepare(config, args.out)
     rng = np.random.default_rng((config.seed, 0xA96))
     path = os.path.join(args.out, "preview.jsonl")
     picked = train[:count]
@@ -239,6 +242,7 @@ def _cmd_augment_preview(args, config: ExperimentConfig, count: int = 4) -> int:
 
 
 def _cmd_sweep(args, config: ExperimentConfig) -> int:
+    write_resolved(config, args.out)
     if config.sweep is None:
         raise ConfigError("sweep.key: the sweep subcommand needs sweep.key+values "
                           "or sweep.cells in the config")
@@ -249,10 +253,8 @@ def _cmd_sweep(args, config: ExperimentConfig) -> int:
             cell_dir = os.path.join(args.out, "cells", f"cell{i:02d}")
             record = {"cell": cell, "index": i}
             try:
-                overrides = [(k, v) for k, v in cell.items()]
-                cell_config = resolve_config(config.resolved, overrides)
-                write_resolved(cell_config, cell_dir)
-                dataset, split, train, test = _prepare(cell_config)
+                cell_config = resolve_config(config.resolved, list(cell.items()))
+                dataset, split, train, test = _prepare(cell_config, cell_dir)
                 trainer = contrast.make_trainer(
                     cell_config.trainer, cell_config.encoders, cell_config.aug,
                     dataset.bones, cell_config.seed)
@@ -260,8 +262,9 @@ def _cmd_sweep(args, config: ExperimentConfig) -> int:
                                   cell_config.schedule, out_dir=cell_dir)
                 rep = (cell_config.downstream.representation
                        or cell_config.trainer.representations[0])
-                metrics = _probe_metrics(cell_config, trainer.pairs[rep].query,
-                                         dataset, train, test, split.protocol)
+                metrics = ds.linear_probe(
+                    *_features(cell_config, trainer.pairs[rep].query, dataset, train, test),
+                    cell_config.downstream.probe, split.protocol)
                 record.update(status="ok", task="pretrain+probe",
                               accuracy=metrics.accuracy,
                               correct=metrics.correct, total=metrics.total)
@@ -324,8 +327,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _build_config(args)
-        os.makedirs(args.out, exist_ok=True)
-        write_resolved(config, args.out)
         return _COMMANDS[args.subcommand](args, config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -5,8 +5,10 @@ empty document is a valid config: every value falls back to the reference
 hyperparameters (temperature 0.07, 15 jittered joints, minimum crop ratio
 0.1, crop length 64, queue 16384, SGD lr 0.01 / weight decay 1e-4, 450
 epochs).  Unknown keys are rejected by full dotted path; range violations
-name the offending key.  Command-line overrides use the same dotted paths
-(``trainer.tau=0.05``).
+name the offending key.  Each rule lives in one place: this module checks
+types and cross-field limits, the dataclasses it builds check their own
+ranges, and their errors are raised again on the dotted key.  Command-line
+overrides use the same dotted paths (``trainer.tau=0.05``).
 """
 
 from __future__ import annotations
@@ -15,12 +17,13 @@ import copy
 import hashlib
 import json
 import os
+import re
 from dataclasses import dataclass
 
 from .augment import AugmentationSpec
 from .contrast import Schedule, TrainerConfig
 from .data import Dataset, generate_synthetic, load_dataset, make_split
-from .downstream import FinetuneSchedule, ProbeSchedule
+from .downstream import FINETUNE_MODES, PROJECTORS, FinetuneSchedule, ProbeSchedule
 from .encoders import EncoderConfig
 from .errors import ConfigError
 
@@ -118,6 +121,17 @@ def _number(raw, path: str, low=None, high=None, integer=False):
     _require(low is None or raw >= low, path, f"value {raw} below minimum {low}")
     _require(high is None or raw <= high, path, f"value {raw} above maximum {high}")
     return raw
+
+
+def _build(cls, section: str, **fields):
+    """``cls(**fields)``, with its ValueError raised as a ConfigError on the
+    dotted key; the dataclasses open each message with the field's name."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        name = re.match(r"\w*", str(exc)).group()
+        key = f"{section}.{name}" if name in fields else section
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
 def set_by_path(tree: dict, dotted: str, value) -> None:
@@ -228,18 +242,15 @@ def _build_dataset(tree: dict) -> DatasetSpec:
     )
 
 
-def _build_aug(tree: dict, seed: int) -> AugmentationSpec:
+def _build_aug(tree: dict) -> AugmentationSpec:
     a = tree["augment"]
-    _require(a["spatial_mode"] in ("pose", "jitter", "randomized", "none"),
-             "augment.spatial_mode", f"unknown mode {a['spatial_mode']!r}")
     _require(isinstance(a["temporal"], bool), "augment.temporal", "expected true/false")
-    l_min = float(_number(a["l_min"], "augment.l_min"))
-    _require(0.0 < l_min <= 1.0, "augment.l_min", f"{l_min} outside (0, 1]")
-    return AugmentationSpec(
-        spatial_mode=a["spatial_mode"], temporal=a["temporal"], l_min=l_min,
-        jitter_joints=_number(a["jitter_joints"], "augment.jitter_joints", 1, integer=True),
-        output_length=_number(a["output_length"], "augment.output_length", 2, integer=True),
-        seed=seed)
+    return _build(
+        AugmentationSpec, "augment",
+        spatial_mode=a["spatial_mode"], temporal=a["temporal"],
+        l_min=float(_number(a["l_min"], "augment.l_min")),
+        jitter_joints=_number(a["jitter_joints"], "augment.jitter_joints", integer=True),
+        output_length=_number(a["output_length"], "augment.output_length", integer=True))
 
 
 def _build_encoders(tree: dict, joints: int, output_length: int) -> dict[str, EncoderConfig]:
@@ -253,24 +264,14 @@ def _build_encoders(tree: dict, joints: int, output_length: int) -> dict[str, En
             feature = 2 * hidden
         feature = _number(feature, f"{path}.feature_dim", 2, integer=True)
         kernel = _number(e["temporal_kernel"], f"{path}.temporal_kernel", 1, integer=True)
-        _require(kernel % 2 == 1, f"{path}.temporal_kernel", "must be odd")
         _require(kernel <= output_length, f"{path}.temporal_kernel",
                  f"kernel {kernel} exceeds crop length {output_length}")
-        kwargs = {}
-        if rep == "SEQ":
-            _require(feature == 2 * hidden, f"{path}.feature_dim",
-                     f"SEQ feature_dim must equal 2*hidden={2 * hidden}")
-            kwargs["seq_pooling"] = e["seq_pooling"]
-            _require(e["seq_pooling"] in ("final", "mean"), f"{path}.seq_pooling",
-                     "must be 'final' or 'mean'")
-        try:
-            out[rep] = EncoderConfig(
-                representation=rep, joints=joints, depth=depth, hidden=hidden,
-                feature_dim=feature,
-                projection_dim=_number(e["projection_dim"], f"{path}.projection_dim", 2, integer=True),
-                temporal_kernel=kernel, **kwargs)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
+        kwargs = {"seq_pooling": e["seq_pooling"]} if rep == "SEQ" else {}
+        out[rep] = _build(
+            EncoderConfig, path, representation=rep, joints=joints, depth=depth,
+            hidden=hidden, feature_dim=feature,
+            projection_dim=_number(e["projection_dim"], f"{path}.projection_dim", integer=True),
+            temporal_kernel=kernel, **kwargs)
     return out
 
 
@@ -279,23 +280,20 @@ def _build_trainer(tree: dict) -> tuple[TrainerConfig, Schedule]:
     reps = t["representations"]
     _require(isinstance(reps, (list, tuple)) and all(isinstance(r, str) for r in reps),
              "trainer.representations", f"expected a list of names, got {reps!r}")
-    tau = float(_number(t["tau"], "trainer.tau"))
-    _require(tau > 0, "trainer.tau", f"temperature must be positive, got {tau}")
-    momentum = float(_number(t["momentum"], "trainer.momentum", 0.0, 1.0))
-    try:
-        trainer = TrainerConfig(
-            mode=t["mode"], representations=tuple(reps), tau=tau, momentum=momentum,
-            queue_size=_number(t["queue_size"], "trainer.queue_size", 1, integer=True),
-            lr=float(_number(t["lr"], "trainer.lr", 0.0)),
-            weight_decay=float(_number(t["weight_decay"], "trainer.weight_decay", 0.0)),
-            opt_momentum=float(_number(t["opt_momentum"], "trainer.opt_momentum", 0.0, 1.0)),
-            cross_terms=t["cross_terms"])
-        schedule = Schedule(
-            epochs=_number(t["epochs"], "trainer.epochs", 1, integer=True),
-            batch_size=_number(t["batch_size"], "trainer.batch_size", 1, integer=True),
-            checkpoint_every=_number(t["checkpoint_every"], "trainer.checkpoint_every", 0, integer=True))
-    except ValueError as exc:
-        raise ConfigError(f"trainer: {exc}") from exc
+    trainer = _build(
+        TrainerConfig, "trainer", mode=t["mode"], representations=tuple(reps),
+        tau=float(_number(t["tau"], "trainer.tau")),
+        momentum=float(_number(t["momentum"], "trainer.momentum")),
+        queue_size=_number(t["queue_size"], "trainer.queue_size", integer=True),
+        lr=float(_number(t["lr"], "trainer.lr", 0.0)),
+        weight_decay=float(_number(t["weight_decay"], "trainer.weight_decay", 0.0)),
+        opt_momentum=float(_number(t["opt_momentum"], "trainer.opt_momentum", 0.0, 1.0)),
+        cross_terms=t["cross_terms"])
+    schedule = _build(
+        Schedule, "trainer",
+        epochs=_number(t["epochs"], "trainer.epochs", integer=True),
+        batch_size=_number(t["batch_size"], "trainer.batch_size", integer=True),
+        checkpoint_every=_number(t["checkpoint_every"], "trainer.checkpoint_every", integer=True))
     return trainer, schedule
 
 
@@ -303,9 +301,9 @@ def _build_downstream(tree: dict) -> DownstreamSpec:
     d = tree["downstream"]
     rho = float(_number(d["rho"], "downstream.rho"))
     _require(0.0 < rho <= 1.0, "downstream.rho", f"{rho} outside (0, 1]")
-    _require(d["finetune_mode"] in ("semi-supervised", "transfer", "supervised-only"),
+    _require(d["finetune_mode"] in FINETUNE_MODES,
              "downstream.finetune_mode", f"unknown mode {d['finetune_mode']!r}")
-    _require(d["projector"] in ("none", "pca2d"), "downstream.projector",
+    _require(d["projector"] in PROJECTORS, "downstream.projector",
              f"unknown projector {d['projector']!r}")
     seeds = d["seeds"]
     _require(isinstance(seeds, (list, tuple)) and len(seeds) >= 1,
@@ -365,14 +363,11 @@ def resolve_config(user_tree: dict, overrides=()) -> ExperimentConfig:
 
     seed = _number(tree["seed"], "seed", integer=True)
     dataset = _build_dataset(tree)
-    aug = _build_aug(tree, seed)
+    aug = _build_aug(tree)
     _require(aug.jitter_joints < dataset.joints, "augment.jitter_joints",
              f"must be smaller than the joint count {dataset.joints}")
     encoders = _build_encoders(tree, dataset.joints, aug.output_length)
     trainer, schedule = _build_trainer(tree)
-    for rep in trainer.representations:
-        _require(rep in encoders, "trainer.representations",
-                 f"no encoder section for {rep!r}")
     downstream = _build_downstream(tree)
     sweep = _build_sweep(tree)
     return ExperimentConfig(resolved=tree, seed=seed, dataset=dataset, aug=aug,

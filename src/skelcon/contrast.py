@@ -17,9 +17,10 @@ uninterrupted run.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -29,8 +30,7 @@ from .encoders import (EncoderConfig, EncoderState, embed_forward,
                        embed_backward, init_encoder, save_checkpoint,
                        load_checkpoint)
 from .errors import ContractError
-from .represent import (REPRESENTATIONS, batch_views, bone_adjacency,
-                        normalized_adjacency)
+from .represent import REPRESENTATIONS, batch_views, graph_adjacency
 
 REP_IDS = {rep: i for i, rep in enumerate(REPRESENTATIONS)}
 
@@ -65,7 +65,7 @@ class NegativeQueue:
         if batch.shape[1] != self.dim:
             raise ValueError(f"embedding dim {batch.shape[1]} != queue dim {self.dim}")
         norms = np.linalg.norm(batch, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-3):
+        if not np.all(np.abs(norms - 1.0) <= 1e-3):  # NaN fails too
             raise ContractError("queue only stores unit-norm embeddings")
         for row in batch.astype(self.buffer.dtype, copy=True):
             self.buffer[self.head] = row
@@ -128,7 +128,7 @@ def info_nce(z_q: np.ndarray, z_k: np.ndarray, negatives,
         raise ValueError(f"query/key shape mismatch: {q.shape} vs {k.shape}")
     for name, arr in (("z_q", q), ("z_k", k), ("negatives", negatives)):
         norms = np.linalg.norm(arr, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-3):
+        if not np.all(np.abs(norms - 1.0) <= 1e-3):  # NaN fails too
             raise ContractError(f"{name} must be unit-norm (worst |norm-1| = "
                                 f"{float(np.max(np.abs(norms - 1.0))):.3e})")
 
@@ -208,19 +208,19 @@ class TrainerConfig:
             raise ValueError(f"mode must be one of {sorted(expected)}, got {self.mode!r}")
         reps = tuple(self.representations)
         if len(reps) != expected[self.mode] or len(set(reps)) != len(reps):
-            raise ValueError(f"mode {self.mode!r} needs {expected[self.mode]} "
-                             f"distinct representations, got {reps}")
+            raise ValueError(f"representations must be {expected[self.mode]} "
+                             f"distinct names for mode {self.mode!r}, got {reps}")
         for rep in reps:
             if rep not in REPRESENTATIONS:
-                raise ValueError(f"unknown representation {rep!r}")
+                raise ValueError(f"representations must be among {REPRESENTATIONS}, got {rep!r}")
         if self.tau <= 0:
             raise ValueError(f"tau must be positive, got {self.tau}")
         if not 0.0 <= self.momentum <= 1.0:
-            raise ValueError("momentum must be in [0,1]")
+            raise ValueError(f"momentum must be in [0,1], got {self.momentum}")
         if self.queue_size < 1:
-            raise ValueError("queue_size must be positive")
+            raise ValueError(f"queue_size must be positive, got {self.queue_size}")
         if self.cross_terms not in ("full", "cycle"):
-            raise ValueError("cross_terms must be 'full' or 'cycle'")
+            raise ValueError(f"cross_terms must be 'full' or 'cycle', got {self.cross_terms!r}")
 
 
 @dataclass
@@ -275,8 +275,7 @@ def make_trainer(config: TrainerConfig, encoder_configs: dict[str, EncoderConfig
     bones = tuple(tuple(int(v) for v in edge) for edge in bones)
     a_hat = None
     if "STG" in reps:
-        joints = encoder_configs["STG"].joints
-        a_hat = normalized_adjacency(bone_adjacency(bones, joints)).astype(dtype)
+        a_hat = graph_adjacency(bones, encoder_configs["STG"].joints, dtype)
     return TrainerState(config=config, aug=aug, pairs=pairs, queues=queues,
                         bones=bones, a_hat=a_hat, velocities=velocities,
                         seed=int(seed))
@@ -294,20 +293,9 @@ def _sgd_update(params: dict, grads: dict, velocity: dict,
 
 def _embed(trainer: TrainerState, rep: str, state: EncoderState,
            seqs: list[SkeletonSequence], want_cache: bool):
-    dtype = next(iter(state.params.values())).dtype
-    x = batch_views(seqs, rep, trainer.bones).astype(dtype)
+    x = batch_views(seqs, rep, trainer.bones).astype(state.dtype)
     a_hat = trainer.a_hat if rep == "STG" else None
     return embed_forward(state.config, state.params, x, a_hat, want_cache)
-
-
-def _augment_batch(trainer: TrainerState, batch: list[SkeletonSequence],
-                   rng: np.random.Generator):
-    queries, keys = [], []
-    for seq in batch:
-        q, k = make_query_key_pair(seq, trainer.aug, rng)
-        queries.append(q)
-        keys.append(k)
-    return queries, keys
 
 
 def _cross_plan(config: TrainerConfig) -> list[tuple[str, str]]:
@@ -365,7 +353,7 @@ def contrast_losses(trainer: TrainerState, queries: list[SkeletonSequence],
 def train_step(trainer: TrainerState, batch: list[SkeletonSequence],
                rng: np.random.Generator) -> LossReport:
     """One optimization step: augment, contrast, update, enqueue."""
-    queries, keys = _augment_batch(trainer, batch, rng)
+    queries, keys = zip(*(make_query_key_pair(seq, trainer.aug, rng) for seq in batch))
     report, grads, z_k = contrast_losses(trainer, queries, keys)
     if not np.isfinite(report.total):
         raise ContractError(
@@ -381,18 +369,6 @@ def train_step(trainer: TrainerState, batch: list[SkeletonSequence],
         trainer.queues[rep].push(z_k[rep])
     trainer.step += 1
     return report
-
-
-def intra_step(trainer: TrainerState, batch, rng) -> LossReport:
-    if trainer.config.mode != "intra":
-        raise ValueError(f"trainer mode is {trainer.config.mode!r}, not intra")
-    return train_step(trainer, batch, rng)
-
-
-def inter_step(trainer: TrainerState, batch, rng) -> LossReport:
-    if trainer.config.mode not in ("inter", "inter3"):
-        raise ValueError(f"trainer mode is {trainer.config.mode!r}, not inter")
-    return train_step(trainer, batch, rng)
 
 
 def warmup_queues(trainer: TrainerState, sequences: list[SkeletonSequence],
@@ -424,14 +400,11 @@ class Schedule:
     checkpoint_every: int = 0      # in epochs; 0 = final checkpoint only
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be positive")
+        for name in ("epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0")
-
-
-def _trainer_tag(epoch: int) -> str:
-    return f"epoch{epoch:04d}"
 
 
 def save_trainer(trainer: TrainerState, out_dir, tag: str | None = None) -> str:
@@ -440,15 +413,13 @@ def save_trainer(trainer: TrainerState, out_dir, tag: str | None = None) -> str:
     Returns the manifest path; `load_trainer` on it restores training exactly.
     """
     os.makedirs(out_dir, exist_ok=True)
-    tag = tag or _trainer_tag(trainer.epoch)
-    files = {}
+    tag = tag or f"epoch{trainer.epoch:04d}"
+    files, aux = {}, {}
     for rep in trainer.representations:
         qf, kf = f"{tag}.{rep}.query.ckpt", f"{tag}.{rep}.key.ckpt"
         save_checkpoint(trainer.pairs[rep].query, os.path.join(out_dir, qf))
         save_checkpoint(trainer.pairs[rep].key, os.path.join(out_dir, kf))
         files[rep] = {"query": qf, "key": kf}
-    aux = {}
-    for rep in trainer.representations:
         for name, arr in trainer.queues[rep].state_arrays().items():
             aux[f"queue.{rep}.{name}"] = arr
         for name, arr in trainer.velocities[rep].items():
@@ -482,6 +453,7 @@ def load_trainer(manifest_path) -> TrainerState:
     cfg_d = dict(manifest["trainer"])
     cfg_d["representations"] = tuple(cfg_d["representations"])
     config = TrainerConfig(**cfg_d)
+    manifest["aug"].pop("seed", None)  # written by older versions, unused
     aug = AugmentationSpec(**manifest["aug"])
     bones = tuple(tuple(edge) for edge in manifest["bones"])
     with np.load(os.path.join(base, manifest["aux"])) as aux:
@@ -499,22 +471,35 @@ def load_trainer(manifest_path) -> TrainerState:
                            for name, arr in aux.items()
                            if name.startswith(f"velocity.{rep}.")}
         if rep == "STG":
-            dtype = next(iter(query.params.values())).dtype
-            a_hat = normalized_adjacency(
-                bone_adjacency(bones, query.config.joints)).astype(dtype)
+            a_hat = graph_adjacency(bones, query.config.joints, query.dtype)
     return TrainerState(config=config, aug=aug, pairs=pairs, queues=queues,
                         bones=bones, a_hat=a_hat, velocities=velocities,
                         seed=int(manifest["seed"]), epoch=int(manifest["epoch"]),
                         step=int(manifest["step"]))
 
 
+def _open_loss_log(path, step: int):
+    """Open the loss log for writing from `step` on: records of earlier
+    steps are kept, those of a previous run or of steps after the last
+    checkpoint (a crash) go, and so does a torn last line."""
+    kept = []
+    if os.path.exists(path):
+        with open(path, "r", encoding="utf-8") as fh:
+            kept = list(itertools.takewhile(
+                lambda line: line.endswith("\n") and json.loads(line)["step"] < step, fh))
+    fh = open(path, "w", encoding="utf-8")
+    fh.writelines(kept)
+    return fh
+
+
 def pretrain(trainer: TrainerState, sequences: list[SkeletonSequence],
              schedule: Schedule, out_dir=None) -> list[dict]:
     """Run the contrastive loop over shuffled epochs.
 
-    Appends one record per step to ``out_dir/loss_log.jsonl`` (when an output
-    directory is given) and writes checkpoints at the schedule's cadence plus
-    a final one.  Returns the list of loss records from this call.
+    Writes one record per step to ``out_dir/loss_log.jsonl`` (when an output
+    directory is given) after the records of earlier steps that the file
+    already holds, and writes checkpoints at the schedule's cadence plus a
+    final one.  Returns the list of loss records from this call.
 
     A trainer restored with `load_trainer` continues from its stored epoch;
     because every rng is derived from (seed, tag, epoch, step), the resumed
@@ -531,9 +516,7 @@ def pretrain(trainer: TrainerState, sequences: list[SkeletonSequence],
     log_fh = None
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        log_fh = open(os.path.join(out_dir, "loss_log.jsonl"),
-                      "a", encoding="utf-8")
-    step_fn = intra_step if trainer.config.mode == "intra" else inter_step
+        log_fh = _open_loss_log(os.path.join(out_dir, "loss_log.jsonl"), trainer.step)
     records = []
     try:
         n = len(sequences)
@@ -543,7 +526,7 @@ def pretrain(trainer: TrainerState, sequences: list[SkeletonSequence],
             for bi, start in enumerate(range(0, n, schedule.batch_size)):
                 batch = [sequences[i] for i in order[start:start + schedule.batch_size]]
                 rng = np.random.default_rng((trainer.seed, _TAG_AUGMENT, epoch, bi))
-                report = step_fn(trainer, batch, rng)
+                report = train_step(trainer, batch, rng)
                 record = report.record(epoch)
                 records.append(record)
                 if log_fh is not None:

@@ -13,7 +13,7 @@ shortest round-trip repr.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,13 +43,6 @@ def chain_tree_bones(joints: int) -> tuple[tuple[int, int], ...]:
     if joints < 2:
         raise ValueError(f"need at least 2 joints, got {joints}")
     return tuple(((j - 1) // 2, j) for j in range(1, joints))
-
-
-def default_bones(joints: int) -> tuple[tuple[int, int], ...]:
-    """The standard 25-joint human tree when J == 25, a synthetic tree otherwise."""
-    if joints == 25:
-        return HUMAN25_BONES
-    return chain_tree_bones(joints)
 
 
 @dataclass(frozen=True)
@@ -111,12 +104,6 @@ class Dataset:
     def sample_ids(self) -> list[str]:
         return [s.sequence.sample_id for s in self.samples]
 
-    def by_id(self, sample_id: str) -> LabeledSample:
-        for s in self.samples:
-            if s.sequence.sample_id == sample_id:
-                return s
-        raise KeyError(sample_id)
-
     def subset(self, ids: list[str]) -> list[LabeledSample]:
         table = {s.sequence.sample_id: s for s in self.samples}
         return [table[i] for i in ids]
@@ -147,8 +134,8 @@ def validate_sequence(seq: SkeletonSequence) -> ValidationReport:
         return ValidationReport(False, f"last axis must be 3, got {d}")
     if m != NUM_ACTORS:
         return ValidationReport(False, f"actor axis must be {NUM_ACTORS}, got {m} (pad absent actor with zeros)")
-    if t < 1:
-        return ValidationReport(False, "need at least one frame")
+    if t < 2:
+        return ValidationReport(False, f"need at least 2 frames, got {t}")
     if j < 2:
         return ValidationReport(False, f"need at least 2 joints, got {j}")
     if not np.isfinite(c).all():
@@ -199,7 +186,8 @@ def load_dataset(path) -> Dataset:
     ParseError
         Malformed JSON or a missing/bad header, naming the offending line.
     SchemaError
-        A record whose joint count or declared shape contradicts the header.
+        A header whose bones are not a tree over its joints, or a record
+        whose joint count or declared shape contradicts the header.
     ValidationError
         A sequence with non-finite coordinates, naming the sample id.
     """
@@ -216,6 +204,11 @@ def load_dataset(path) -> Dataset:
     joint_count = int(header["J"])
     num_classes = int(header["num_classes"])
     bones = tuple(tuple(int(v) for v in b) for b in header["bones"])
+    from .represent import graph_adjacency  # represent imports this module
+    try:
+        graph_adjacency(bones, joint_count)
+    except ValueError as e:
+        raise SchemaError(f"{path}: line 1: {e}") from e
 
     samples: list[LabeledSample] = []
     for lineno, line in enumerate(lines[1:], start=2):

@@ -22,7 +22,7 @@ from .data import LabeledSample
 from .encoders import (EncoderConfig, EncoderState, encoder_forward,
                        encoder_backward, init_encoder)
 from .errors import DegenerateTaskError
-from .represent import batch_views, bone_adjacency, normalized_adjacency
+from .represent import batch_views, graph_adjacency
 
 
 # ---------------------------------------------------------------------------
@@ -42,22 +42,29 @@ def center_crop(seq, length: int = 64):
         seq, CropResizeParams(length_ratio=1.0, start=0, output_length=length))
 
 
-def _adjacency_for(state: EncoderState, bones):
-    if state.config.representation != "STG":
-        return None
-    dtype = next(iter(state.params.values())).dtype
-    return normalized_adjacency(
-        bone_adjacency(bones, state.config.joints)).astype(dtype)
+def _labels(samples: list[LabeledSample]) -> np.ndarray:
+    """Sample labels, with -1 marking an unlabeled sample."""
+    return np.array([-1 if s.label is None else s.label for s in samples])
+
+
+def _scorable(labels, task: str) -> np.ndarray:
+    """Labels a scoring task may use: an unlabeled sample (-1) is refused
+    rather than scored as a class of its own."""
+    labels = np.asarray(labels)
+    if np.any(labels < 0):
+        raise DegenerateTaskError(
+            f"{task}: {int(np.sum(labels < 0))} sample(s) have no label (-1); "
+            "only labeled samples can be scored")
+    return labels
 
 
 def extract_features(state: EncoderState, samples: list[LabeledSample], bones,
                      crop_length: int = 64, batch_size: int = 64):
-    """Backbone (pre-projection) features and labels for a labeled split."""
+    """Backbone (pre-projection) features and labels (-1 when unlabeled)."""
     if not samples:
         raise ValueError("extract_features needs a nonempty split")
-    rep = state.config.representation
-    dtype = next(iter(state.params.values())).dtype
-    a_hat = _adjacency_for(state, bones)
+    rep, dtype = state.config.representation, state.dtype
+    a_hat = graph_adjacency(bones, state.config.joints, dtype) if rep == "STG" else None
     feats = []
     for start in range(0, len(samples), batch_size):
         chunk = samples[start:start + batch_size]
@@ -65,9 +72,7 @@ def extract_features(state: EncoderState, samples: list[LabeledSample], bones,
         x = batch_views(seqs, rep, bones).astype(dtype)
         f, _ = encoder_forward(state.config, state.params, x, a_hat)
         feats.append(f)
-    features = np.concatenate(feats, axis=0)
-    labels = np.array([-1 if s.label is None else s.label for s in samples])
-    return features, labels
+    return np.concatenate(feats, axis=0), _labels(samples)
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +140,7 @@ def linear_probe(features_train: np.ndarray, labels_train: np.ndarray,
     and the probe's fixed schedule needs well-conditioned inputs to converge.
     The encoder itself is untouched (the transform is per-dimension affine).
     """
-    classes = np.unique(labels_train)
+    classes = np.unique(_scorable(labels_train, "linear probe"))
     if len(classes) < 2:
         raise DegenerateTaskError(
             f"linear probe needs >= 2 classes, training set has {len(classes)}")
@@ -160,7 +165,7 @@ def linear_probe(features_train: np.ndarray, labels_train: np.ndarray,
         b -= lr * vb
     x_test = (np.asarray(features_test, dtype=np.float64) - mean) / scale
     predictions = classes[np.argmax(x_test @ w + b, axis=1)]
-    return _score(predictions, np.asarray(labels_test), protocol)
+    return _score(predictions, _scorable(labels_test, "linear probe"), protocol)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +190,7 @@ def build_index(features: np.ndarray, labels: np.ndarray) -> RetrievalIndex:
     if len(features) == 0:
         raise ValueError("retrieval gallery must be nonempty")
     return RetrievalIndex(features=_unit_rows(features, "gallery"),
-                          labels=np.asarray(labels).copy())
+                          labels=_scorable(labels, "retrieval gallery").copy())
 
 
 def knn_retrieve(index: RetrievalIndex, query_features: np.ndarray,
@@ -203,7 +208,7 @@ def knn_retrieve(index: RetrievalIndex, query_features: np.ndarray,
     predictions = index.labels[nearest]
     if query_labels is None:
         return predictions, None
-    return predictions, _score(predictions, np.asarray(query_labels), protocol)
+    return predictions, _score(predictions, _scorable(query_labels, "retrieval"), protocol)
 
 
 # ---------------------------------------------------------------------------
@@ -296,11 +301,10 @@ def _finetune_one(init_state: EncoderState, train: list[LabeledSample],
                   crop_length: int, protocol: str) -> Metrics:
     state = init_state.copy()
     config = state.config
-    rep = config.representation
-    dtype = next(iter(state.params.values())).dtype
-    a_hat = _adjacency_for(state, bones)
+    rep, dtype = config.representation, state.dtype
+    a_hat = graph_adjacency(bones, config.joints, dtype) if rep == "STG" else None
 
-    labels = np.array([s.label for s in train])
+    labels = _labels(train)
     classes = np.unique(labels)
     if len(classes) < 2:
         raise DegenerateTaskError(
@@ -339,7 +343,7 @@ def _finetune_one(init_state: EncoderState, train: list[LabeledSample],
 
     test_x = batch_views([center_crop(s.sequence, crop_length) for s in test],
                          rep, bones).astype(dtype)
-    test_labels = np.array([s.label for s in test])
+    test_labels = _labels(test)
     feats, _ = encoder_forward(config, state.params, test_x, a_hat)
     predictions = classes[np.argmax(feats @ head["cls.w"] + head["cls.b"], axis=1)]
     return _score(predictions, test_labels, protocol)
@@ -362,7 +366,8 @@ def finetune(checkpoint, train: list[LabeledSample], test: list[LabeledSample],
     config = checkpoint if isinstance(checkpoint, EncoderConfig) else checkpoint.config
     if mode != "supervised-only" and not isinstance(checkpoint, EncoderState):
         raise ValueError(f"{mode} finetuning needs pretrained encoder weights")
-    labels = np.array([s.label for s in train])
+    labels = _scorable(_labels(train), "finetune")
+    _scorable(_labels(test), "finetune")
     accuracies = []
     for seed in seeds:
         subset = stratified_subset(labels, rho, seed)

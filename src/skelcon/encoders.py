@@ -24,7 +24,7 @@ from dataclasses import dataclass, asdict, replace
 import numpy as np
 
 from . import nn
-from .errors import DegenerateEmbeddingError
+from .errors import DegenerateEmbeddingError, ParseError
 from .represent import GraphView, REPRESENTATIONS
 
 CHECKPOINT_MAGIC = b"CKPT1\n"
@@ -38,7 +38,6 @@ class EncoderConfig:
     hidden: int = 32
     feature_dim: int = 64
     projection_dim: int = 128
-    scale: str = "desk"
     temporal_kernel: int = 5
     seq_pooling: str = "final"
     actors: int = 2
@@ -47,16 +46,17 @@ class EncoderConfig:
         if self.representation not in REPRESENTATIONS:
             raise ValueError(f"representation must be one of {REPRESENTATIONS}")
         if self.projection_dim < 2:
-            raise ValueError("projection_dim must be >= 2")
+            raise ValueError(f"projection_dim must be >= 2, got {self.projection_dim}")
         if self.depth < 1 or self.hidden < 1 or self.joints < 2:
             raise ValueError("depth, hidden and joints must be positive")
         if self.representation == "SEQ" and self.feature_dim != 2 * self.hidden:
-            raise ValueError(
-                f"SEQ feature_dim must equal 2*hidden={2 * self.hidden}, got {self.feature_dim}")
+            raise ValueError(f"feature_dim of SEQ must equal 2*hidden="
+                             f"{2 * self.hidden}, got {self.feature_dim}")
         if self.temporal_kernel % 2 != 1:
-            raise ValueError("temporal_kernel must be odd (same-padding convolutions)")
+            raise ValueError(f"temporal_kernel must be odd (same-padding convolutions), "
+                             f"got {self.temporal_kernel}")
         if self.seq_pooling not in ("final", "mean"):
-            raise ValueError("seq_pooling must be 'final' or 'mean'")
+            raise ValueError(f"seq_pooling must be 'final' or 'mean', got {self.seq_pooling!r}")
 
     @property
     def input_dim(self) -> int:
@@ -71,21 +71,7 @@ def desk_config(representation: str, joints: int, hidden: int = 32,
                 depth: int = 1, projection_dim: int = 128) -> EncoderConfig:
     return EncoderConfig(representation=representation, joints=joints,
                          depth=depth, hidden=hidden, feature_dim=2 * hidden,
-                         projection_dim=projection_dim, scale="desk")
-
-
-def full_scale_config(representation: str, joints: int = 25) -> EncoderConfig:
-    """Full-scale configurations; used for shape checks and documentation."""
-    if representation == "SEQ":
-        return EncoderConfig("SEQ", joints, depth=3, hidden=1024,
-                             feature_dim=2048, scale="full")
-    if representation == "IMG":
-        return EncoderConfig("IMG", joints, depth=2, hidden=64,
-                             feature_dim=4096, scale="full")
-    if representation == "STG":
-        return EncoderConfig("STG", joints, depth=3, hidden=64,
-                             feature_dim=256, scale="full")
-    raise ValueError(f"unknown representation {representation!r}")
+                         projection_dim=projection_dim)
 
 
 @dataclass
@@ -93,6 +79,11 @@ class EncoderState:
     config: EncoderConfig
     params: dict[str, np.ndarray]
     step: int = 0
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The float dtype all parameters share; every encoder has a head."""
+        return self.params["head.w1"].dtype
 
     def copy(self) -> "EncoderState":
         return EncoderState(config=self.config,
@@ -169,148 +160,114 @@ def init_encoder(config: EncoderConfig, seed: int,
 # forward / backward
 # ---------------------------------------------------------------------------
 
-def _seq_forward(config, params, x, want_cache):
-    h = config.hidden
-    caches = []
-    layer_in = x
-    hf = hb = None
+class _Tape(list):
+    """Backward steps recorded by a forward pass, replayed in reverse.
+
+    A step is ``(names, backward)``: ``backward(d)`` returns the input
+    gradient followed by the gradients of the parameters in ``names``.
+    Steps call ``nn.<op>`` through the module when they run, so an op
+    patched on ``nn`` is seen by both passes.
+    """
+
+    def replay(self, d):
+        grads: dict[str, np.ndarray] = {}
+        for names, backward in reversed(self):
+            d, *param_grads = backward(d)
+            grads.update(zip(names, param_grads))
+        return grads
+
+    def conv(self, params, layer, x, pad=(0, 0)):
+        w = params[f"{layer}.w"]
+        y, c = nn.conv2d_forward(x, w, params[f"{layer}.b"], pad=pad)
+        self.append(((f"{layer}.w", f"{layer}.b"), lambda d: nn.conv2d_backward(d, c, w)))
+        return y
+
+    def graph_conv(self, params, layer, x, a_hat, actors):
+        y, c = nn.graph_conv_forward(x, a_hat, params[f"{layer}.w"],
+                                     params[f"{layer}.b"], actors=actors)
+        self.append(((f"{layer}.w", f"{layer}.b"), lambda d: nn.graph_conv_backward(d, c)))
+        return y
+
+    def linear(self, params, layer, x):
+        y, c = nn.linear_forward(x, params[f"{layer}.w"], params[f"{layer}.b"])
+        self.append(((f"{layer}.w", f"{layer}.b"), lambda d: nn.linear_backward(d, c)))
+        return y
+
+    def bigru(self, params, layer, x):
+        """Both directions of a GRU layer, outputs concatenated (N, T, 2H)."""
+        names, outs, caches = [], [], []
+        for direction in ("fwd", "bwd"):
+            keys = [f"{layer}.{direction}.{k}" for k in ("w", "u", "b")]
+            out, _, c = nn.gru_forward(x, *(params[k] for k in keys),
+                                       reverse=direction == "bwd")
+            names, outs, caches = names + keys, outs + [out], caches + [c]
+        h = outs[0].shape[2]
+
+        def backward(d):
+            dx_f, *g_f = nn.gru_backward(d[:, :, :h], None, caches[0])
+            dx_b, *g_b = nn.gru_backward(d[:, :, h:], None, caches[1])
+            return (dx_f + dx_b, *g_f, *g_b)
+        self.append((tuple(names), backward))
+        return np.concatenate(outs, axis=2)
+
+    def final_states(self, y):
+        """(N, 2H) final states of a bidirectional layer: the forward
+        direction's at the last frame, the backward direction's at frame 0."""
+        shape, h = y.shape, y.shape[2] // 2
+
+        def backward(d):
+            dy = np.zeros(shape, dtype=d.dtype)
+            dy[:, -1, :h], dy[:, 0, h:] = d[:, :h], d[:, h:]
+            return (dy,)
+        self.append(((), backward))
+        return np.concatenate([y[:, -1, :h], y[:, 0, h:]], axis=1)
+
+    def time_mean(self, y):
+        shape = y.shape
+        self.append(((), lambda d: (np.broadcast_to(d[:, None, :] / shape[1],
+                                                    shape).astype(d.dtype),)))
+        return y.mean(axis=1)
+
+    def relu(self, x):
+        y, mask = nn.relu_forward(x)
+        self.append(((), lambda d: (nn.relu_backward(d, mask),)))
+        return y
+
+    def pool(self, x, axes):
+        y, c = nn.mean_pool_forward(x, axes)
+        self.append(((), lambda d: (nn.mean_pool_backward(d, c),)))
+        return y
+
+    def transpose(self, x, axes):
+        inverse = tuple(np.argsort(axes))
+        self.append(((), lambda d: (np.ascontiguousarray(d.transpose(inverse)),)))
+        return np.ascontiguousarray(x.transpose(axes))
+
+
+def _seq_forward(config, params, x, tape):
     for layer in range(config.depth):
-        out_f, hf, cf = nn.gru_forward(layer_in, params[f"gru{layer}.fwd.w"],
-                                       params[f"gru{layer}.fwd.u"],
-                                       params[f"gru{layer}.fwd.b"])
-        out_b, hb, cb = nn.gru_forward(layer_in, params[f"gru{layer}.bwd.w"],
-                                       params[f"gru{layer}.bwd.u"],
-                                       params[f"gru{layer}.bwd.b"], reverse=True)
-        layer_in = np.concatenate([out_f, out_b], axis=2)
-        caches.append((cf, cb))
-    if config.seq_pooling == "final":
-        feats = np.concatenate([hf, hb], axis=1)
-    else:
-        feats = layer_in.mean(axis=1)
-    cache = (caches, layer_in.shape) if want_cache else None
-    return feats, cache
+        x = tape.bigru(params, f"gru{layer}", x)
+    return tape.final_states(x) if config.seq_pooling == "final" else tape.time_mean(x)
 
 
-def _seq_backward(config, params, cache, dfeat):
-    h = config.hidden
-    caches, out_shape = cache
-    grads: dict[str, np.ndarray] = {}
-    if config.seq_pooling == "final":
-        dh_f, dh_b = dfeat[:, :h], dfeat[:, h:]
-        dout_seq = None
-    else:
-        t = out_shape[1]
-        dout_seq = np.broadcast_to(dfeat[:, None, :] / t, out_shape).astype(dfeat.dtype)
-        dh_f = dh_b = None
-    for layer in range(config.depth - 1, -1, -1):
-        cf, cb = caches[layer]
-        d_f = dout_seq[:, :, :h] if dout_seq is not None else None
-        d_b = dout_seq[:, :, h:] if dout_seq is not None else None
-        dx_f, dwf, duf, dbf = nn.gru_backward(d_f, dh_f, cf)
-        dx_b, dwb, dub, dbb = nn.gru_backward(d_b, dh_b, cb)
-        grads[f"gru{layer}.fwd.w"] = dwf
-        grads[f"gru{layer}.fwd.u"] = duf
-        grads[f"gru{layer}.fwd.b"] = dbf
-        grads[f"gru{layer}.bwd.w"] = dwb
-        grads[f"gru{layer}.bwd.u"] = dub
-        grads[f"gru{layer}.bwd.b"] = dbb
-        dout_seq = dx_f + dx_b
-        dh_f = dh_b = None
-    return grads
-
-
-def _img_forward(config, params, x, want_cache):
-    kt = config.temporal_kernel
-    pad = (kt // 2, 0)
-    steps = []
-    y, c = nn.conv2d_forward(x, params["conv_in.w"], params["conv_in.b"])
-    steps.append(("conv_in", c))
-    y, r = nn.relu_forward(y)
-    steps.append(("relu", r))
+def _img_forward(config, params, x, tape):
+    pad = (config.temporal_kernel // 2, 0)
+    y = tape.relu(tape.conv(params, "conv_in", x))
     for i in range(config.depth):
-        y, c = nn.conv2d_forward(y, params[f"tconv{i}.w"], params[f"tconv{i}.b"], pad=pad)
-        steps.append((f"tconv{i}", c))
-        y, r = nn.relu_forward(y)
-        steps.append(("relu", r))
-    y = np.ascontiguousarray(y.transpose(0, 3, 2, 1))  # joints become channels
-    steps.append(("transpose", None))
-    y, c = nn.conv2d_forward(y, params["cooc.w"], params["cooc.b"])
-    steps.append(("cooc", c))
-    y, r = nn.relu_forward(y)
-    steps.append(("relu", r))
-    y, c = nn.mean_pool_forward(y, (2, 3))
-    steps.append(("pool", c))
-    y, c = nn.linear_forward(y, params["fc.w"], params["fc.b"])
-    steps.append(("fc", c))
-    feats, r = nn.relu_forward(y)
-    steps.append(("relu", r))
-    return feats, (steps if want_cache else None)
+        y = tape.relu(tape.conv(params, f"tconv{i}", y, pad))
+    y = tape.transpose(y, (0, 3, 2, 1))  # joints become channels
+    y = tape.relu(tape.conv(params, "cooc", y))
+    return tape.relu(tape.linear(params, "fc", tape.pool(y, (2, 3))))
 
 
-def _img_backward(config, params, cache, dfeat):
-    grads: dict[str, np.ndarray] = {}
-    d = dfeat
-    for name, c in reversed(cache):
-        if name == "relu":
-            d = nn.relu_backward(d, c)
-        elif name == "fc":
-            d, grads["fc.w"], grads["fc.b"] = nn.linear_backward(d, c)
-        elif name == "pool":
-            d = nn.mean_pool_backward(d, c)
-        elif name == "transpose":
-            d = np.ascontiguousarray(d.transpose(0, 3, 2, 1))
-        else:
-            d, grads[f"{name}.w"], grads[f"{name}.b"] = nn.conv2d_backward(d, c, params[f"{name}.w"])
-    return grads
-
-
-def _stg_forward(config, params, x, a_hat, want_cache):
-    kt = config.temporal_kernel
-    pad = (kt // 2, 0)
-    steps = []
-    y = x
+def _stg_forward(config, params, x, a_hat, tape):
+    pad = (config.temporal_kernel // 2, 0)
     for i in range(config.depth):
-        y, c = nn.graph_conv_forward(y, a_hat, params[f"block{i}.gc.w"],
-                                     params[f"block{i}.gc.b"], actors=config.actors)
-        steps.append((f"block{i}.gc", c))
-        y, r = nn.relu_forward(y)
-        steps.append(("relu", r))
-        y = np.ascontiguousarray(y.transpose(0, 3, 1, 2))  # (N, C, T, V)
-        steps.append(("to_nchw", None))
-        y, c = nn.conv2d_forward(y, params[f"block{i}.tc.w"], params[f"block{i}.tc.b"], pad=pad)
-        steps.append((f"block{i}.tc", c))
-        y, r = nn.relu_forward(y)
-        steps.append(("relu", r))
-        y = np.ascontiguousarray(y.transpose(0, 2, 3, 1))  # back to (N, T, V, C)
-        steps.append(("to_ntvc", None))
-    y, c = nn.mean_pool_forward(y, (1, 2))
-    steps.append(("pool", c))
-    y, c = nn.linear_forward(y, params["fc.w"], params["fc.b"])
-    steps.append(("fc", c))
-    feats, r = nn.relu_forward(y)
-    steps.append(("relu", r))
-    return feats, (steps if want_cache else None)
-
-
-def _stg_backward(config, params, cache, dfeat):
-    grads: dict[str, np.ndarray] = {}
-    d = dfeat
-    for name, c in reversed(cache):
-        if name == "relu":
-            d = nn.relu_backward(d, c)
-        elif name == "fc":
-            d, grads["fc.w"], grads["fc.b"] = nn.linear_backward(d, c)
-        elif name == "pool":
-            d = nn.mean_pool_backward(d, c)
-        elif name == "to_nchw":
-            d = np.ascontiguousarray(d.transpose(0, 2, 3, 1))
-        elif name == "to_ntvc":
-            d = np.ascontiguousarray(d.transpose(0, 3, 1, 2))
-        elif name.endswith(".tc"):
-            d, grads[f"{name}.w"], grads[f"{name}.b"] = nn.conv2d_backward(d, c, params[f"{name}.w"])
-        else:
-            d, grads[f"{name}.w"], grads[f"{name}.b"] = nn.graph_conv_backward(d, c)
-    return grads
+        x = tape.relu(tape.graph_conv(params, f"block{i}.gc", x, a_hat, config.actors))
+        x = tape.transpose(x, (0, 3, 1, 2))  # (N, C, T, V)
+        x = tape.relu(tape.conv(params, f"block{i}.tc", x, pad))
+        x = tape.transpose(x, (0, 2, 3, 1))  # back to (N, T, V, C)
+    return tape.relu(tape.linear(params, "fc", tape.pool(x, (1, 2))))
 
 
 _EXPECTED_NDIM = {"IMG": 4, "SEQ": 3, "STG": 4}
@@ -318,32 +275,32 @@ _EXPECTED_NDIM = {"IMG": 4, "SEQ": 3, "STG": 4}
 
 def encoder_forward(config: EncoderConfig, params: dict, x: np.ndarray,
                     a_hat: np.ndarray | None = None, want_cache: bool = False):
-    """Backbone features for a batch of views (no projection head)."""
+    """Backbone features for a batch of views (no projection head); the
+    cache is the tape that `encoder_backward` replays."""
     if x.ndim != _EXPECTED_NDIM[config.representation]:
         raise ValueError(
             f"{config.representation} encoder expects a rank-"
             f"{_EXPECTED_NDIM[config.representation]} batch, got shape {x.shape}")
+    tape = _Tape()
     if config.representation == "SEQ":
         if x.shape[2] != config.input_dim:
             raise ValueError(f"SEQ feature axis {x.shape[2]} != {config.input_dim}")
-        return _seq_forward(config, params, x, want_cache)
-    if config.representation == "IMG":
+        feats = _seq_forward(config, params, x, tape)
+    elif config.representation == "IMG":
         if x.shape[1] != 3 or x.shape[3] != config.node_count:
             raise ValueError(f"IMG batch shape {x.shape} does not match config")
-        return _img_forward(config, params, x, want_cache)
-    if x.shape[2] != config.node_count or x.shape[3] != 3:
-        raise ValueError(f"STG batch shape {x.shape} does not match config")
-    if a_hat is None:
-        raise ValueError("STG encoder needs the normalized adjacency")
-    return _stg_forward(config, params, x, a_hat, want_cache)
+        feats = _img_forward(config, params, x, tape)
+    else:
+        if x.shape[2] != config.node_count or x.shape[3] != 3:
+            raise ValueError(f"STG batch shape {x.shape} does not match config")
+        if a_hat is None:
+            raise ValueError("STG encoder needs the normalized adjacency")
+        feats = _stg_forward(config, params, x, a_hat, tape)
+    return feats, (tape if want_cache else None)
 
 
 def encoder_backward(config: EncoderConfig, params: dict, cache, dfeat: np.ndarray):
-    if config.representation == "SEQ":
-        return _seq_backward(config, params, cache, dfeat)
-    if config.representation == "IMG":
-        return _img_backward(config, params, cache, dfeat)
-    return _stg_backward(config, params, cache, dfeat)
+    return cache.replay(dfeat)
 
 
 def head_forward(params: dict, feats: np.ndarray, want_cache: bool = False,
@@ -392,25 +349,18 @@ def embed_backward(config, params, cache, dz):
 
 def encode(view, state: EncoderState) -> np.ndarray:
     """Backbone feature vector(s) for one view or a batch of views."""
-    config = state.config
+    config, dtype = state.config, state.dtype
     if isinstance(view, GraphView):
         x = view.nodes.transpose(1, 0, 2)[None]
-        feats, _ = encoder_forward(config, state.params, x.astype(next(iter(state.params.values())).dtype),
-                                   a_hat=view.adjacency_normalized)
+        feats, _ = encoder_forward(config, state.params, x.astype(dtype),
+                                   a_hat=view.adjacency.astype(dtype))
         return feats[0]
     x = np.asarray(view)
     single = x.ndim == _EXPECTED_NDIM[config.representation] - 1
     if single:
         x = x[None]
-    dtype = next(iter(state.params.values())).dtype
     feats, _ = encoder_forward(config, state.params, x.astype(dtype))
     return feats[0] if single else feats
-
-
-def project_and_normalize(features: np.ndarray, state: EncoderState) -> np.ndarray:
-    single = features.ndim == 1
-    z, _ = head_forward(state.params, features[None] if single else features)
-    return z[0] if single else z
 
 
 # ---------------------------------------------------------------------------
@@ -450,12 +400,15 @@ def load_checkpoint(path, dtype=np.float32) -> EncoderState:
         (mlen,) = struct.unpack("<I", fh.read(4))
         manifest = json.loads(fh.read(mlen).decode("utf-8"))
         blob = fh.read()
+    manifest["config"].pop("scale", None)  # written by older versions, unused
     config = EncoderConfig(**manifest["config"])
+    sizes = {name: int(np.prod(meta["shape"])) for name, meta in manifest["params"].items()}
+    if len(blob) != 4 * sum(sizes.values()):
+        raise ParseError(f"{path}: parameter blob has {len(blob)} bytes, "
+                         f"manifest needs {4 * sum(sizes.values())}")
     flat = np.frombuffer(blob, dtype="<f4")
     params = {}
     for name, meta in manifest["params"].items():
-        shape = tuple(meta["shape"])
-        size = int(np.prod(shape)) if shape else 1
-        arr = flat[meta["offset"]:meta["offset"] + size].reshape(shape)
-        params[name] = arr.astype(dtype)
+        offset = meta["offset"]
+        params[name] = flat[offset:offset + sizes[name]].reshape(meta["shape"]).astype(dtype)
     return EncoderState(config=config, params=params, step=int(manifest["step"]))

@@ -22,14 +22,12 @@ REPRESENTATIONS = ("IMG", "SEQ", "STG")
 class GraphView:
     """Node features (M*J, T, 3) plus the per-actor joint adjacency.
 
-    `adjacency` is the symmetric 0/1 matrix over the J joints of one actor,
-    with self-loops on the diagonal.  `adjacency_normalized` caches
-    D^{-1/2} (A + I) D^{-1/2}; encoders consume it directly.
+    `adjacency` is the normalized (J, J) matrix of `graph_adjacency` over
+    the joints of one actor; encoders consume it directly.
     """
 
     nodes: np.ndarray
     adjacency: np.ndarray
-    adjacency_normalized: np.ndarray
 
 
 def bone_adjacency(bones, joints: int) -> np.ndarray:
@@ -49,6 +47,19 @@ def normalized_adjacency(adjacency: np.ndarray) -> np.ndarray:
     return adjacency * inv_sqrt[:, None] * inv_sqrt[None, :]
 
 
+def graph_adjacency(bones, joints: int, dtype=np.float64) -> np.ndarray:
+    """The graph encoders' D^{-1/2} (A + I) D^{-1/2} in `dtype`, after
+    checking that `bones` is a tree: joints - 1 in-range edges that connect
+    all `joints` joints."""
+    adjacency = bone_adjacency(bones, joints)
+    reached = adjacency[0] > 0
+    for _ in range(joints):
+        reached = adjacency[reached].any(axis=0)
+    if len(bones) != joints - 1 or not reached.all():
+        raise ValueError(f"{len(bones)} bones do not form a tree over J={joints} joints")
+    return normalized_adjacency(adjacency).astype(dtype)
+
+
 def to_image(seq: SkeletonSequence) -> np.ndarray:
     """(T, M, J, 3) -> (3, T, M*J): coordinate channels first."""
     t, m, j, _ = seq.coords.shape
@@ -64,15 +75,8 @@ def to_sequence(seq: SkeletonSequence) -> np.ndarray:
 def to_graph(seq: SkeletonSequence, bones) -> GraphView:
     """(T, M, J, 3) -> nodes (M*J, T, 3) over two disjoint joint-tree copies."""
     t, m, j, _ = seq.coords.shape
-    max_joint = max((max(b) for b in bones), default=-1)
-    if max_joint >= j or len(bones) != j - 1:
-        raise ValueError(
-            f"topology with {len(bones)} bones / max joint {max_joint} "
-            f"does not cover J={j}")
     nodes = np.ascontiguousarray(seq.coords.reshape(t, m * j, 3).transpose(1, 0, 2))
-    adjacency = bone_adjacency(bones, j)
-    return GraphView(nodes=nodes, adjacency=adjacency,
-                     adjacency_normalized=normalized_adjacency(adjacency))
+    return GraphView(nodes=nodes, adjacency=graph_adjacency(bones, j))
 
 
 def image_to_coords(view: np.ndarray, actors: int) -> np.ndarray:
@@ -98,7 +102,8 @@ def batch_views(seqs: list[SkeletonSequence], representation: str, bones) -> np.
     """Stack per-sample views into one batch array.
 
     IMG -> (N, 3, T, M*J);  SEQ -> (N, T, M*J*3);  STG -> (N, T, M*J, 3).
-    Graph encoders receive the normalized adjacency separately.
+    Graph encoders receive `graph_adjacency` separately; the bone tree is
+    checked there, once, and not per batch.
     """
     if representation == "IMG":
         return np.stack([to_image(s) for s in seqs])

@@ -1,5 +1,6 @@
 """Config resolution rules and the `skelcon` CLI end-to-end on a tiny run."""
 
+import dataclasses
 import json
 import warnings
 
@@ -14,6 +15,7 @@ from skelcon.config import (
     resolve_config,
     write_resolved,
 )
+from skelcon.data import generate_synthetic, save_dataset
 from skelcon.errors import ConfigError
 
 # Overrides that shrink every knob so CLI runs finish in well under a second.
@@ -86,10 +88,24 @@ def test_unknown_keys_are_rejected_by_dotted_path():
     ("downstream.rho", 0.0),
     ("downstream.min_accuracy", 2.0),
     ("encoders.SEQ.temporal_kernel", 4),
+    ("augment.spatial_mode", "mirror"),
+    ("augment.jitter_joints", 0),
+    ("augment.output_length", 1),
+    ("encoders.SEQ.seq_pooling", "max"),
+    ("encoders.SEQ.feature_dim", 20),
+    ("encoders.IMG.projection_dim", 1),
+    ("trainer.mode", "solo"),
+    ("trainer.cross_terms", "ring"),
+    ("trainer.queue_size", 0),
+    ("trainer.epochs", 0),
+    ("trainer.batch_size", 0),
+    ("trainer.checkpoint_every", -1),
 ])
-def test_range_violations_name_the_key(key, value):
-    with pytest.raises(ConfigError, match=key.rsplit(".", 1)[-1]):
+def test_range_violations_name_the_key(key, value, tmp_path):
+    with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
         resolve_config({}, [(key, value)])
+    assert main(["pretrain", "--out", str(tmp_path),
+                 "--set", f"{key}={json.dumps(value)}"]) == 2
 
 
 def test_cross_field_validation():
@@ -316,3 +332,48 @@ def test_cli_sweep_grid_and_cell_isolation(tmp_path):
     with pytest.raises(SystemExit):                # sweep needs a grid definition
         main(["sweep"])                            # argparse: missing --out
     assert main(["sweep", "--out", str(tmp_path / "nogrid")] + _sets()) == 2
+
+
+def test_cli_resume_rejects_a_changed_config(tmp_path, capsys):
+    out, manifest = _pretrain(tmp_path)
+    before = (out / "config.json").read_bytes()
+    for drift in (["trainer.tau=0.5"], ["augment.l_min=0.5"],
+                  ["encoders.SEQ.hidden=6"], ["trainer.cross_terms=cycle"]):
+        assert main(["pretrain", "--out", str(out), "--resume", str(manifest)]
+                    + _sets(["trainer.epochs=4"] + drift)) == 2
+        assert drift[0].split("=")[0] in capsys.readouterr().err
+    assert (out / "config.json").read_bytes() == before
+
+
+def _unlabeled_dataset(tmp_path):
+    ds = generate_synthetic(3, 4, 16, 5, seed=0)
+    ds.samples[1] = dataclasses.replace(ds.samples[1], label=None)
+    path = tmp_path / "partly_labeled.skl"
+    save_dataset(ds, path)
+    return ["dataset.source=file", f"dataset.path={path}",
+            "downstream.rho=0.5", "downstream.seeds=[0]",
+            "downstream.finetune.epochs=1"]
+
+
+@pytest.mark.parametrize("task", ["probe", "retrieve", "finetune"])
+def test_cli_scoring_tasks_refuse_unlabeled_samples(tmp_path, capsys, task):
+    _, manifest = _pretrain(tmp_path)
+    extra = _unlabeled_dataset(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = main([task, "--out", str(tmp_path / task), "--checkpoint", str(manifest)]
+                    + _sets(extra))
+    assert code == 3
+    assert "DegenerateTaskError" in capsys.readouterr().err
+    assert not (tmp_path / task / "metrics.json").exists()
+
+
+def test_cli_export_keeps_unlabeled_samples(tmp_path):
+    _, manifest = _pretrain(tmp_path)
+    extra = _unlabeled_dataset(tmp_path) + ["dataset.train_fraction=0.05"]
+    out = tmp_path / "export"
+    assert main(["export", "--out", str(out), "--checkpoint", str(manifest)]
+                + _sets(extra)) == 0
+    labels = [json.loads(line)["label"]
+              for line in (out / "embeddings.jsonl").read_text().splitlines()]
+    assert None in labels

@@ -1,6 +1,7 @@
 """InfoNCE oracle values, momentum/queue mechanics, trainer determinism,
 loss gradients, and checkpoint/resume replay."""
 
+import json
 import math
 
 import numpy as np
@@ -16,8 +17,6 @@ from skelcon.contrast import (
     _cross_plan,
     contrast_losses,
     info_nce,
-    intra_step,
-    inter_step,
     load_trainer,
     make_pair,
     make_trainer,
@@ -119,6 +118,18 @@ def test_info_nce_input_validation():
         info_nce(2.0 * E1, E2, E3[None])
     with pytest.raises(ValueError):
         info_nce(np.stack([E1, E2]), E2[None], E3[None])
+
+
+def test_unit_norm_checks_reject_nan():
+    nan_row = np.array([np.nan, 0.0, 0.0])
+    for z_q, z_k, negatives in ((nan_row, E2, E3[None]), (E1, nan_row, E3[None]),
+                                (E1, E2, np.stack([E3, nan_row]))):
+        with pytest.raises(ContractError):
+            info_nce(z_q, z_k, negatives)
+    queue = NegativeQueue(4, 3)
+    with pytest.raises(ContractError):
+        queue.push(np.stack([E1, nan_row]))
+    assert len(queue) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +252,14 @@ def _make_trainer(mode="intra", reps=("SEQ",), seed=0, dtype=np.float32,
     return make_trainer(config, configs, aug, BONES, seed, dtype=dtype)
 
 
+def test_make_trainer_rejects_a_graph_that_is_not_a_tree():
+    configs = {"STG": desk_config("STG", JOINTS, hidden=4, projection_dim=8)}
+    config = TrainerConfig("intra", ("STG",), queue_size=4)
+    aug = AugmentationSpec(output_length=8, jitter_joints=2)
+    with pytest.raises(ValueError, match="tree"):
+        make_trainer(config, configs, aug, BONES[:2], seed=0)
+
+
 def test_trainer_config_validation():
     with pytest.raises(ValueError):
         TrainerConfig("solo", ("SEQ",))
@@ -329,17 +348,6 @@ def test_train_step_applies_exact_ema_and_fifo():
     assert after.shape == before.shape
     assert np.array_equal(after[:-4], before[4:])
     assert trainer.step == 1
-
-
-def test_mode_guards_on_step_functions():
-    intra = _make_trainer("intra", ("SEQ",))
-    inter = _make_trainer("inter", ("SEQ", "STG"))
-    seqs = [s.sequence for s in _dataset().samples]
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        inter_step(intra, seqs[:2], rng)
-    with pytest.raises(ValueError):
-        intra_step(inter, seqs[:2], rng)
 
 
 # ---------------------------------------------------------------------------
@@ -436,3 +444,42 @@ def test_resume_replays_the_uninterrupted_run(tmp_path):
                               straight.pairs["SEQ"].key.params[name])
     assert np.array_equal(resumed.queues["SEQ"].negatives(),
                           straight.queues["SEQ"].negatives())
+
+
+def test_fresh_rerun_rewrites_the_loss_log(tmp_path):
+    seqs = [s.sequence for s in _dataset().samples]
+    pretrain(_make_trainer(seed=9), seqs, Schedule(epochs=2, batch_size=4),
+             out_dir=tmp_path)
+    first = (tmp_path / "loss_log.jsonl").read_bytes()
+    pretrain(_make_trainer(seed=9), seqs, Schedule(epochs=2, batch_size=4),
+             out_dir=tmp_path)
+    assert (tmp_path / "loss_log.jsonl").read_bytes() == first
+    assert [json.loads(line)["step"] for line in first.splitlines()] == list(range(4))
+
+
+def test_resume_after_a_crash_between_checkpoints_logs_each_step_once(tmp_path):
+    seqs = [s.sequence for s in _dataset().samples]
+    schedule = Schedule(epochs=4, batch_size=4, checkpoint_every=2)
+    pretrain(_make_trainer(seed=9), seqs, schedule, out_dir=tmp_path / "straight")
+    straight = (tmp_path / "straight" / "loss_log.jsonl").read_bytes()
+
+    # A crash in epoch 4 leaves the epoch-2 checkpoint, the steps logged
+    # after it and a torn last line.
+    crashed = tmp_path / "crashed"
+    pretrain(_make_trainer(seed=9), seqs, Schedule(epochs=2, batch_size=4),
+             out_dir=crashed)
+    lines = straight.decode().splitlines(keepends=True)
+    (crashed / "loss_log.jsonl").write_text("".join(lines[:7]) + lines[7][:10])
+    resumed = load_trainer(crashed / "epoch0002.trainer.json")
+    pretrain(resumed, seqs, schedule, out_dir=crashed)
+    assert (crashed / "loss_log.jsonl").read_bytes() == straight
+
+
+def test_load_trainer_accepts_the_older_augmentation_seed_key(tmp_path):
+    trainer = _make_trainer()
+    path = save_trainer(trainer, tmp_path)
+    manifest = json.loads(open(path).read())
+    manifest["aug"]["seed"] = 0
+    with open(path, "w") as fh:
+        json.dump(manifest, fh)
+    assert load_trainer(path).aug == trainer.aug

@@ -169,6 +169,29 @@ def test_loader_rejects_missing_header(tmp_path):
         load_dataset(path)
 
 
+def test_loader_rejects_single_frame_sequences(tmp_path):
+    path, lines = _tiny_file_lines(tmp_path)
+    record = json.loads(lines[1])
+    record["coords"] = record["coords"][:1]
+    record["T"] = 1
+    lines[1] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValidationError, match="at least 2 frames"):
+        load_dataset(path)
+
+
+def test_loader_rejects_a_header_that_is_not_a_bone_tree(tmp_path):
+    path, lines = _tiny_file_lines(tmp_path)
+    header = json.loads(lines[0])
+    for bones in ([[0, 1], [1, 2]],                   # too few edges for J=5
+                  [[0, 1], [1, 2], [2, 0], [3, 4]],   # J-1 edges, two components
+                  [[0, 1], [1, 2], [2, 3], [3, 9]]):  # joint out of range
+        header["bones"] = bones
+        path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+        with pytest.raises(SchemaError, match="line 1"):
+            load_dataset(path)
+
+
 def test_loader_rejects_out_of_range_label(tmp_path):
     path, lines = _tiny_file_lines(tmp_path)
     record = json.loads(lines[1])

@@ -1,5 +1,8 @@
 """Encoder families: shapes, determinism, projection norms, checkpoints."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -14,11 +17,10 @@ from skelcon.encoders import (
     encoder_forward,
     init_encoder,
     load_checkpoint,
-    full_scale_config,
     parameter_count,
     save_checkpoint,
 )
-from skelcon.errors import DegenerateEmbeddingError
+from skelcon.errors import DegenerateEmbeddingError, ParseError
 from skelcon.represent import (
     batch_views,
     bone_adjacency,
@@ -60,13 +62,6 @@ def test_desk_encoders_stay_small(rep):
     assert parameter_count(state) < 100_000
 
 
-def test_full_scale_feature_dims():
-    assert full_scale_config("IMG").feature_dim == 4096
-    assert full_scale_config("SEQ").feature_dim == 2048
-    assert full_scale_config("STG").feature_dim == 256
-    assert full_scale_config("SEQ").projection_dim == 128
-
-
 def test_seq_feature_dim_must_be_twice_hidden():
     with pytest.raises(ValueError):
         EncoderConfig("SEQ", JOINTS, hidden=8, feature_dim=99)
@@ -101,6 +96,10 @@ def test_encode_accepts_graph_views():
     seq = _sequences(1)[0]
     feats = encode(to_graph(seq, BONES), state)
     assert feats.shape == (config.feature_dim,)
+    assert feats.dtype == np.float32
+    batch = batch_views([seq], "STG", BONES).astype(np.float32)
+    direct, _ = encoder_forward(config, state.params, batch, A_HAT.astype(np.float32))
+    assert np.array_equal(feats, direct[0])
 
 
 def test_degenerate_embedding_raises():
@@ -168,6 +167,31 @@ def test_checkpoint_rejects_wrong_magic(tmp_path):
     with pytest.raises(Exception) as err:
         load_checkpoint(path)
     assert "CKPT1" in str(err.value) or "magic" in str(err.value).lower()
+
+
+def test_checkpoint_rejects_a_truncated_blob(tmp_path):
+    path = tmp_path / "enc.ckpt"
+    save_checkpoint(init_encoder(desk_config("SEQ", JOINTS, hidden=4), seed=0), path)
+    path.write_bytes(path.read_bytes()[:-6])
+    with pytest.raises(ParseError, match="enc.ckpt"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_loads_the_older_scale_key(tmp_path):
+    state = init_encoder(desk_config("SEQ", JOINTS, hidden=4), seed=0)
+    path = tmp_path / "enc.ckpt"
+    save_checkpoint(state, path)
+    raw = path.read_bytes()
+    start = len(CHECKPOINT_MAGIC)
+    (mlen,) = struct.unpack("<I", raw[start:start + 4])
+    manifest = json.loads(raw[start + 4:start + 4 + mlen])
+    manifest["config"]["scale"] = "desk"
+    payload = json.dumps(manifest, sort_keys=True).encode()
+    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(payload)) + payload
+                     + raw[start + 4 + mlen:])
+    back = load_checkpoint(path)
+    assert back.config == state.config
+    assert all(np.array_equal(back.params[k], v) for k, v in state.params.items())
 
 
 def test_forward_rejects_wrong_rank():
