@@ -26,7 +26,7 @@ import numpy as np
 
 from .augment import AugmentationSpec, make_query_key_pair
 from .data import SkeletonSequence
-from .encoders import (EncoderConfig, EncoderState, embed_forward,
+from .encoders import (EncoderConfig, EncoderState, atomic_open, embed_forward,
                        embed_backward, init_encoder, save_checkpoint,
                        load_checkpoint)
 from .errors import ContractError
@@ -204,7 +204,7 @@ class TrainerConfig:
 
     def __post_init__(self):
         expected = {"intra": 1, "inter": 2, "inter3": 3}
-        if self.mode not in expected:
+        if not isinstance(self.mode, str) or self.mode not in expected:
             raise ValueError(f"mode must be one of {sorted(expected)}, got {self.mode!r}")
         reps = tuple(self.representations)
         if len(reps) != expected[self.mode] or len(set(reps)) != len(reps):
@@ -425,7 +425,8 @@ def save_trainer(trainer: TrainerState, out_dir, tag: str | None = None) -> str:
         for name, arr in trainer.velocities[rep].items():
             aux[f"velocity.{rep}.{name}"] = arr
     aux_file = f"{tag}.aux.npz"
-    np.savez(os.path.join(out_dir, aux_file), **aux)
+    with atomic_open(os.path.join(out_dir, aux_file), "wb") as fh:
+        np.savez(fh, **aux)
     manifest = {
         "format": "TRAINER1",
         "trainer": asdict(trainer.config),
@@ -438,7 +439,7 @@ def save_trainer(trainer: TrainerState, out_dir, tag: str | None = None) -> str:
         "aux": aux_file,
     }
     path = os.path.join(out_dir, f"{tag}.trainer.json")
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=1)
         fh.write("\n")
     return path

@@ -16,8 +16,10 @@ exact analytic parameter gradients flow back through the whole stack.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
+import os
 import struct
 from dataclasses import dataclass, asdict, replace
 
@@ -367,6 +369,21 @@ def encode(view, state: EncoderState) -> np.ndarray:
 # checkpoint container
 # ---------------------------------------------------------------------------
 
+@contextlib.contextmanager
+def atomic_open(path, mode="wb", **kwargs):
+    """Write to ``<path>.tmp`` and move it over ``path`` only when the block
+    completes, so a failed or interrupted write leaves the previous file."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def save_checkpoint(state: EncoderState, path) -> None:
     """Single-file container: magic, manifest length, JSON manifest, f32 blob."""
     names = sorted(state.params)
@@ -385,7 +402,7 @@ def save_checkpoint(state: EncoderState, path) -> None:
         "params": index,
     }
     payload = json.dumps(manifest, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", len(payload)))
         fh.write(payload)

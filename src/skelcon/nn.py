@@ -13,12 +13,8 @@ import numpy as np
 
 
 def sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # tanh form: no masked branches, and it saturates to exactly 0 and 1
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 # ---------------------------------------------------------------------------
@@ -65,47 +61,61 @@ def mean_pool_backward(dout, cache):
 
 
 # ---------------------------------------------------------------------------
-# 2-D convolution (stride 1) via im2col
+# 2-D convolution (stride 1) as one shifted matmul per kernel tap
 # ---------------------------------------------------------------------------
+#
+# Tap (i, j) of a zero-padded conv multiplies w[:, :, i, j] into the input
+# shifted by (i - ph, j - pw).  Output row r reads input row r + i - ph, so
+# the tap only touches the output rows whose input row lies in [0, h); the
+# padding is never materialized.  Same along the width.
 
-def _im2col(xp, kh, kw):
-    n, c, h, w = xp.shape
-    ho, wo = h - kh + 1, w - kw + 1
-    s = xp.strides
-    windows = np.lib.stride_tricks.as_strided(
-        xp, shape=(n, ho, wo, c, kh, kw),
-        strides=(s[0], s[2], s[3], s[1], s[2], s[3]))
-    return np.ascontiguousarray(windows).reshape(n * ho * wo, c * kh * kw), (ho, wo)
+def _tap_span(k, pad, size, out):
+    """Along one axis: the output slice kernel offset `k` reaches and the
+    input slice it reads (output index r reads input index r + k - pad)."""
+    lo, hi = max(0, pad - k), min(out, size + pad - k)
+    return slice(lo, hi), slice(lo + k - pad, hi + k - pad)
+
+
+def _taps(x_shape, w_shape, pad, out_shape):
+    """Yield (i, j, output window, input window) for every tap that reaches
+    the output."""
+    _, _, h, wd = x_shape
+    _, _, kh, kw = w_shape
+    for i in range(kh):
+        ro, ri = _tap_span(i, pad[0], h, out_shape[0])
+        for j in range(kw):
+            co, ci = _tap_span(j, pad[1], wd, out_shape[1])
+            if ro.start < ro.stop and co.start < co.stop:
+                yield i, j, (..., ro, co), (..., ri, ci)
 
 
 def conv2d_forward(x, w, b, pad=(0, 0)):
     """x: (N, C, H, W), w: (F, C, kh, kw), stride 1, zero padding `pad`."""
     n, c, h, wd = x.shape
     f, _, kh, kw = w.shape
-    ph, pw = pad
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    cols, (ho, wo) = _im2col(xp, kh, kw)
-    wmat = w.reshape(f, -1)
-    y = cols @ wmat.T + b
-    out = y.reshape(n, ho, wo, f).transpose(0, 3, 1, 2)
-    return np.ascontiguousarray(out), (cols, x.shape, w.shape, pad, (ho, wo))
+    ho, wo = h + 2 * pad[0] - kh + 1, wd + 2 * pad[1] - kw + 1
+    out = np.empty((n, f, ho, wo), dtype=np.result_type(x, w, b))
+    out[...] = b[:, None, None]
+    for i, j, o, s in _taps(x.shape, w.shape, pad, (ho, wo)):
+        xs = x[s]
+        ys = np.matmul(w[:, :, i, j], xs.reshape(n, c, -1))
+        out[o] += ys.reshape(n, f, *xs.shape[2:])
+    return out, (x, x.shape, w.shape, pad, (ho, wo))
 
 
 def conv2d_backward(dout, cache, w):
-    cols, x_shape, w_shape, pad, (ho, wo) = cache
-    n, c, h, wd = x_shape
-    f, _, kh, kw = w_shape
-    ph, pw = pad
-    dmat = np.ascontiguousarray(dout.transpose(0, 2, 3, 1)).reshape(-1, f)
-    dw = (dmat.T @ cols).reshape(w_shape)
-    db = dmat.sum(axis=0)
-    dcols = (dmat @ w.reshape(f, -1)).reshape(n, ho, wo, c, kh, kw)
-    dxp = np.zeros((n, c, h + 2 * ph, wd + 2 * pw), dtype=dout.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            dxp[:, :, i:i + ho, j:j + wo] += dcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-    dx = dxp[:, :, ph:h + ph, pw:wd + pw]
-    return np.ascontiguousarray(dx), dw, db
+    x, x_shape, w_shape, pad, out_shape = cache
+    n, c = x_shape[:2]
+    f = w_shape[0]
+    db = dout.sum(axis=(0, 2, 3))
+    dw = np.zeros(w_shape, dtype=dout.dtype)
+    dx = np.zeros(x_shape, dtype=dout.dtype)
+    for i, j, o, s in _taps(x_shape, w_shape, pad, out_shape):
+        ds = dout[o].reshape(n, f, -1)
+        xs = x[s]
+        dw[:, :, i, j] = np.matmul(ds, xs.reshape(n, c, -1).transpose(0, 2, 1)).sum(axis=0)
+        dx[s] += np.matmul(w[:, :, i, j].T, ds).reshape(xs.shape)
+    return dx, dw, db
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +222,7 @@ def graph_conv_forward(x, a_hat, w, b, actors=2):
     n, t, v, c = x.shape
     j = a_hat.shape[0]
     xr = x.reshape(n, t, actors, j, c)
-    mixed = np.einsum("jk,ntmkc->ntmjc", a_hat, xr).reshape(n, t, v, c)
+    mixed = np.matmul(a_hat, xr).reshape(n, t, v, c)
     y = mixed @ w + b
     return y, (mixed, x.shape, a_hat, w, actors)
 
@@ -225,6 +235,6 @@ def graph_conv_backward(dout, cache):
     dw = mixed.reshape(-1, c).T @ dmat
     db = dmat.sum(axis=0)
     dmixed = (dout @ w.T).reshape(n, t, actors, j, c)
-    # mixed = A x  =>  dx = A^T dmixed  (einsum below contracts the first axis)
-    dx = np.einsum("jk,ntmjc->ntmkc", a_hat, dmixed).reshape(x_shape)
+    # mixed = A x  =>  dx = A^T dmixed
+    dx = np.matmul(a_hat.T, dmixed).reshape(x_shape)
     return dx, dw, db

@@ -37,3 +37,45 @@ def test_every_traced_name_exists_and_the_encoder_tape_calls_through_nn():
     finally:
         tracer.uninstall()
     assert not hasattr(encoders.embed_forward, "__wrapped__")
+
+
+def _conv_macs(n, c, f, h, w, kt):
+    return n * f * h * w * c * kt          # stride 1, same padding
+
+
+def _graph_macs(n, t, v, j, c, c_out):
+    return n * t * v * j * c + n * t * v * c * c_out
+
+
+def test_traced_mac_counters_match_the_encoder_shapes():
+    """The ``.gmac`` metrics read the conv and graph-conv caches by position;
+    a reshuffled cache must fail here instead of skewing the counters."""
+    hidden, kt, joints = 4, 5, 5
+    a_hat = graph_adjacency(chain_tree_bones(joints), joints, np.float32)
+    n, c, t, v = SHAPES["IMG"]
+    img_conv = (_conv_macs(n, c, hidden, t, v, 1)                 # conv_in
+                + _conv_macs(n, hidden, hidden, t, v, kt)         # tconv0
+                + _conv_macs(n, v, 2 * hidden, t, hidden, 1))     # cooc
+    n, t, v, c = SHAPES["STG"]
+    stg_conv = _conv_macs(n, hidden, hidden, t, v, kt)            # block0.tc
+    stg_graph = _graph_macs(n, t, v, joints, c, hidden)           # block0.gc
+    expected = {
+        "IMG": {"conv2d_forward": img_conv, "conv2d_backward": 2 * img_conv},
+        "STG": {"conv2d_forward": stg_conv, "conv2d_backward": 2 * stg_conv,
+                "graph_conv_forward": stg_graph, "graph_conv_backward": 2 * stg_graph},
+    }
+    tracer = tracer_module.Tracer().install()
+    try:
+        for rep, ops in expected.items():
+            tracer.counters.clear()
+            config = encoders.desk_config(rep, joints, hidden=hidden, projection_dim=8)
+            assert config.temporal_kernel == kt and config.depth == 1
+            params = encoders.init_encoder(config, seed=0).params
+            x = np.random.default_rng(0).normal(size=SHAPES[rep]).astype(np.float32)
+            z, cache = encoders.embed_forward(config, params, x, a_hat, True)
+            encoders.embed_backward(config, params, cache, np.ones_like(z))
+            for op in ("conv2d_forward", "conv2d_backward",
+                       "graph_conv_forward", "graph_conv_backward"):
+                assert tracer.counters[("setup", f"nn.{op}.macs")] == ops.get(op, 0), (rep, op)
+    finally:
+        tracer.uninstall()

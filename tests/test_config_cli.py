@@ -95,6 +95,7 @@ def test_unknown_keys_are_rejected_by_dotted_path():
     ("encoders.SEQ.feature_dim", 20),
     ("encoders.IMG.projection_dim", 1),
     ("trainer.mode", "solo"),
+    ("trainer.mode", [1]),
     ("trainer.cross_terms", "ring"),
     ("trainer.queue_size", 0),
     ("trainer.epochs", 0),

@@ -3,6 +3,7 @@ loss gradients, and checkpoint/resume replay."""
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -473,6 +474,26 @@ def test_resume_after_a_crash_between_checkpoints_logs_each_step_once(tmp_path):
     resumed = load_trainer(crashed / "epoch0002.trainer.json")
     pretrain(resumed, seqs, schedule, out_dir=crashed)
     assert (crashed / "loss_log.jsonl").read_bytes() == straight
+
+
+def test_trainer_manifest_write_that_fails_midway_keeps_the_previous_file(
+        tmp_path, monkeypatch):
+    trainer = _make_trainer()
+    path = save_trainer(trainer, tmp_path, tag="last")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    trainer.step += 1
+
+    def fail(obj, fh, **kwargs):
+        fh.write('{"format": "TRAI')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", fail)
+    with pytest.raises(OSError, match="disk full"):
+        save_trainer(trainer, tmp_path, tag="last")
+    after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert sorted(after) == sorted(before)
+    assert after[os.path.basename(path)] == before[os.path.basename(path)]
+    assert load_trainer(path).step == trainer.step - 1
 
 
 def test_load_trainer_accepts_the_older_augmentation_seed_key(tmp_path):

@@ -177,6 +177,21 @@ def test_checkpoint_rejects_a_truncated_blob(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_write_that_fails_midway_keeps_the_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "enc.ckpt"
+    save_checkpoint(init_encoder(desk_config("SEQ", JOINTS, hidden=4), seed=0), path)
+    before = path.read_bytes()
+
+    def fail(*args, **kwargs):   # the length word follows the magic
+        raise OSError("disk full")
+
+    monkeypatch.setattr(struct, "pack", fail)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(init_encoder(desk_config("SEQ", JOINTS, hidden=4), seed=1), path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["enc.ckpt"]
+
+
 def test_checkpoint_loads_the_older_scale_key(tmp_path):
     state = init_encoder(desk_config("SEQ", JOINTS, hidden=4), seed=0)
     path = tmp_path / "enc.ckpt"

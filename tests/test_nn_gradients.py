@@ -89,6 +89,84 @@ def test_conv2d_gradients(fd_check):
              samples_per_array=6)
 
 
+def _conv2d_oracle(x, w, b, pad, dout):
+    """Direct sums over every (output pixel, tap) pair: the forward output
+    and the gradients of sum(output * dout)."""
+    n, c, h, wd = x.shape
+    f, _, kh, kw = w.shape
+    ph, pw = pad
+    ho, wo = h + 2 * ph - kh + 1, wd + 2 * pw - kw + 1
+    out = np.zeros((n, f, ho, wo)) + b[:, None, None]
+    dx, dw = np.zeros_like(x), np.zeros_like(w)
+    for r in range(ho):
+        for q in range(wo):
+            for i in range(kh):
+                for j in range(kw):
+                    ri, qi = r + i - ph, q + j - pw
+                    if 0 <= ri < h and 0 <= qi < wd:
+                        out[:, :, r, q] += x[:, :, ri, qi] @ w[:, :, i, j].T
+                        dx[:, :, ri, qi] += dout[:, :, r, q] @ w[:, :, i, j]
+                        dw[:, :, i, j] += dout[:, :, r, q].T @ x[:, :, ri, qi]
+    return out, dx, dw, dout.sum(axis=(0, 2, 3))
+
+
+@pytest.mark.parametrize("kernel,pad", [
+    ((5, 1), (2, 0)),     # the encoders' temporal conv
+    ((1, 1), (0, 0)),     # pointwise stem and co-occurrence mix
+    ((3, 1), (0, 0)),     # valid conv: fewer output rows than input rows
+    ((5, 1), (1, 0)),     # padding narrower than the kernel's half
+    ((3, 3), (1, 1)),     # taps that shift along both axes
+])
+def test_conv2d_matches_direct_sum_oracle(kernel, pad):
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(2, 3, 7, 4))
+    w = rng.normal(size=(4, 3, *kernel))
+    b = rng.normal(size=4)
+    out, cache = nn.conv2d_forward(x, w, b, pad=pad)
+    dout = rng.normal(size=out.shape)
+    want_out, want_dx, want_dw, want_db = _conv2d_oracle(x, w, b, pad, dout)
+    assert out.shape == want_out.shape
+    assert np.allclose(out, want_out, rtol=0, atol=1e-12)
+    dx, dw, db = nn.conv2d_backward(dout, cache, w)
+    assert np.allclose(dx, want_dx, rtol=0, atol=1e-12)
+    assert np.allclose(dw, want_dw, rtol=0, atol=1e-12)
+    assert np.allclose(db, want_db, rtol=0, atol=1e-12)
+
+
+def test_temporal_conv_gradients_at_an_encoder_shape(fd_check):
+    rng = np.random.default_rng(9)
+    params = {"x": rng.normal(size=(2, 4, 9, 6)),
+              "w": rng.normal(size=(4, 4, 5, 1)) * 0.5,
+              "b": rng.normal(size=4)}
+    out, cache = nn.conv2d_forward(params["x"], params["w"], params["b"], pad=(2, 0))
+    assert out.shape == (2, 4, 9, 6)
+    probe = rng.normal(size=out.shape)
+
+    def loss():
+        o, _ = nn.conv2d_forward(params["x"], params["w"], params["b"], pad=(2, 0))
+        return float(np.sum(o * probe))
+
+    dx, dw, db = nn.conv2d_backward(probe, cache, params["w"])
+    fd_check(loss, params, {"x": dx, "w": dw, "b": db}, rng,
+             samples_per_array=8)
+
+
+def test_conv_kernels_keep_float32():
+    rng = np.random.default_rng(10)
+    x = rng.normal(size=(2, 3, 7, 4)).astype(np.float32)
+    w = rng.normal(size=(4, 3, 5, 1)).astype(np.float32)
+    b = rng.normal(size=4).astype(np.float32)
+    out, cache = nn.conv2d_forward(x, w, b, pad=(2, 0))
+    grads = nn.conv2d_backward(np.ones_like(out), cache, w)
+    assert [a.dtype for a in (out, *grads)] == [np.float32] * 4
+    a_hat = rng.normal(size=(4, 4)).astype(np.float32)
+    x = rng.normal(size=(2, 3, 8, 3)).astype(np.float32)
+    w = rng.normal(size=(3, 4)).astype(np.float32)
+    out, cache = nn.graph_conv_forward(x, a_hat, w, b)
+    grads = nn.graph_conv_backward(np.ones_like(out), cache)
+    assert [a.dtype for a in (out, *grads)] == [np.float32] * 4
+
+
 @pytest.mark.parametrize("reverse", [False, True])
 def test_gru_gradients(fd_check, reverse):
     rng = np.random.default_rng(4)
@@ -150,6 +228,28 @@ def test_graph_conv_gradients(fd_check):
     dx, dw, db = nn.graph_conv_backward(probe, cache)
     fd_check(loss, params, {"x": dx, "w": dw, "b": db}, rng,
              samples_per_array=6)
+
+
+def test_graph_conv_matches_einsum_oracle():
+    """A non-symmetric mixing matrix, so a transposed a_hat cannot pass."""
+    rng = np.random.default_rng(11)
+    n, t, actors, j, c_in, c_out = 2, 3, 2, 4, 3, 5
+    a_hat = rng.normal(size=(j, j))
+    x = rng.normal(size=(n, t, actors * j, c_in))
+    w = rng.normal(size=(c_in, c_out))
+    b = rng.normal(size=c_out)
+    out, cache = nn.graph_conv_forward(x, a_hat, w, b, actors)
+    mixed = np.einsum("jk,ntmkc->ntmjc", a_hat,
+                      x.reshape(n, t, actors, j, c_in)).reshape(x.shape)
+    assert np.allclose(out, mixed @ w + b, rtol=0, atol=1e-12)
+    dout = rng.normal(size=out.shape)
+    dx, dw, db = nn.graph_conv_backward(dout, cache)
+    dmixed = (dout @ w.T).reshape(n, t, actors, j, c_in)
+    want_dx = np.einsum("jk,ntmjc->ntmkc", a_hat, dmixed).reshape(x.shape)
+    assert np.allclose(dx, want_dx, rtol=0, atol=1e-12)
+    assert np.allclose(dw, mixed.reshape(-1, c_in).T @ dout.reshape(-1, c_out),
+                       rtol=0, atol=1e-12)
+    assert np.allclose(db, dout.sum(axis=(0, 1, 2)), rtol=0, atol=1e-12)
 
 
 def test_graph_conv_mixes_actors_independently():
