@@ -61,5 +61,5 @@ print(f"normalized adjacency symmetric: {np.allclose(a_hat, a_hat.T)}; "
 # --- batching ----------------------------------------------------------------
 seqs = [s.sequence for s in dataset.samples[:4]]
 for rep in REPRESENTATIONS:
-    batch = batch_views(seqs, rep, dataset.bones)
+    batch = batch_views(seqs, rep)
     print(f"batch_views[{rep}]: {batch.shape}")

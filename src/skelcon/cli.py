@@ -24,7 +24,7 @@ from .augment import draw_view, apply_view
 from .config import (ExperimentConfig, parse_config, parse_override,
                      resolve_config, write_resolved)
 from .data import Dataset
-from .encoders import CHECKPOINT_MAGIC, EncoderState, load_checkpoint
+from .encoders import CHECKPOINT_MAGIC, EncoderState, load_checkpoint, write_json
 from .errors import ConfigError, SkelconError
 
 FORMAT_VERSIONS = {"dataset": "SKL1", "checkpoint": "CKPT1", "trainer": "TRAINER1"}
@@ -56,9 +56,7 @@ def _prepare(config: ExperimentConfig, out_dir):
 
 
 def _write_json(out_dir, name: str, record: dict) -> None:
-    with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
-        json.dump(record, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, name), record)
 
 
 def _write_manifest(out_dir, subcommand: str, config: ExperimentConfig,

@@ -24,7 +24,7 @@ from .augment import AugmentationSpec
 from .contrast import Schedule, TrainerConfig
 from .data import Dataset, generate_synthetic, load_dataset, make_split
 from .downstream import FINETUNE_MODES, PROJECTORS, FinetuneSchedule, ProbeSchedule
-from .encoders import EncoderConfig
+from .encoders import EncoderConfig, write_json
 from .errors import ConfigError
 
 DEFAULTS: dict = {
@@ -257,13 +257,13 @@ def _build_encoders(tree: dict, joints: int, output_length: int) -> dict[str, En
     out = {}
     for rep, e in tree["encoders"].items():
         path = f"encoders.{rep}"
-        hidden = _number(e["hidden"], f"{path}.hidden", 1, integer=True)
-        depth = _number(e["depth"], f"{path}.depth", 1, integer=True)
+        hidden = _number(e["hidden"], f"{path}.hidden", integer=True)
+        depth = _number(e["depth"], f"{path}.depth", integer=True)
         feature = e["feature_dim"]
         if feature is None:
             feature = 2 * hidden
-        feature = _number(feature, f"{path}.feature_dim", 2, integer=True)
-        kernel = _number(e["temporal_kernel"], f"{path}.temporal_kernel", 1, integer=True)
+        feature = _number(feature, f"{path}.feature_dim", integer=True)
+        kernel = _number(e["temporal_kernel"], f"{path}.temporal_kernel", integer=True)
         _require(kernel <= output_length, f"{path}.temporal_kernel",
                  f"kernel {kernel} exceeds crop length {output_length}")
         kwargs = {"seq_pooling": e["seq_pooling"]} if rep == "SEQ" else {}
@@ -394,7 +394,5 @@ def parse_config(path, overrides=()) -> ExperimentConfig:
 def write_resolved(config: ExperimentConfig, out_dir) -> str:
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "config.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config.resolved, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(path, config.resolved)
     return path

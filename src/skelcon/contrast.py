@@ -28,7 +28,7 @@ from .augment import AugmentationSpec, make_query_key_pair
 from .data import SkeletonSequence
 from .encoders import (EncoderConfig, EncoderState, atomic_open, embed_forward,
                        embed_backward, init_encoder, save_checkpoint,
-                       load_checkpoint)
+                       load_checkpoint, write_json)
 from .errors import ContractError
 from .represent import REPRESENTATIONS, batch_views, graph_adjacency
 
@@ -293,7 +293,7 @@ def _sgd_update(params: dict, grads: dict, velocity: dict,
 
 def _embed(trainer: TrainerState, rep: str, state: EncoderState,
            seqs: list[SkeletonSequence], want_cache: bool):
-    x = batch_views(seqs, rep, trainer.bones).astype(state.dtype)
+    x = batch_views(seqs, rep).astype(state.dtype)
     a_hat = trainer.a_hat if rep == "STG" else None
     return embed_forward(state.config, state.params, x, a_hat, want_cache)
 
@@ -439,9 +439,7 @@ def save_trainer(trainer: TrainerState, out_dir, tag: str | None = None) -> str:
         "aux": aux_file,
     }
     path = os.path.join(out_dir, f"{tag}.trainer.json")
-    with atomic_open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(path, manifest)
     return path
 
 

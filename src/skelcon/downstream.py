@@ -20,7 +20,7 @@ import numpy as np
 from .augment import CropResizeParams, temporal_crop_resize
 from .data import LabeledSample
 from .encoders import (EncoderConfig, EncoderState, encoder_forward,
-                       encoder_backward, init_encoder)
+                       encoder_backward, init_encoder, write_json)
 from .errors import DegenerateTaskError
 from .represent import batch_views, graph_adjacency
 
@@ -69,7 +69,7 @@ def extract_features(state: EncoderState, samples: list[LabeledSample], bones,
     for start in range(0, len(samples), batch_size):
         chunk = samples[start:start + batch_size]
         seqs = [center_crop(s.sequence, crop_length) for s in chunk]
-        x = batch_views(seqs, rep, bones).astype(dtype)
+        x = batch_views(seqs, rep).astype(dtype)
         f, _ = encoder_forward(state.config, state.params, x, a_hat)
         feats.append(f)
     return np.concatenate(feats, axis=0), _labels(samples)
@@ -268,9 +268,7 @@ def summarize(task: str, protocol: str, seeds, accuracies) -> SeedSummary:
 
 
 def write_report(summary: SeedSummary, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(summary.to_record(), fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(path, summary.to_record())
 
 
 class _Adam:
@@ -311,8 +309,7 @@ def _finetune_one(init_state: EncoderState, train: list[LabeledSample],
             f"finetune needs >= 2 classes, labeled subset has {len(classes)}")
     class_index = {int(c): i for i, c in enumerate(classes)}
     y = np.array([class_index[int(l)] for l in labels])
-    x = batch_views([center_crop(s.sequence, crop_length) for s in train],
-                    rep, bones).astype(dtype)
+    x = batch_views([center_crop(s.sequence, crop_length) for s in train], rep).astype(dtype)
 
     rng = np.random.default_rng((int(seed), 0xF1E7))
     s = 1.0 / np.sqrt(config.feature_dim)
@@ -341,8 +338,7 @@ def _finetune_one(init_state: EncoderState, train: list[LabeledSample],
             merged = {**trainable, **head}
             opt.update(merged, grads, lr)
 
-    test_x = batch_views([center_crop(s.sequence, crop_length) for s in test],
-                         rep, bones).astype(dtype)
+    test_x = batch_views([center_crop(s.sequence, crop_length) for s in test], rep).astype(dtype)
     test_labels = _labels(test)
     feats, _ = encoder_forward(config, state.params, test_x, a_hat)
     predictions = classes[np.argmax(feats @ head["cls.w"] + head["cls.b"], axis=1)]

@@ -47,10 +47,11 @@ class EncoderConfig:
     def __post_init__(self):
         if self.representation not in REPRESENTATIONS:
             raise ValueError(f"representation must be one of {REPRESENTATIONS}")
-        if self.projection_dim < 2:
-            raise ValueError(f"projection_dim must be >= 2, got {self.projection_dim}")
-        if self.depth < 1 or self.hidden < 1 or self.joints < 2:
-            raise ValueError("depth, hidden and joints must be positive")
+        # hidden before feature_dim: the config derives feature_dim from hidden
+        for name, low in (("depth", 1), ("hidden", 1), ("joints", 2), ("feature_dim", 2),
+                          ("projection_dim", 2), ("temporal_kernel", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.representation == "SEQ" and self.feature_dim != 2 * self.hidden:
             raise ValueError(f"feature_dim of SEQ must equal 2*hidden="
                              f"{2 * self.hidden}, got {self.feature_dim}")
@@ -231,8 +232,8 @@ class _Tape(list):
         return y.mean(axis=1)
 
     def relu(self, x):
-        y, mask = nn.relu_forward(x)
-        self.append(((), lambda d: (nn.relu_backward(d, mask),)))
+        y, c = nn.relu_forward(x)
+        self.append(((), lambda d: (nn.relu_backward(d, c),)))
         return y
 
     def pool(self, x, axes):
@@ -244,6 +245,14 @@ class _Tape(list):
         inverse = tuple(np.argsort(axes))
         self.append(((), lambda d: (np.ascontiguousarray(d.transpose(inverse)),)))
         return np.ascontiguousarray(x.transpose(axes))
+
+
+class _NoTape(_Tape):
+    """The tape of a forward-only pass: it keeps no step, so every layer's
+    cache is freed as soon as the next layer has run."""
+
+    def append(self, step):
+        pass
 
 
 def _seq_forward(config, params, x, tape):
@@ -283,7 +292,7 @@ def encoder_forward(config: EncoderConfig, params: dict, x: np.ndarray,
         raise ValueError(
             f"{config.representation} encoder expects a rank-"
             f"{_EXPECTED_NDIM[config.representation]} batch, got shape {x.shape}")
-    tape = _Tape()
+    tape = _Tape() if want_cache else _NoTape()
     if config.representation == "SEQ":
         if x.shape[2] != config.input_dim:
             raise ValueError(f"SEQ feature axis {x.shape[2]} != {config.input_dim}")
@@ -382,6 +391,14 @@ def atomic_open(path, mode="wb", **kwargs):
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+def write_json(path, record: dict) -> None:
+    """A JSON artifact (sorted keys, one-space indent, trailing newline),
+    written through `atomic_open`."""
+    with atomic_open(path, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, sort_keys=True, indent=1)
+        fh.write("\n")
 
 
 def save_checkpoint(state: EncoderState, path) -> None:

@@ -38,11 +38,13 @@ def linear_backward(dout, cache):
 
 
 def relu_forward(x):
-    return np.maximum(x, 0.0), (x > 0)
+    """The output is its own cache: y > 0 exactly where x > 0."""
+    y = np.maximum(x, 0.0)
+    return y, y
 
 
 def relu_backward(dout, cache):
-    return dout * cache
+    return dout * (cache > 0)
 
 
 def mean_pool_forward(x, axes: tuple[int, ...]):
@@ -138,29 +140,23 @@ def gru_forward(x, w, u, b, reverse=False):
     """
     if reverse:
         x = x[:, ::-1]
-    n, t, d = x.shape
+    n, t, _ = x.shape
     hdim = u.shape[0]
     xp = x @ w + b
-    h = np.zeros((n, hdim), dtype=x.dtype)
-    hs = np.empty((n, t, hdim), dtype=x.dtype)
-    zs = np.empty_like(hs)
-    rs = np.empty_like(hs)
-    ns = np.empty_like(hs)
-    qs = np.empty_like(hs)
-    h_prevs = np.empty_like(hs)
-    uz, ur, un = u[:, :hdim], u[:, hdim:2 * hdim], u[:, 2 * hdim:]
+    hs = np.zeros((n, t + 1, hdim), dtype=x.dtype)     # hs[:, 0] is the initial state
+    gates = np.empty((n, t, 3 * hdim), dtype=x.dtype)  # [z | r | n] per step
+    qs = np.empty((n, t, hdim), dtype=x.dtype)         # h_{t-1} Un per step
     for step in range(t):
-        h_prevs[:, step] = h
-        z = sigmoid(xp[:, step, :hdim] + h @ uz)
-        r = sigmoid(xp[:, step, hdim:2 * hdim] + h @ ur)
-        q = h @ un
+        h = hs[:, step]
+        hu = h @ u
+        zr = sigmoid(xp[:, step, :2 * hdim] + hu[:, :2 * hdim])
+        z, r, q = zr[:, :hdim], zr[:, hdim:], hu[:, 2 * hdim:]
         nn_ = np.tanh(xp[:, step, 2 * hdim:] + r * q)
-        h = (1.0 - z) * nn_ + z * h
-        zs[:, step], rs[:, step], ns[:, step], qs[:, step] = z, r, nn_, q
-        hs[:, step] = h
-    cache = (x, w, u, zs, rs, ns, qs, h_prevs, reverse)
-    outputs = hs[:, ::-1] if reverse else hs
-    return np.ascontiguousarray(outputs), h, cache
+        hs[:, step + 1] = (1.0 - z) * nn_ + z * h
+        gates[:, step, :2 * hdim], gates[:, step, 2 * hdim:], qs[:, step] = zr, nn_, q
+    cache = (x, w, u, gates, qs, hs, reverse)
+    outputs = hs[:, :0:-1] if reverse else hs[:, 1:]
+    return outputs.copy(), hs[:, t].copy(), cache
 
 
 def gru_backward(doutputs, dh_final, cache):
@@ -171,36 +167,28 @@ def gru_backward(doutputs, dh_final, cache):
     final state, or None.  Returns (dx, dw, du, db) with dx in original
     frame order.
     """
-    x, w, u, zs, rs, ns, qs, h_prevs, reverse = cache
+    x, w, u, gates, qs, hs, reverse = cache
     n, t, d = x.shape
     hdim = u.shape[0]
-    uz, ur, un = u[:, :hdim], u[:, hdim:2 * hdim], u[:, 2 * hdim:]
     if doutputs is None:
         doutputs = np.zeros((n, t, hdim), dtype=x.dtype)
     elif reverse:
         doutputs = doutputs[:, ::-1]
     dh = np.zeros((n, hdim), dtype=x.dtype) if dh_final is None else dh_final.copy()
-    dxp = np.empty((n, t, 3 * hdim), dtype=x.dtype)
-    du = np.zeros_like(u)
+    dxp = np.empty((n, t, 3 * hdim), dtype=x.dtype)    # d(x w + b) per step
+    dhu = np.empty((n, t, 3 * hdim), dtype=x.dtype)    # d(h_{t-1} u) per step
     for step in range(t - 1, -1, -1):
         dh_t = dh + doutputs[:, step]
-        z, r, nn_, q, h_prev = (zs[:, step], rs[:, step], ns[:, step],
-                                qs[:, step], h_prevs[:, step])
-        dn = dh_t * (1.0 - z)
-        dz = dh_t * (h_prev - nn_)
-        dh = dh_t * z
-        dan = dn * (1.0 - nn_ * nn_)
-        dr = dan * q
-        dq = dan * r
-        daz = dz * z * (1.0 - z)
-        dar = dr * r * (1.0 - r)
-        dxp[:, step, :hdim] = daz
-        dxp[:, step, hdim:2 * hdim] = dar
+        g = gates[:, step]
+        z, r, nn_ = g[:, :hdim], g[:, hdim:2 * hdim], g[:, 2 * hdim:]
+        dan = dh_t * (1.0 - z) * (1.0 - nn_ * nn_)
+        dxp[:, step, :hdim] = dh_t * (hs[:, step] - nn_) * z * (1.0 - z)
+        dxp[:, step, hdim:2 * hdim] = dan * qs[:, step] * r * (1.0 - r)
         dxp[:, step, 2 * hdim:] = dan
-        dh += dq @ un.T + daz @ uz.T + dar @ ur.T
-        du[:, :hdim] += h_prev.T @ daz
-        du[:, hdim:2 * hdim] += h_prev.T @ dar
-        du[:, 2 * hdim:] += h_prev.T @ dq
+        dhu[:, step, :2 * hdim] = dxp[:, step, :2 * hdim]
+        dhu[:, step, 2 * hdim:] = dan * r
+        dh = dh_t * z + dhu[:, step] @ u.T
+    du = hs[:, :-1].reshape(-1, hdim).T @ dhu.reshape(-1, 3 * hdim)
     dw = x.reshape(-1, d).T @ dxp.reshape(-1, 3 * hdim)
     db = dxp.sum(axis=(0, 1))
     dx = dxp @ w.T

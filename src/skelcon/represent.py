@@ -98,7 +98,7 @@ def graph_to_coords(view: GraphView, actors: int) -> np.ndarray:
 # batched conversion used by the training loops
 # ---------------------------------------------------------------------------
 
-def batch_views(seqs: list[SkeletonSequence], representation: str, bones) -> np.ndarray:
+def batch_views(seqs: list[SkeletonSequence], representation: str) -> np.ndarray:
     """Stack per-sample views into one batch array.
 
     IMG -> (N, 3, T, M*J);  SEQ -> (N, T, M*J*3);  STG -> (N, T, M*J, 3).

@@ -48,8 +48,9 @@ def _graph_macs(n, t, v, j, c, c_out):
 
 
 def test_traced_mac_counters_match_the_encoder_shapes():
-    """The ``.gmac`` metrics read the conv and graph-conv caches by position;
-    a reshuffled cache must fail here instead of skewing the counters."""
+    """The ``.gmac`` metrics read the conv, graph-conv and GRU caches by
+    position; a reshuffled cache must fail here instead of skewing the
+    counters."""
     hidden, kt, joints = 4, 5, 5
     a_hat = graph_adjacency(chain_tree_bones(joints), joints, np.float32)
     n, c, t, v = SHAPES["IMG"]
@@ -59,7 +60,10 @@ def test_traced_mac_counters_match_the_encoder_shapes():
     n, t, v, c = SHAPES["STG"]
     stg_conv = _conv_macs(n, hidden, hidden, t, v, kt)            # block0.tc
     stg_graph = _graph_macs(n, t, v, joints, c, hidden)           # block0.gc
+    n, t, d = SHAPES["SEQ"]
+    seq_gru = 2 * n * t * (d + hidden) * 3 * hidden               # gru0.fwd, gru0.bwd
     expected = {
+        "SEQ": {"gru_forward": seq_gru, "gru_backward": 2 * seq_gru},
         "IMG": {"conv2d_forward": img_conv, "conv2d_backward": 2 * img_conv},
         "STG": {"conv2d_forward": stg_conv, "conv2d_backward": 2 * stg_conv,
                 "graph_conv_forward": stg_graph, "graph_conv_backward": 2 * stg_graph},
@@ -74,8 +78,8 @@ def test_traced_mac_counters_match_the_encoder_shapes():
             x = np.random.default_rng(0).normal(size=SHAPES[rep]).astype(np.float32)
             z, cache = encoders.embed_forward(config, params, x, a_hat, True)
             encoders.embed_backward(config, params, cache, np.ones_like(z))
-            for op in ("conv2d_forward", "conv2d_backward",
-                       "graph_conv_forward", "graph_conv_backward"):
+            for op in ("conv2d_forward", "conv2d_backward", "graph_conv_forward",
+                       "graph_conv_backward", "gru_forward", "gru_backward"):
                 assert tracer.counters[("setup", f"nn.{op}.macs")] == ops.get(op, 0), (rep, op)
     finally:
         tracer.uninstall()

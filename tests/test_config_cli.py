@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from skelcon import cli
 from skelcon.cli import main
 from skelcon.config import (
     DEFAULTS,
@@ -16,6 +17,7 @@ from skelcon.config import (
     write_resolved,
 )
 from skelcon.data import generate_synthetic, save_dataset
+from skelcon.downstream import summarize, write_report
 from skelcon.errors import ConfigError
 
 # Overrides that shrink every knob so CLI runs finish in well under a second.
@@ -101,6 +103,10 @@ def test_unknown_keys_are_rejected_by_dotted_path():
     ("trainer.epochs", 0),
     ("trainer.batch_size", 0),
     ("trainer.checkpoint_every", -1),
+    ("encoders.STG.depth", 0),
+    ("encoders.SEQ.hidden", 0),
+    ("encoders.IMG.feature_dim", 1),
+    ("encoders.IMG.temporal_kernel", -1),
 ])
 def test_range_violations_name_the_key(key, value, tmp_path):
     with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
@@ -177,6 +183,26 @@ def test_write_resolved_round_trips(tmp_path):
     config = resolve_config({}, [("trainer.tau", 0.11)])
     path = write_resolved(config, tmp_path)
     assert json.loads(open(path).read()) == config.resolved
+
+
+@pytest.mark.parametrize("artifact", ["config.json", "run.json", "metrics.json"])
+def test_json_artifact_write_that_fails_midway_keeps_the_previous_file(artifact, tmp_path):
+    """The bad value sorts last, so the write fails after the keys before it
+    reached the file; the previous artifact must survive untouched."""
+    config, summary = resolve_config({}), summarize("probe", "random", [0], [0.5])
+    writers = {
+        "config.json": lambda value: write_resolved(
+            dataclasses.replace(config, resolved={**config.resolved, "zz": value}), tmp_path),
+        "run.json": lambda value: cli._write_json(tmp_path, "run.json", {"a": 1, "zz": value}),
+        "metrics.json": lambda value: write_report(
+            dataclasses.replace(summary, seeds=(value,)), tmp_path / "metrics.json"),
+    }
+    writers[artifact](0)
+    before = (tmp_path / artifact).read_bytes()
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        writers[artifact](object())
+    assert (tmp_path / artifact).read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [artifact]
 
 
 def test_run_id_depends_on_config_and_subcommand():

@@ -2,10 +2,12 @@
 
 import json
 import struct
+import weakref
 
 import numpy as np
 import pytest
 
+from skelcon import nn
 from skelcon.data import chain_tree_bones, generate_synthetic
 from skelcon.encoders import (
     CHECKPOINT_MAGIC,
@@ -41,7 +43,7 @@ def _sequences(n=3, t=8, seed=0):
 
 
 def _batch(rep, n=3):
-    return batch_views(_sequences(n), rep, BONES)
+    return batch_views(_sequences(n), rep)
 
 
 @pytest.mark.parametrize("rep", ["IMG", "SEQ", "STG"])
@@ -67,6 +69,40 @@ def test_seq_feature_dim_must_be_twice_hidden():
         EncoderConfig("SEQ", JOINTS, hidden=8, feature_dim=99)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("depth", 0), ("hidden", 0), ("joints", 1), ("feature_dim", 1),
+    ("temporal_kernel", -1),
+])
+def test_encoder_config_rejects_out_of_range_fields_by_name(field, value):
+    """The message opens with the field, so the config maps it to its key."""
+    with pytest.raises(ValueError, match=f"^{field} must be >= "):
+        EncoderConfig(**{"representation": "IMG", "joints": JOINTS, field: value})
+
+
+def test_forward_only_pass_frees_each_layer_cache_as_it_goes(monkeypatch):
+    """Without want_cache no tape holds a layer's cache: when the second
+    bidirectional layer starts, the first layer's GRU caches are gone."""
+    config = desk_config("SEQ", JOINTS, hidden=4, depth=2)
+    params = init_encoder(config, seed=0).params
+    x = _batch("SEQ").astype(np.float32)
+    gru_forward, gates, alive = nn.gru_forward, [], []
+
+    def recording(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in gates))
+        out = gru_forward(*args, **kwargs)
+        gates.append(weakref.ref(out[2][3]))     # the cache's gate tensor
+        return out
+
+    monkeypatch.setattr(nn, "gru_forward", recording)
+    kept, _ = encoder_forward(config, params, x, want_cache=True)
+    assert alive == [0, 1, 2, 3]
+    gates.clear()
+    alive.clear()
+    feats, cache = encoder_forward(config, params, x)
+    assert cache is None and alive == [0, 1, 0, 1]
+    assert feats.tobytes() == kept.tobytes()
+
+
 @pytest.mark.parametrize("rep", ["IMG", "SEQ", "STG"])
 def test_forward_shapes_and_embedding_norms(rep):
     config = desk_config(rep, JOINTS, hidden=8, projection_dim=16)
@@ -84,7 +120,7 @@ def test_encode_single_matches_batch():
     config = desk_config("SEQ", JOINTS, hidden=8)
     state = init_encoder(config, seed=2)
     seqs = _sequences(2)
-    batch = encode(batch_views(seqs, "SEQ", BONES).astype(np.float32), state)
+    batch = encode(batch_views(seqs, "SEQ").astype(np.float32), state)
     single = encode(to_sequence(seqs[0]).astype(np.float32), state)
     assert batch.shape == (2, config.feature_dim)
     assert np.allclose(single, batch[0], atol=1e-6)
@@ -97,7 +133,7 @@ def test_encode_accepts_graph_views():
     feats = encode(to_graph(seq, BONES), state)
     assert feats.shape == (config.feature_dim,)
     assert feats.dtype == np.float32
-    batch = batch_views([seq], "STG", BONES).astype(np.float32)
+    batch = batch_views([seq], "STG").astype(np.float32)
     direct, _ = encoder_forward(config, state.params, batch, A_HAT.astype(np.float32))
     assert np.array_equal(feats, direct[0])
 
@@ -123,7 +159,6 @@ def test_embedding_gradients(fd_check, rep):
     biases and finite differences measure the two-sided average."""
     rng = np.random.default_rng(10)
     config = desk_config(rep, JOINTS, hidden=4, projection_dim=6)
-    bones = BONES
     a_hat = A_HAT if rep == "STG" else None
     state = init_encoder(config, seed=5, dtype=np.float64)
     for name, value in state.params.items():
@@ -132,7 +167,7 @@ def test_embedding_gradients(fd_check, rep):
     from skelcon.data import SkeletonSequence
     seqs = [SkeletonSequence(rng.normal(size=(8, 2, JOINTS, 3)), f"fd-{i}")
             for i in range(2)]
-    x = batch_views(seqs, rep, bones)
+    x = batch_views(seqs, rep)
 
     z, cache = embed_forward(config, state.params, x, a_hat, want_cache=True)
     probe = rng.normal(size=z.shape)

@@ -151,7 +151,7 @@ def test_temporal_conv_gradients_at_an_encoder_shape(fd_check):
              samples_per_array=8)
 
 
-def test_conv_kernels_keep_float32():
+def test_kernels_keep_float32():
     rng = np.random.default_rng(10)
     x = rng.normal(size=(2, 3, 7, 4)).astype(np.float32)
     w = rng.normal(size=(4, 3, 5, 1)).astype(np.float32)
@@ -165,6 +165,13 @@ def test_conv_kernels_keep_float32():
     out, cache = nn.graph_conv_forward(x, a_hat, w, b)
     grads = nn.graph_conv_backward(np.ones_like(out), cache)
     assert [a.dtype for a in (out, *grads)] == [np.float32] * 4
+    x = rng.normal(size=(2, 5, 3)).astype(np.float32)
+    w = rng.normal(size=(3, 12)).astype(np.float32)
+    u = rng.normal(size=(4, 12)).astype(np.float32)
+    b = rng.normal(size=12).astype(np.float32)
+    out, h, cache = nn.gru_forward(x, w, u, b, reverse=True)
+    grads = nn.gru_backward(np.ones_like(out), np.ones_like(h), cache)
+    assert [a.dtype for a in (out, h, *grads)] == [np.float32] * 6
 
 
 @pytest.mark.parametrize("reverse", [False, True])
@@ -203,6 +210,65 @@ def test_gru_reverse_consumes_time_backwards():
     rev, h_rev, _ = nn.gru_forward(x, w, u, b, reverse=True)
     assert np.allclose(rev, fwd[:, ::-1], atol=1e-12)
     assert np.allclose(h_rev, h_fwd, atol=1e-12)
+
+
+def _gru_oracle(x, w, u, b, reverse, doutputs, dh_final):
+    """One gate at a time, with its own recurrent matmul: the outputs, the
+    final state and (dx, dw, du, db) of sum(outputs * doutputs) +
+    sum(final * dh_final), either probe possibly None."""
+    n, t, _ = x.shape
+    hdim = u.shape[0]
+    uz, ur, un = u[:, :hdim], u[:, hdim:2 * hdim], u[:, 2 * hdim:]
+    bz, br, bn = b[:hdim], b[hdim:2 * hdim], b[2 * hdim:]
+    wz, wr, wn = w[:, :hdim], w[:, hdim:2 * hdim], w[:, 2 * hdim:]
+    order = range(t - 1, -1, -1) if reverse else range(t)
+    h = np.zeros((n, hdim))
+    outputs, steps = np.zeros((n, t, hdim)), []
+    for f in order:
+        z = 1.0 / (1.0 + np.exp(-(x[:, f] @ wz + h @ uz + bz)))
+        r = 1.0 / (1.0 + np.exp(-(x[:, f] @ wr + h @ ur + br)))
+        q = h @ un
+        cand = np.tanh(x[:, f] @ wn + r * q + bn)
+        steps.append((f, h, z, r, q, cand))
+        h = (1.0 - z) * cand + z * h
+        outputs[:, f] = h
+    dx, dw, du, db = (np.zeros_like(a) for a in (x, w, u, b))
+    dh = np.zeros((n, hdim)) if dh_final is None else dh_final.copy()
+    for f, h_prev, z, r, q, cand in reversed(steps):
+        if doutputs is not None:
+            dh = dh + doutputs[:, f]
+        dan = dh * (1.0 - z) * (1.0 - cand ** 2)
+        daz = dh * (h_prev - cand) * z * (1.0 - z)
+        dar = dan * q * r * (1.0 - r)
+        for k, da, dhu in ((0, daz, daz), (1, dar, dar), (2, dan, dan * r)):
+            cols = slice(k * hdim, (k + 1) * hdim)
+            dx[:, f] += da @ w[:, cols].T
+            dw[:, cols] += x[:, f].T @ da
+            db[cols] += da.sum(axis=0)
+            du[:, cols] += h_prev.T @ dhu
+        dh = dh * z + daz @ uz.T + dar @ ur.T + (dan * r) @ un.T
+    return outputs, h, (dx, dw, du, db)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("probes", ["outputs+final", "final only", "outputs only"])
+def test_gru_matches_per_gate_oracle(reverse, probes):
+    rng = np.random.default_rng(12)
+    n, t, d, h = 3, 7, 5, 4
+    x = rng.normal(size=(n, t, d))
+    w = rng.normal(size=(d, 3 * h)) * 0.5
+    u = rng.normal(size=(h, 3 * h)) * 0.5
+    b = rng.normal(size=3 * h) * 0.1
+    doutputs = None if probes == "final only" else rng.normal(size=(n, t, h))
+    dh_final = None if probes == "outputs only" else rng.normal(size=(n, h))
+    want_out, want_h, want_grads = _gru_oracle(x, w, u, b, reverse, doutputs, dh_final)
+    outputs, h_final, cache = nn.gru_forward(x, w, u, b, reverse=reverse)
+    assert np.allclose(outputs, want_out, rtol=0, atol=1e-12)
+    assert np.allclose(h_final, want_h, rtol=0, atol=1e-12)
+    grads = nn.gru_backward(doutputs, dh_final, cache)
+    for name, got, want in zip("x w u b".split(), grads, want_grads):
+        assert got.shape == want.shape, name
+        assert np.allclose(got, want, rtol=0, atol=1e-12), name
 
 
 def test_graph_conv_gradients(fd_check):

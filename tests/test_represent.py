@@ -90,20 +90,19 @@ def test_normalized_adjacency_matches_oracle():
 
 def test_batch_views_shapes():
     seqs = [_seq(seed=i) for i in range(3)]
-    bones = chain_tree_bones(5)
-    assert batch_views(seqs, "IMG", bones).shape == (3, 3, 6, 10)
-    assert batch_views(seqs, "SEQ", bones).shape == (3, 6, 30)
-    assert batch_views(seqs, "STG", bones).shape == (3, 6, 10, 3)
+    assert batch_views(seqs, "IMG").shape == (3, 3, 6, 10)
+    assert batch_views(seqs, "SEQ").shape == (3, 6, 30)
+    assert batch_views(seqs, "STG").shape == (3, 6, 10, 3)
     with pytest.raises(ValueError):
-        batch_views(seqs, "VID", bones)
+        batch_views(seqs, "VID")
 
 
 def test_batch_views_match_single_views():
     seqs = [_seq(seed=i) for i in range(2)]
     bones = chain_tree_bones(5)
-    imgs = batch_views(seqs, "IMG", bones)
+    imgs = batch_views(seqs, "IMG")
     for i, s in enumerate(seqs):
         assert np.array_equal(imgs[i], to_image(s))
-    stg = batch_views(seqs, "STG", bones)
+    stg = batch_views(seqs, "STG")
     for i, s in enumerate(seqs):
         assert np.array_equal(stg[i], to_graph(s, bones).nodes.transpose(1, 0, 2))
