@@ -24,7 +24,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .augment import AugmentationSpec, make_query_key_pair
+from .augment import AugmentationSpec, apply_view, draw_view, make_query_key_pair
 from .data import SkeletonSequence
 from .encoders import (EncoderConfig, EncoderState, atomic_open, embed_forward,
                        embed_backward, init_encoder, save_checkpoint,
@@ -37,13 +37,36 @@ REP_IDS = {rep: i for i, rep in enumerate(REPRESENTATIONS)}
 # rng stream tags (second entry of the default_rng seed tuple)
 _TAG_SHUFFLE, _TAG_AUGMENT, _TAG_WARMUP = 1, 2, 4
 
+# Rows that `info_nce` casts to float64, and `_check_unit_norm` measures, at a
+# time: 2 MB of float64 at dim 128, so no temporary grows with the queue.
+_CHUNK_ROWS = 2048
+
+
+def _check_unit_norm(rows: np.ndarray, message: str) -> None:
+    """Raise `ContractError` unless every row of a 2-D array has a norm within
+    1e-3 of 1; a row that is not finite fails. Rows are measured one chunk at
+    a time."""
+    errors = [np.abs(np.linalg.norm(rows[s:s + _CHUNK_ROWS], axis=1) - 1.0).max()
+              for s in range(0, rows.shape[0], _CHUNK_ROWS)]
+    worst = float(np.max(errors, initial=0.0))   # keeps a NaN, unlike max()
+    if not worst <= 1e-3:  # NaN fails too
+        raise ContractError(f"{message} (worst |norm-1| = {worst:.3e})")
+
 
 # ---------------------------------------------------------------------------
 # negative queue
 # ---------------------------------------------------------------------------
 
 class NegativeQueue:
-    """Fixed-capacity FIFO of detached unit-norm key embeddings."""
+    """Fixed-capacity FIFO of detached unit-norm key embeddings.
+
+    Every row is checked on entry: `push` rejects a batch with a row whose
+    norm is off 1 by more than 1e-3 (NaN included), and `from_state` does the
+    same for the live rows of a loaded state. `info_nce` relies on this and
+    reads ``buffer[:size]`` in place, in slot order, without checking again.
+    Slot ``head`` is the next write; while the queue is not full,
+    ``head == size``.
+    """
 
     def __init__(self, capacity: int, dim: int, dtype=np.float32):
         if capacity < 1 or dim < 1:
@@ -59,18 +82,17 @@ class NegativeQueue:
 
     def push(self, batch: np.ndarray) -> None:
         batch = np.atleast_2d(np.asarray(batch))
-        if batch.shape[0] > self.capacity:
-            raise ValueError(
-                f"push of {batch.shape[0]} embeddings exceeds capacity {self.capacity}")
+        n = batch.shape[0]
+        if n > self.capacity:
+            raise ValueError(f"push of {n} embeddings exceeds capacity {self.capacity}")
         if batch.shape[1] != self.dim:
             raise ValueError(f"embedding dim {batch.shape[1]} != queue dim {self.dim}")
-        norms = np.linalg.norm(batch, axis=1)
-        if not np.all(np.abs(norms - 1.0) <= 1e-3):  # NaN fails too
-            raise ContractError("queue only stores unit-norm embeddings")
-        for row in batch.astype(self.buffer.dtype, copy=True):
-            self.buffer[self.head] = row
-            self.head = (self.head + 1) % self.capacity
-            self.size = min(self.size + 1, self.capacity)
+        _check_unit_norm(batch, "queue only stores unit-norm embeddings")
+        first = min(n, self.capacity - self.head)   # rows before the wrap
+        self.buffer[self.head:self.head + first] = batch[:first]
+        self.buffer[:n - first] = batch[first:]
+        self.head = (self.head + n) % self.capacity
+        self.size = min(self.size + n, self.capacity)
 
     def negatives(self) -> np.ndarray:
         """Contents in oldest-to-newest order (detached copies)."""
@@ -84,11 +106,22 @@ class NegativeQueue:
 
     @classmethod
     def from_state(cls, arrays: dict[str, np.ndarray]) -> "NegativeQueue":
-        buf = arrays["buffer"]
-        q = cls(buf.shape[0], buf.shape[1], dtype=buf.dtype)
+        """Rebuild a queue from `state_arrays`, checking it as `push` would:
+        a violation raises `ContractError`."""
+        buf, size, head = (np.asarray(arrays[k]) for k in ("buffer", "size", "head"))
+        if buf.ndim != 2 or buf.dtype.kind != "f" or size.ndim or head.ndim:
+            raise ContractError(
+                f"queue state needs a 2-D float buffer and scalar size and head, got "
+                f"buffer {buf.dtype}{buf.shape}, size {size.shape}, head {head.shape}")
+        capacity, size, head = buf.shape[0], int(size), int(head)
+        if not (0 <= size <= capacity and 0 <= head < capacity
+                and (size == capacity or head == size)):
+            raise ContractError(f"queue state has size {size} and head {head} "
+                                f"for capacity {capacity}")
+        _check_unit_norm(buf[:size], "queue state holds a row that is not unit-norm")
+        q = cls(capacity, buf.shape[1], dtype=buf.dtype)
         q.buffer = buf.copy()
-        q.size = int(arrays["size"])
-        q.head = int(arrays["head"])
+        q.size, q.head = size, head
         return q
 
 
@@ -111,47 +144,65 @@ def info_nce(z_q: np.ndarray, z_k: np.ndarray, negatives,
 
     loss = mean_i -log[ exp(q_i.k_i/t) / (exp(q_i.k_i/t) + sum_n exp(q_i.n/t)) ]
 
-    Computed in 64-bit with per-row max subtraction; returns the exact
+    ``negatives`` is a `NegativeQueue` or an array of unit-norm rows. A queue
+    is read in place in slot order (the loss does not depend on the order of
+    the negatives), and its rows are not checked again: the queue checked
+    them on entry. Array rows, ``z_q`` and ``z_k`` are checked here. Logits
+    and softmax are 64-bit with per-row max subtraction, in one (B, K+1) slab
+    filled and reduced `_CHUNK_ROWS` negatives at a time; returns the exact
     analytic gradient with respect to ``z_q``.
     """
     if tau <= 0:
         raise ValueError(f"temperature must be positive, got {tau}")
-    if isinstance(negatives, NegativeQueue):
-        negatives = negatives.negatives()
-    negatives = np.atleast_2d(np.asarray(negatives, dtype=np.float64))
-    if negatives.shape[0] == 0:
+    from_queue = isinstance(negatives, NegativeQueue)
+    if from_queue:
+        negs = negatives.buffer[:negatives.size]
+    else:
+        negs = np.atleast_2d(np.asarray(negatives, dtype=np.float64))
+    if negs.shape[0] == 0:
         raise ValueError("negative queue is empty")
     single = np.asarray(z_q).ndim == 1
     q = np.atleast_2d(np.asarray(z_q, dtype=np.float64))
     k = np.atleast_2d(np.asarray(z_k, dtype=np.float64))
     if q.shape != k.shape:
         raise ValueError(f"query/key shape mismatch: {q.shape} vs {k.shape}")
-    for name, arr in (("z_q", q), ("z_k", k), ("negatives", negatives)):
-        norms = np.linalg.norm(arr, axis=1)
-        if not np.all(np.abs(norms - 1.0) <= 1e-3):  # NaN fails too
-            raise ContractError(f"{name} must be unit-norm (worst |norm-1| = "
-                                f"{float(np.max(np.abs(norms - 1.0))):.3e})")
+    if negs.shape[1] != q.shape[1]:
+        raise ValueError(f"negatives have dim {negs.shape[1]}, queries {q.shape[1]}")
+    checks = [("z_q", q), ("z_k", k)]
+    if not from_queue:
+        checks.append(("negatives", negs))
+    for name, arr in checks:
+        _check_unit_norm(arr, f"{name} must be unit-norm")
 
+    b, n = q.shape[0], negs.shape[0]
+    chunks = [slice(s, min(s + _CHUNK_ROWS, n)) for s in range(0, n, _CHUNK_ROWS)]
+    logits = np.empty((b, n + 1))                  # column 0: the positive
     l_pos = np.sum(q * k, axis=1)                  # (B,)   cosine sims
-    l_neg = q @ negatives.T                        # (B, K)
-    logits = np.concatenate([l_pos[:, None], l_neg], axis=1) / tau
-    shift = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shift)
-    denom = exp.sum(axis=1, keepdims=True)
-    log_p_pos = shift[:, 0] - np.log(denom[:, 0])
+    logits[:, 0] = l_pos
+    for c in chunks:
+        np.matmul(q, negs[c].astype(np.float64, copy=False).T,
+                  out=logits[:, 1 + c.start:1 + c.stop])
+    neg_logit_mean = float(logits[:, 1:].mean() / tau)
+    logits /= tau
+    logits -= logits.max(axis=1, keepdims=True)    # shift
+    log_p_pos = logits[:, 0].copy()
+    np.exp(logits, out=logits)
+    denom = logits.sum(axis=1, keepdims=True)
+    log_p_pos -= np.log(denom[:, 0])
     loss = float(-log_p_pos.mean())
 
-    b = q.shape[0]
-    p = exp / denom                                # softmax rows
-    dlogits = p.copy()
-    dlogits[:, 0] -= 1.0
-    dlogits /= b
-    grad_q = (dlogits[:, :1] * k + dlogits[:, 1:] @ negatives) / tau
+    logits /= denom                                # softmax rows
+    logits[:, 0] -= 1.0
+    logits /= b                                    # dL/dlogits
+    grad_q = logits[:, :1] * k
+    for c in chunks:
+        grad_q += logits[:, 1 + c.start:1 + c.stop] @ negs[c].astype(np.float64, copy=False)
+    grad_q /= tau
     if single:
         grad_q = grad_q[0]
     return InfoNCEResult(loss=loss, grad_q=grad_q,
                          pos_logit_mean=float(l_pos.mean() / tau),
-                         neg_logit_mean=float(l_neg.mean() / tau))
+                         neg_logit_mean=neg_logit_mean)
 
 
 # ---------------------------------------------------------------------------
@@ -376,14 +427,20 @@ def warmup_queues(trainer: TrainerState, sequences: list[SkeletonSequence],
     """Seed every queue with key-encoder embeddings of augmented views.
 
     One pass over the data (stopping once full) so early steps are never
-    contrasted against off-manifold random vectors.
+    contrasted against off-manifold random vectors. Each view is the key
+    that `make_query_key_pair` would make from the same rng stream.
     """
     rng = np.random.default_rng((trainer.seed, _TAG_WARMUP))
     need = min(trainer.config.queue_size, len(sequences))
     picked = sequences[:need]
     for start in range(0, len(picked), batch_size):
         chunk = picked[start:start + batch_size]
-        views = [make_query_key_pair(seq, trainer.aug, rng)[1] for seq in chunk]
+        views = []
+        for seq in chunk:
+            # the query is drawn to keep the rng stream, but never applied
+            draw_view(trainer.aug, seq.frames, seq.joints, rng)
+            key = draw_view(trainer.aug, seq.frames, seq.joints, rng)
+            views.append(apply_view(seq, key, trainer.aug.output_length))
         for rep in trainer.representations:
             z, _ = _embed(trainer, rep, trainer.pairs[rep].key, views, False)
             trainer.queues[rep].push(z)

@@ -4,6 +4,7 @@ loss gradients, and checkpoint/resume replay."""
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,10 +13,13 @@ from hypothesis import strategies as st
 
 from skelcon.augment import AugmentationSpec, make_query_key_pair
 from skelcon.contrast import (
+    _CHUNK_ROWS,
+    _TAG_WARMUP,
     NegativeQueue,
     Schedule,
     TrainerConfig,
     _cross_plan,
+    _embed,
     contrast_losses,
     info_nce,
     load_trainer,
@@ -110,6 +114,51 @@ def test_info_nce_queue_objects_are_accepted():
     assert abs(res.loss - info_nce(E1, E2, np.stack([E2, E3])).loss) < 1e-15
 
 
+def _unit_rows(rng, n, dim=4):
+    x = rng.normal(size=(n, dim))
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("capacity, pushes, dtype, tol", [
+    (16, (5, 4), np.float64, 1e-12),                          # partly filled
+    (16, (9, 9, 3), np.float64, 1e-12),                       # wrapped, head 5
+    (2 * _CHUNK_ROWS + 300, (2000, 2000, 1000), np.float64, 1e-12),  # 3 chunks
+    (2 * _CHUNK_ROWS + 300, (2000, 2000, 1000), np.float32, 1e-6),
+], ids=["partly-filled", "wrapped", "chunks", "chunks-float32"])
+def test_info_nce_on_a_queue_matches_the_array_oracle(capacity, pushes, dtype, tol):
+    rng = np.random.default_rng(11)
+    queue = NegativeQueue(capacity, 4, dtype=dtype)
+    for count in pushes:
+        queue.push(_unit_rows(rng, count))
+    assert queue.size < capacity or queue.head != 0
+    z_q = _unit_rows(rng, 6).astype(dtype)
+    z_k = _unit_rows(rng, 6).astype(dtype)
+    got = info_nce(z_q, z_k, queue)
+    want = info_nce(z_q, z_k, queue.negatives())
+    assert abs(got.loss - want.loss) < tol
+    assert np.max(np.abs(got.grad_q - want.grad_q)) < tol
+    assert abs(got.pos_logit_mean - want.pos_logit_mean) < tol
+    assert abs(got.neg_logit_mean - want.neg_logit_mean) < tol
+
+
+def test_info_nce_reads_the_queue_in_place():
+    """A call on a full queue at MoCo's size allocates less than the queue:
+    no ordered copy and no whole-queue float64 cast."""
+    rng = np.random.default_rng(12)
+    queue = NegativeQueue(16384, 128)
+    for _ in range(16384 // 2048 + 1):
+        queue.push(_unit_rows(rng, 2048, 128))
+    z_q = _unit_rows(rng, 16, 128).astype(np.float32)
+    z_k = _unit_rows(rng, 16, 128).astype(np.float32)
+    tracemalloc.start()
+    try:
+        info_nce(z_q, z_k, queue)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < queue.buffer.nbytes
+
+
 def test_info_nce_input_validation():
     with pytest.raises(ValueError):
         info_nce(E1, E2, E3[None], tau=0.0)
@@ -175,11 +224,6 @@ def test_momentum_update_is_exact_ema():
 # negative queue
 # ---------------------------------------------------------------------------
 
-def _unit_rows(rng, n, dim=4):
-    x = rng.normal(size=(n, dim))
-    return x / np.linalg.norm(x, axis=1, keepdims=True)
-
-
 @settings(max_examples=200, deadline=None)
 @given(capacity=st.integers(1, 32),
        pushes=st.lists(st.integers(1, 16), min_size=1, max_size=12),
@@ -229,6 +273,37 @@ def test_queue_state_round_trip():
     back = NegativeQueue.from_state(queue.state_arrays())
     assert len(back) == len(queue)
     assert np.array_equal(back.negatives(), queue.negatives())
+
+
+def _partly_filled_state():
+    queue = NegativeQueue(5, 4)
+    queue.push(_unit_rows(np.random.default_rng(4), 3))
+    return queue.state_arrays()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("size", 6), ("size", -1), ("head", 5), ("head", -1), ("head", 1)])
+def test_queue_state_with_size_or_head_out_of_range_is_rejected(field, value):
+    state = _partly_filled_state()
+    assert len(NegativeQueue.from_state(state)) == 3   # zero rows past size are fine
+    state[field] = np.array(value)
+    with pytest.raises(ContractError, match="size"):
+        NegativeQueue.from_state(state)
+
+
+@pytest.mark.parametrize("scale", [np.nan, 2.0], ids=["nan-row", "norm-2-row"])
+def test_queue_state_with_a_row_that_is_not_unit_norm_is_rejected(scale):
+    state = _partly_filled_state()
+    state["buffer"][1] *= scale
+    with pytest.raises(ContractError, match="unit-norm"):
+        NegativeQueue.from_state(state)
+
+
+def test_queue_state_needs_a_2d_buffer():
+    state = _partly_filled_state()
+    state["buffer"] = state["buffer"][0]
+    with pytest.raises(ContractError, match="2-D"):
+        NegativeQueue.from_state(state)
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +381,22 @@ def test_warmup_fills_queues_with_unit_keys():
     assert len(queue) == 6               # min(queue_size, len(seqs))
     norms = np.linalg.norm(queue.negatives(), axis=1)
     assert np.allclose(norms, 1.0, atol=1e-3)
+
+
+def test_warmed_queues_equal_the_keys_of_make_query_key_pair():
+    trainer = _make_trainer("inter", ("SEQ", "STG"), queue_size=6)
+    oracle = _make_trainer("inter", ("SEQ", "STG"), queue_size=6)
+    seqs = [s.sequence for s in _dataset().samples]
+    warmup_queues(trainer, seqs, batch_size=4)
+    rng = np.random.default_rng((oracle.seed, _TAG_WARMUP))
+    for start in (0, 4):
+        keys = [make_query_key_pair(seq, oracle.aug, rng)[1]
+                for seq in seqs[start:min(start + 4, 6)]]
+        for rep in oracle.representations:
+            oracle.queues[rep].push(_embed(oracle, rep, oracle.pairs[rep].key, keys, False)[0])
+    for rep in trainer.representations:
+        got, want = trainer.queues[rep].state_arrays(), oracle.queues[rep].state_arrays()
+        assert all(np.array_equal(got[name], want[name]) for name in want)
 
 
 # ---------------------------------------------------------------------------
@@ -494,6 +585,19 @@ def test_trainer_manifest_write_that_fails_midway_keeps_the_previous_file(
     assert sorted(after) == sorted(before)
     assert after[os.path.basename(path)] == before[os.path.basename(path)]
     assert load_trainer(path).step == trainer.step - 1
+
+
+def test_load_trainer_rejects_a_queue_row_that_is_not_unit_norm(tmp_path):
+    trainer = _make_trainer()
+    warmup_queues(trainer, [s.sequence for s in _dataset().samples])
+    path = save_trainer(trainer, tmp_path)
+    aux_path = tmp_path / json.loads(open(path).read())["aux"]
+    with np.load(aux_path) as aux:
+        aux = dict(aux)
+    aux["queue.SEQ.buffer"][0, 0] = np.nan
+    np.savez(aux_path, **aux)
+    with pytest.raises(ContractError, match="unit-norm"):
+        load_trainer(path)
 
 
 def test_load_trainer_accepts_the_older_augmentation_seed_key(tmp_path):
