@@ -16,6 +16,7 @@ randomness lives entirely in the parameter-drawing helpers.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -148,12 +149,23 @@ def temporal_crop_resize(seq: SkeletonSequence, p: CropResizeParams) -> Skeleton
         raise ValueError(
             f"crop [{p.start}, {p.start + length}) exceeds sequence of {frames} frames")
     window = seq.coords[p.start:p.start + length]
-    positions = np.linspace(0.0, length - 1, p.output_length)
+    lo, hi, w_lo, w_hi = _resample_plan(length, p.output_length)
+    return seq.with_coords(w_lo * window[lo] + w_hi * window[hi])
+
+
+@functools.lru_cache(maxsize=512)
+def _resample_plan(length: int, output_length: int) -> tuple[np.ndarray, ...]:
+    """Frame indices and weights that resample `length` frames linearly to
+    `output_length`: output frame i is ``w_lo[i] * x[lo[i]] + w_hi[i] * x[hi[i]]``.
+    Cached per length pair, so the arrays are read-only."""
+    positions = np.linspace(0.0, length - 1, output_length)
     lo = np.floor(positions).astype(np.intp)
     hi = np.minimum(lo + 1, length - 1)
     frac = (positions - lo)[:, None, None, None]
-    resampled = (1.0 - frac) * window[lo] + frac * window[hi]
-    return seq.with_coords(resampled)
+    plan = (lo, hi, 1.0 - frac, frac)
+    for arr in plan:
+        arr.flags.writeable = False
+    return plan
 
 
 # ---------------------------------------------------------------------------

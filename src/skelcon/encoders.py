@@ -19,6 +19,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, asdict, replace
@@ -427,22 +428,65 @@ def save_checkpoint(state: EncoderState, path) -> None:
 
 
 def load_checkpoint(path, dtype=np.float32) -> EncoderState:
+    """Read a `save_checkpoint` file. A file that is not CKPT1, or whose
+    header, manifest or parameter index is malformed, raises `ParseError`
+    naming the file and, where one is at fault, the manifest key."""
+    header = len(CHECKPOINT_MAGIC) + 4
     with open(path, "rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: not a CKPT1 checkpoint")
-        (mlen,) = struct.unpack("<I", fh.read(4))
-        manifest = json.loads(fh.read(mlen).decode("utf-8"))
+        head = fh.read(header)
+        if len(head) < header:
+            raise ParseError(f"{path}: {len(head)} bytes, shorter than the "
+                             f"{header}-byte CKPT1 header")
+        if not head.startswith(CHECKPOINT_MAGIC):
+            raise ParseError(f"{path}: not a CKPT1 checkpoint")
+        (mlen,) = struct.unpack("<I", head[len(CHECKPOINT_MAGIC):])
+        payload = fh.read(mlen)
         blob = fh.read()
-    manifest["config"].pop("scale", None)  # written by older versions, unused
-    config = EncoderConfig(**manifest["config"])
-    sizes = {name: int(np.prod(meta["shape"])) for name, meta in manifest["params"].items()}
+    try:
+        manifest = json.loads(payload.decode("utf-8"))
+    except ValueError as exc:
+        raise ParseError(f"{path}: manifest is not valid JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise ParseError(f"{path}: manifest is a JSON {type(manifest).__name__}, "
+                         "not an object")
+    for key, kind in (("config", dict), ("step", int), ("params", dict)):
+        if key not in manifest:
+            raise ParseError(f"{path}: manifest has no {key!r}")
+        if not isinstance(manifest[key], kind) or isinstance(manifest[key], bool):
+            raise ParseError(f"{path}: manifest {key!r} is not a JSON {kind.__name__}")
+    fields = dict(manifest["config"])
+    fields.pop("scale", None)  # written by older versions, unused
+    try:
+        config = EncoderConfig(**fields)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: manifest 'config': {exc}") from None
+    index = manifest["params"]
+    sizes = {name: _param_size(path, name, meta) for name, meta in index.items()}
     if len(blob) != 4 * sum(sizes.values()):
         raise ParseError(f"{path}: parameter blob has {len(blob)} bytes, "
                          f"manifest needs {4 * sum(sizes.values())}")
     flat = np.frombuffer(blob, dtype="<f4")
-    params = {}
-    for name, meta in manifest["params"].items():
-        offset = meta["offset"]
-        params[name] = flat[offset:offset + sizes[name]].reshape(meta["shape"]).astype(dtype)
-    return EncoderState(config=config, params=params, step=int(manifest["step"]))
+    params, end = {}, 0
+    for name in sorted(index, key=lambda k: index[k]["offset"]):   # must tile the blob
+        offset = index[name]["offset"]
+        if offset != end:
+            raise ParseError(f"{path}: manifest 'params.{name}.offset' is {offset}, "
+                             f"the parameters before it end at {end}")
+        end += sizes[name]
+        params[name] = flat[offset:end].reshape(index[name]["shape"]).astype(dtype)
+    return EncoderState(config=config, params=params, step=manifest["step"])
+
+
+def _param_size(path, name, meta) -> int:
+    """Element count of one parameter index entry, after checking that it is
+    ``{"offset": int >= 0, "shape": [int >= 0, ...]}``."""
+    def count(value):
+        return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+    if not isinstance(meta, dict) or not count(meta.get("offset")):
+        raise ParseError(f"{path}: manifest 'params.{name}' needs a non-negative integer offset")
+    shape = meta.get("shape")
+    if not isinstance(shape, list) or not all(count(d) for d in shape):
+        raise ParseError(f"{path}: manifest 'params.{name}.shape' is not a list of "
+                         "non-negative integers")
+    return math.prod(shape)

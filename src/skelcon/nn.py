@@ -170,28 +170,31 @@ def gru_backward(doutputs, dh_final, cache):
     x, w, u, gates, qs, hs, reverse = cache
     n, t, d = x.shape
     hdim = u.shape[0]
-    if doutputs is None:
-        doutputs = np.zeros((n, t, hdim), dtype=x.dtype)
-    elif reverse:
+    if doutputs is not None and reverse:
         doutputs = doutputs[:, ::-1]
-    dh = np.zeros((n, hdim), dtype=x.dtype) if dh_final is None else dh_final.copy()
-    dxp = np.empty((n, t, 3 * hdim), dtype=x.dtype)    # d(x w + b) per step
-    dhu = np.empty((n, t, 3 * hdim), dtype=x.dtype)    # d(h_{t-1} u) per step
+    # Every gate gradient is dh_t times a coefficient the forward cache fixes:
+    # d(x w + b) = dh_t * [cz | cr | cn] and d(h_{t-1} u) = dh_t * [cz | cr | cn r],
+    # with dh_t tiled over the three gates.  Only dh is carried through time.
+    z, r, nn_ = gates[..., :hdim], gates[..., hdim:2 * hdim], gates[..., 2 * hdim:]
+    cn = (1.0 - z) * (1.0 - nn_ * nn_)
+    coef_x = np.concatenate([(hs[:, :-1] - nn_) * z * (1.0 - z),
+                             cn * qs * r * (1.0 - r), cn], axis=-1).reshape(n, t, 3, hdim)
+    coef_h = coef_x.copy()
+    coef_h[:, :, 2] *= r
+    dh = np.zeros((n, hdim), dtype=x.dtype) if dh_final is None else dh_final
+    dhs = np.empty((n, t, 1, hdim), dtype=x.dtype)    # dh_t per step
     for step in range(t - 1, -1, -1):
-        dh_t = dh + doutputs[:, step]
-        g = gates[:, step]
-        z, r, nn_ = g[:, :hdim], g[:, hdim:2 * hdim], g[:, 2 * hdim:]
-        dan = dh_t * (1.0 - z) * (1.0 - nn_ * nn_)
-        dxp[:, step, :hdim] = dh_t * (hs[:, step] - nn_) * z * (1.0 - z)
-        dxp[:, step, hdim:2 * hdim] = dan * qs[:, step] * r * (1.0 - r)
-        dxp[:, step, 2 * hdim:] = dan
-        dhu[:, step, :2 * hdim] = dxp[:, step, :2 * hdim]
-        dhu[:, step, 2 * hdim:] = dan * r
-        dh = dh_t * z + dhu[:, step] @ u.T
-    du = hs[:, :-1].reshape(-1, hdim).T @ dhu.reshape(-1, 3 * hdim)
-    dw = x.reshape(-1, d).T @ dxp.reshape(-1, 3 * hdim)
-    db = dxp.sum(axis=(0, 1))
-    dx = dxp @ w.T
+        if doutputs is not None:
+            dh = dh + doutputs[:, step]
+        dhs[:, step, 0] = dh
+        dhu_t = (dh[:, None] * coef_h[:, step]).reshape(n, 3 * hdim)
+        dh = dh * z[:, step] + dhu_t @ u.T
+    dxp = (dhs * coef_x).reshape(-1, 3 * hdim)        # d(x w + b), a row per (sample, step)
+    dhu = (dhs * coef_h).reshape(-1, 3 * hdim)        # d(h_{t-1} u), likewise
+    du = hs[:, :-1].reshape(-1, hdim).T @ dhu
+    dw = x.reshape(-1, d).T @ dxp
+    db = dxp.sum(axis=0)
+    dx = (dxp @ w.T).reshape(n, t, d)                 # one 2-D GEMM, not n batched ones
     if reverse:
         dx = dx[:, ::-1]
     return np.ascontiguousarray(dx), dw, du, db

@@ -11,6 +11,7 @@ from skelcon.augment import (
     CropResizeParams,
     JitterParams,
     ShearParams,
+    _resample_plan,
     apply_view,
     draw_crop,
     draw_jitter,
@@ -172,6 +173,34 @@ def test_crop_resize_constant_sequences_are_fixed_points():
     out = temporal_crop_resize(
         seq, CropResizeParams(length_ratio=0.7, start=1, output_length=5))
     assert np.allclose(out.coords, np.tile(frame, (5, 1, 1, 1)), atol=1e-12)
+
+
+@pytest.mark.parametrize("output_length", [32, 64])
+def test_crop_resize_equals_the_uncached_formula_for_every_crop_length(output_length):
+    seq = _random_seq(np.random.default_rng(9), t=96, j=25)
+    _resample_plan.cache_clear()
+    for length in range(2, 97):
+        p = CropResizeParams(length_ratio=length / 96, start=96 - length,
+                             output_length=output_length)
+        assert p.crop_length(96) == length
+        window = seq.coords[96 - length:]
+        positions = np.linspace(0.0, length - 1, output_length)
+        lo = np.floor(positions).astype(np.intp)
+        hi = np.minimum(lo + 1, length - 1)
+        frac = (positions - lo)[:, None, None, None]
+        want = ((1.0 - frac) * window[lo] + frac * window[hi]).tobytes()
+        assert temporal_crop_resize(seq, p).coords.tobytes() == want        # plan built
+        assert temporal_crop_resize(seq, p).coords.tobytes() == want        # plan reused
+
+
+def test_cached_resample_plans_are_read_only():
+    seq = _random_seq(np.random.default_rng(10), t=12)
+    p = CropResizeParams(length_ratio=0.5, start=2, output_length=9)
+    before = temporal_crop_resize(seq, p).coords
+    for arr in _resample_plan(6, 9):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    assert np.array_equal(temporal_crop_resize(seq, p).coords, before)
 
 
 def test_crop_resize_rejects_windows_below_two_frames():

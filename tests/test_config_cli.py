@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import struct
 import warnings
 
 import numpy as np
@@ -18,6 +19,7 @@ from skelcon.config import (
 )
 from skelcon.data import generate_synthetic, save_dataset
 from skelcon.downstream import summarize, write_report
+from skelcon.encoders import CHECKPOINT_MAGIC
 from skelcon.errors import ConfigError
 
 # Overrides that shrink every knob so CLI runs finish in well under a second.
@@ -319,6 +321,21 @@ def test_cli_exit_codes(tmp_path):
                 + _sets(["downstream.min_accuracy=0.9"])) == 4
     record = json.loads((gated / "metrics.json").read_text())
     assert 0.0 < record["mean"] < 0.9     # metrics still written before gating
+
+
+_NO_STEP = b'{"config": {}, "params": {}}'
+
+
+@pytest.mark.parametrize("content", [
+    CHECKPOINT_MAGIC + b"\x00",
+    CHECKPOINT_MAGIC + struct.pack("<I", len(_NO_STEP)) + _NO_STEP,
+], ids=["cut-header", "no-step"])
+def test_cli_exits_3_on_a_malformed_checkpoint(tmp_path, capsys, content):
+    path = tmp_path / "enc.ckpt"
+    path.write_bytes(content)
+    assert main(["probe", "--out", str(tmp_path / "p"), "--checkpoint", str(path)]
+                + _sets()) == 3
+    assert "ParseError" in capsys.readouterr().err
 
 
 def test_cli_resume_continues_from_manifest(tmp_path):

@@ -141,6 +141,49 @@ def test_info_nce_on_a_queue_matches_the_array_oracle(capacity, pushes, dtype, t
     assert abs(got.neg_logit_mean - want.neg_logit_mean) < tol
 
 
+def _info_nce_oracle(z_q, z_k, negs, tau):
+    """Loss and grad_q from the whole (B, K+1) logit matrix at once, with a
+    float64 logsumexp: the reference for the one-pass online softmax."""
+    logits = np.concatenate([np.sum(z_q * z_k, axis=1, keepdims=True), z_q @ negs.T], axis=1)
+    logits /= tau
+    top = logits.max(axis=1, keepdims=True)
+    weights = np.exp(logits - top)
+    total = weights.sum(axis=1, keepdims=True)
+    loss = np.mean(top[:, 0] + np.log(total[:, 0]) - logits[:, 0])
+    weights /= total
+    weights[:, 0] -= 1.0
+    grad = (weights[:, :1] * z_k + weights[:, 1:] @ negs) / (len(z_q) * tau)
+    return loss, grad
+
+
+@pytest.mark.parametrize("rows, tau, max_in_last_chunk", [
+    (2 * _CHUNK_ROWS + 300, 0.07, True),
+    (2 * _CHUNK_ROWS + 300, 1e-3, False),     # exp(1/tau) overflows float64
+    (2 * _CHUNK_ROWS + 1, 0.07, False),       # the last chunk holds one row
+], ids=["max-in-last-chunk", "tau-1e-3", "one-row-remainder"])
+@pytest.mark.parametrize("source", ["queue", "array"])
+def test_info_nce_online_softmax_matches_a_logsumexp_oracle(rows, tau, max_in_last_chunk,
+                                                            source):
+    rng = np.random.default_rng(13)
+    z_q, z_k = _unit_rows(rng, 6, 8), _unit_rows(rng, 6, 8)
+    negs = _unit_rows(rng, rows, 8)
+    if max_in_last_chunk:   # each query's largest logit: its own copy, in the last chunk
+        negs[-len(z_q):] = z_q
+        assert np.all(np.argmax(z_q @ negs.T, axis=1) >= 2 * _CHUNK_ROWS)
+    # a negative outscores the positive for every query: the running max moves
+    assert np.all(np.max(z_q @ negs.T, axis=1) > np.sum(z_q * z_k, axis=1))
+    if source == "queue":
+        negatives = NegativeQueue(rows, 8, dtype=np.float64)
+        negatives.push(negs)
+    else:
+        negatives = negs
+    got = info_nce(z_q, z_k, negatives, tau=tau)
+    loss, grad = _info_nce_oracle(z_q, z_k, negs, tau)
+    assert np.isfinite(got.loss) and np.all(np.isfinite(got.grad_q))
+    assert abs(got.loss - loss) <= 1e-12 * max(1.0, abs(loss))
+    assert np.max(np.abs(got.grad_q - grad)) <= 1e-12 * max(1.0, np.max(np.abs(grad)))
+
+
 def test_info_nce_reads_the_queue_in_place():
     """A call on a full queue at MoCo's size allocates less than the queue:
     no ordered copy and no whole-queue float64 cast."""

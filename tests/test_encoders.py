@@ -212,6 +212,75 @@ def test_checkpoint_rejects_a_truncated_blob(tmp_path):
         load_checkpoint(path)
 
 
+def _write_checkpoint_with(path, edit, state=None):
+    """Save `state` (by default a small STG encoder), then rewrite its
+    manifest through `edit` (which returns the new manifest) and keep the
+    parameter blob."""
+    save_checkpoint(state or init_encoder(desk_config("STG", JOINTS, hidden=4), seed=0), path)
+    raw = path.read_bytes()
+    start = len(CHECKPOINT_MAGIC)
+    (mlen,) = struct.unpack("<I", raw[start:start + 4])
+    manifest = edit(json.loads(raw[start + 4:start + 4 + mlen]))
+    payload = json.dumps(manifest, sort_keys=True).encode()
+    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(payload)) + payload
+                     + raw[start + 4 + mlen:])
+
+
+def test_checkpoint_cut_inside_its_header_is_a_parse_error(tmp_path):
+    path = tmp_path / "enc.ckpt"
+    save_checkpoint(init_encoder(desk_config("SEQ", JOINTS, hidden=4), seed=0), path)
+    path.write_bytes(path.read_bytes()[:len(CHECKPOINT_MAGIC) + 2])
+    with pytest.raises(ParseError, match="enc.ckpt.*header"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("manifest", [[1, 2], "CKPT1", 7])
+def test_checkpoint_manifest_that_is_not_an_object_is_a_parse_error(tmp_path, manifest):
+    path = tmp_path / "enc.ckpt"
+    _write_checkpoint_with(path, lambda _: manifest)
+    with pytest.raises(ParseError, match="enc.ckpt.*not an object"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key", ["config", "step", "params"])
+def test_checkpoint_manifest_missing_a_key_is_a_parse_error(tmp_path, key):
+    path = tmp_path / "enc.ckpt"
+    _write_checkpoint_with(path, lambda m: {k: v for k, v in m.items() if k != key})
+    with pytest.raises(ParseError, match=f"enc.ckpt.*'{key}'"):
+        load_checkpoint(path)
+
+
+def _shift_first_offset(manifest):
+    first = min(manifest["params"], key=lambda k: manifest["params"][k]["offset"])
+    manifest["params"][first]["offset"] += 1
+    return manifest
+
+
+def _swap_two_shapes(manifest):
+    a, b = sorted(manifest["params"], key=lambda k: manifest["params"][k]["offset"])[:2]
+    params = manifest["params"]
+    params[a]["shape"], params[b]["shape"] = params[b]["shape"], params[a]["shape"]
+    return manifest
+
+
+def _float_shape(manifest):
+    name = sorted(manifest["params"])[0]
+    manifest["params"][name]["shape"] = [1.5]
+    return manifest
+
+
+@pytest.mark.parametrize("edit, key", [
+    (_shift_first_offset, r"params\..*\.offset"),    # a gap, same blob length
+    (_swap_two_shapes, r"params\..*\.offset"),       # offsets no longer follow the sizes
+    (_float_shape, r"params\..*\.shape"),
+], ids=["shifted-offset", "swapped-shapes", "float-shape"])
+def test_checkpoint_params_that_do_not_tile_the_blob_are_a_parse_error(tmp_path, edit, key):
+    path = tmp_path / "enc.ckpt"
+    _write_checkpoint_with(path, edit)
+    with pytest.raises(ParseError, match=f"enc.ckpt.*{key}"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_write_that_fails_midway_keeps_the_previous_file(tmp_path, monkeypatch):
     path = tmp_path / "enc.ckpt"
     save_checkpoint(init_encoder(desk_config("SEQ", JOINTS, hidden=4), seed=0), path)
@@ -230,15 +299,8 @@ def test_checkpoint_write_that_fails_midway_keeps_the_previous_file(tmp_path, mo
 def test_checkpoint_loads_the_older_scale_key(tmp_path):
     state = init_encoder(desk_config("SEQ", JOINTS, hidden=4), seed=0)
     path = tmp_path / "enc.ckpt"
-    save_checkpoint(state, path)
-    raw = path.read_bytes()
-    start = len(CHECKPOINT_MAGIC)
-    (mlen,) = struct.unpack("<I", raw[start:start + 4])
-    manifest = json.loads(raw[start + 4:start + 4 + mlen])
-    manifest["config"]["scale"] = "desk"
-    payload = json.dumps(manifest, sort_keys=True).encode()
-    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(payload)) + payload
-                     + raw[start + 4 + mlen:])
+    _write_checkpoint_with(path, lambda m: {**m, "config": {**m["config"], "scale": "desk"}},
+                           state)
     back = load_checkpoint(path)
     assert back.config == state.config
     assert all(np.array_equal(back.params[k], v) for k, v in state.params.items())

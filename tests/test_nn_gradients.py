@@ -253,10 +253,16 @@ def _gru_oracle(x, w, u, b, reverse, doutputs, dh_final):
 @pytest.mark.parametrize("reverse", [False, True])
 @pytest.mark.parametrize("probes", ["outputs+final", "final only", "outputs only"])
 def test_gru_matches_per_gate_oracle(reverse, probes):
+    # (n, t, d, h, scale of w): a small case, then the intra-seq SEQ encoder
+    # (batch 16, crop 32, 25 joints x 2 actors x 3 coordinates in, hidden 32)
+    for shape in ((3, 7, 5, 4, 0.5), (16, 32, 150, 32, 0.1)):
+        _check_gru_against_oracle(*shape, reverse, probes)
+
+
+def _check_gru_against_oracle(n, t, d, h, w_scale, reverse, probes):
     rng = np.random.default_rng(12)
-    n, t, d, h = 3, 7, 5, 4
     x = rng.normal(size=(n, t, d))
-    w = rng.normal(size=(d, 3 * h)) * 0.5
+    w = rng.normal(size=(d, 3 * h)) * w_scale
     u = rng.normal(size=(h, 3 * h)) * 0.5
     b = rng.normal(size=3 * h) * 0.1
     doutputs = None if probes == "final only" else rng.normal(size=(n, t, h))
