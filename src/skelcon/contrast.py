@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import zipfile
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -29,7 +30,7 @@ from .data import SkeletonSequence
 from .encoders import (EncoderConfig, EncoderState, atomic_open, embed_forward,
                        embed_backward, init_encoder, save_checkpoint,
                        load_checkpoint, write_json)
-from .errors import ContractError
+from .errors import ContractError, ParseError, SchemaError
 from .represent import REPRESENTATIONS, batch_views, graph_adjacency
 
 REP_IDS = {rep: i for i, rep in enumerate(REPRESENTATIONS)}
@@ -510,38 +511,123 @@ def save_trainer(trainer: TrainerState, out_dir, tag: str | None = None) -> str:
     return path
 
 
-def load_trainer(manifest_path) -> TrainerState:
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+_MANIFEST_KEYS = (("trainer", dict), ("aug", dict), ("bones", list), ("seed", int),
+                  ("epoch", int), ("step", int), ("encoders", dict), ("aux", str))
+
+
+def _read_manifest(path) -> dict:
+    """The TRAINER1 manifest at `path`, after checking its type and the type
+    of every key; a violation raises `ParseError` naming the file and key."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except ValueError as exc:
+        raise ParseError(f"{path}: manifest is not valid JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise ParseError(f"{path}: manifest is a JSON {type(manifest).__name__}, "
+                         "not an object")
     if manifest.get("format") != "TRAINER1":
-        raise ValueError(f"{manifest_path}: not a TRAINER1 manifest")
+        raise ParseError(f"{path}: not a TRAINER1 manifest")
+    for key, kind in _MANIFEST_KEYS:
+        if key not in manifest:
+            raise ParseError(f"{path}: manifest has no {key!r}")
+        if not isinstance(manifest[key], kind) or isinstance(manifest[key], bool):
+            raise ParseError(f"{path}: manifest {key!r} is not a JSON {kind.__name__}")
+    return manifest
+
+
+def _manifest_section(path, key: str, build):
+    """`build()`, with a malformed section raising `ParseError` naming `key`."""
+    try:
+        return build()
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: manifest {key!r}: {exc}") from None
+
+
+def _read_aux(path) -> dict[str, np.ndarray]:
+    try:
+        loaded = np.load(path)
+        if not isinstance(loaded, np.lib.npyio.NpzFile):
+            raise ValueError("an .npy array, not an .npz archive")
+        with loaded:
+            return dict(loaded)
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise ParseError(f"{path}: aux blob is not a readable npz archive: {exc}") from None
+
+
+def _aux_velocity(path, aux: dict, rep: str, params: dict) -> dict[str, np.ndarray]:
+    """The velocity of `rep` in the aux blob, checked against the query
+    parameters: the same names, and for each a finite array of the same
+    shape and dtype. A violation raises `SchemaError`."""
+    prefix = f"velocity.{rep}."
+    velocity = {name[len(prefix):]: arr for name, arr in aux.items()
+                if name.startswith(prefix)}
+    if velocity.keys() != params.keys():
+        raise SchemaError(
+            f"{path}: {prefix}* names differ from the query parameters': missing "
+            f"{sorted(params.keys() - velocity.keys())}, unexpected "
+            f"{sorted(velocity.keys() - params.keys())}")
+    for name, arr in velocity.items():
+        want = params[name]
+        if arr.shape != want.shape or arr.dtype != want.dtype:
+            raise SchemaError(f"{path}: '{prefix}{name}' is {arr.dtype}{list(arr.shape)}, "
+                              f"the query parameter is {want.dtype}{list(want.shape)}")
+        if not np.all(np.isfinite(arr)):
+            raise SchemaError(f"{path}: '{prefix}{name}' is not finite")
+    return {name: arr.copy() for name, arr in velocity.items()}
+
+
+def load_trainer(manifest_path) -> TrainerState:
+    """Read a `save_trainer` bundle. A manifest or aux blob that cannot be
+    read raises `ParseError`, and one whose parts disagree `SchemaError`,
+    naming the file and the key; a malformed CKPT1 raises `ParseError`
+    (`load_checkpoint`) and a bad queue `ContractError`."""
+    manifest = _read_manifest(manifest_path)
     base = os.path.dirname(manifest_path)
-    cfg_d = dict(manifest["trainer"])
-    cfg_d["representations"] = tuple(cfg_d["representations"])
-    config = TrainerConfig(**cfg_d)
+
+    def trainer_config():
+        fields = dict(manifest["trainer"])
+        if "representations" in fields:   # a missing one is TrainerConfig's TypeError
+            fields["representations"] = tuple(fields["representations"])
+        return TrainerConfig(**fields)
+
+    config = _manifest_section(manifest_path, "trainer", trainer_config)
     manifest["aug"].pop("seed", None)  # written by older versions, unused
-    aug = AugmentationSpec(**manifest["aug"])
+    aug = _manifest_section(manifest_path, "aug", lambda: AugmentationSpec(**manifest["aug"]))
+    if not all(isinstance(edge, list) and len(edge) == 2
+               and all(type(v) is int for v in edge) for edge in manifest["bones"]):
+        raise ParseError(f"{manifest_path}: manifest 'bones' is not a list of "
+                         "[int, int] edges")
     bones = tuple(tuple(edge) for edge in manifest["bones"])
-    with np.load(os.path.join(base, manifest["aux"])) as aux:
-        aux = dict(aux)
+    aux_path = os.path.join(base, manifest["aux"])
+    aux = _read_aux(aux_path)
     pairs, queues, velocities = {}, {}, {}
     a_hat = None
     for rep in config.representations:
-        files = manifest["encoders"][rep]
+        files = manifest["encoders"].get(rep)
+        if not (isinstance(files, dict)
+                and all(isinstance(files.get(k), str) for k in ("query", "key"))):
+            raise SchemaError(f"{manifest_path}: manifest 'encoders.{rep}' needs the "
+                              f"'query' and 'key' file names of trained representation {rep}")
         query = load_checkpoint(os.path.join(base, files["query"]))
         key = load_checkpoint(os.path.join(base, files["key"]))
+        if key.config != query.config:
+            raise SchemaError(f"{manifest_path}: manifest 'encoders.{rep}': the key "
+                              "checkpoint's config differs from the query's")
         pairs[rep] = MomentumPair(query=query, key=key, momentum=config.momentum)
-        queues[rep] = NegativeQueue.from_state({
-            name: aux[f"queue.{rep}.{name}"] for name in ("buffer", "size", "head")})
-        velocities[rep] = {name[len(f"velocity.{rep}."):]: arr.copy()
-                           for name, arr in aux.items()
-                           if name.startswith(f"velocity.{rep}.")}
+        queue = {}
+        for name in ("buffer", "size", "head"):
+            if f"queue.{rep}.{name}" not in aux:
+                raise SchemaError(f"{aux_path}: no 'queue.{rep}.{name}'")
+            queue[name] = aux[f"queue.{rep}.{name}"]
+        queues[rep] = NegativeQueue.from_state(queue)
+        velocities[rep] = _aux_velocity(aux_path, aux, rep, query.params)
         if rep == "STG":
             a_hat = graph_adjacency(bones, query.config.joints, query.dtype)
     return TrainerState(config=config, aug=aug, pairs=pairs, queues=queues,
                         bones=bones, a_hat=a_hat, velocities=velocities,
-                        seed=int(manifest["seed"]), epoch=int(manifest["epoch"]),
-                        step=int(manifest["step"]))
+                        seed=manifest["seed"], epoch=manifest["epoch"],
+                        step=manifest["step"])
 
 
 def _open_loss_log(path, step: int):

@@ -11,8 +11,10 @@ export with an optional 2-d PCA projection.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import warnings
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,21 +60,71 @@ def _scorable(labels, task: str) -> np.ndarray:
     return labels
 
 
+# Each EncoderState keeps the features of its last few extractions, keyed by
+# a sha256 of everything the encoder reads; `weakref.finalize` drops a
+# state's entries when the state is collected.
+_MEMO_ENTRIES = 4
+_memos: dict[int, dict[str, np.ndarray]] = {}
+
+
+def _memo(state: EncoderState) -> dict[str, np.ndarray]:
+    memo = _memos.get(id(state))
+    if memo is None:
+        memo = _memos[id(state)] = {}
+        weakref.finalize(state, _memos.pop, id(state), None)
+    return memo
+
+
+def _hash_array(h, arr: np.ndarray, name: str = "") -> None:
+    arr = np.ascontiguousarray(arr)
+    h.update(repr((name, arr.dtype.str, arr.shape)).encode())
+    h.update(arr)
+
+
+def _memo_key(state: EncoderState, a_hat, crop_length: int, batch_size: int,
+              batches: list[np.ndarray]) -> str:
+    h = hashlib.sha256(repr((state.config, crop_length, batch_size)).encode())
+    for name in sorted(state.params):
+        _hash_array(h, state.params[name], name)
+    if a_hat is not None:
+        _hash_array(h, a_hat, "a_hat")
+    for x in batches:
+        _hash_array(h, x)
+    return h.hexdigest()
+
+
 def extract_features(state: EncoderState, samples: list[LabeledSample], bones,
                      crop_length: int = 64, batch_size: int = 64):
-    """Backbone (pre-projection) features and labels (-1 when unlabeled)."""
+    """Backbone (pre-projection) features and labels (-1 when unlabeled).
+
+    The features are memoized on `state`: a repeat call with the same state
+    and the same inputs returns a copy of the stored features without
+    running the encoder. The key is a sha256 over the encoder config, every
+    parameter's name, dtype, shape and bytes, the STG adjacency,
+    `crop_length`, `batch_size` and the encoder input batches, so an
+    in-place edit of the parameters or of the samples' coords misses the
+    memo. A state keeps its last `_MEMO_ENTRIES` results for as long as it
+    lives; neither `load_checkpoint` nor `EncoderState.copy` carries them.
+    The inputs of the whole split are built, and held, before the encoder
+    runs.
+    """
     if not samples:
         raise ValueError("extract_features needs a nonempty split")
     rep, dtype = state.config.representation, state.dtype
     a_hat = graph_adjacency(bones, state.config.joints, dtype) if rep == "STG" else None
-    feats = []
-    for start in range(0, len(samples), batch_size):
-        chunk = samples[start:start + batch_size]
-        seqs = [center_crop(s.sequence, crop_length) for s in chunk]
-        x = batch_views(seqs, rep).astype(dtype)
-        f, _ = encoder_forward(state.config, state.params, x, a_hat)
-        feats.append(f)
-    return np.concatenate(feats, axis=0), _labels(samples)
+    batches = [batch_views([center_crop(s.sequence, crop_length)
+                            for s in samples[start:start + batch_size]], rep).astype(dtype)
+               for start in range(0, len(samples), batch_size)]
+    key = _memo_key(state, a_hat, crop_length, batch_size, batches)
+    memo = _memo(state)
+    feats = memo.pop(key, None)
+    if feats is None:
+        feats = np.concatenate([encoder_forward(state.config, state.params, x, a_hat)[0]
+                                for x in batches], axis=0)
+    memo[key] = feats                      # the most recently used entry is last
+    while len(memo) > _MEMO_ENTRIES:
+        del memo[next(iter(memo))]
+    return feats.copy(), _labels(samples)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +437,10 @@ def combined_probe(states: list[EncoderState], train: list[LabeledSample],
                    test: list[LabeledSample], bones,
                    schedule: ProbeSchedule = ProbeSchedule(),
                    crop_length: int = 64, protocol: str = "") -> Metrics:
-    """Concatenate backbone features from several encoders, then probe."""
+    """Concatenate backbone features from several encoders, then probe.
+
+    A state that has just extracted these splits with the same crop serves
+    them from its `extract_features` memo without running its encoder."""
     if len(states) < 2:
         raise ValueError("combined_probe expects at least two encoders")
     train_parts, test_parts = [], []

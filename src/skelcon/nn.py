@@ -96,12 +96,24 @@ def conv2d_forward(x, w, b, pad=(0, 0)):
     n, c, h, wd = x.shape
     f, _, kh, kw = w.shape
     ho, wo = h + 2 * pad[0] - kh + 1, wd + 2 * pad[1] - kw + 1
-    out = np.empty((n, f, ho, wo), dtype=np.result_type(x, w, b))
-    out[...] = b[:, None, None]
-    for i, j, o, s in _taps(x.shape, w.shape, pad, (ho, wo)):
+    taps = list(_taps(x.shape, w.shape, pad, (ho, wo)))
+
+    def product(i, j, s):
         xs = x[s]
-        ys = np.matmul(w[:, :, i, j], xs.reshape(n, c, -1))
-        out[o] += ys.reshape(n, f, *xs.shape[2:])
+        return np.matmul(w[:, :, i, j], xs.reshape(n, c, -1)).reshape(n, f, *xs.shape[2:])
+
+    dtype = np.result_type(x, w, b)
+    if taps and taps[0][2] == (..., slice(0, ho), slice(0, wo)):
+        # The first tap reaches every output (a 1x1 or unpadded kernel): its
+        # product becomes the output, and tap + b has the bytes of b + tap.
+        i, j, _, s = taps.pop(0)
+        out = product(i, j, s).astype(dtype, copy=False)
+        out += b[:, None, None]
+    else:
+        out = np.empty((n, f, ho, wo), dtype=dtype)
+        out[...] = b[:, None, None]
+    for i, j, o, s in taps:
+        out[o] += product(i, j, s)
     return out, (x, x.shape, w.shape, pad, (ho, wo))
 
 

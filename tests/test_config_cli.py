@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import shutil
 import struct
 import warnings
 
@@ -10,6 +11,7 @@ import pytest
 
 from skelcon import cli
 from skelcon.cli import main
+from skelcon.contrast import load_trainer
 from skelcon.config import (
     DEFAULTS,
     parse_config,
@@ -19,8 +21,9 @@ from skelcon.config import (
 )
 from skelcon.data import generate_synthetic, save_dataset
 from skelcon.downstream import summarize, write_report
-from skelcon.encoders import CHECKPOINT_MAGIC
-from skelcon.errors import ConfigError
+from skelcon.encoders import (CHECKPOINT_MAGIC, EncoderState, load_checkpoint,
+                              save_checkpoint)
+from skelcon.errors import ConfigError, ParseError, SchemaError
 
 # Overrides that shrink every knob so CLI runs finish in well under a second.
 TINY = [
@@ -336,6 +339,90 @@ def test_cli_exits_3_on_a_malformed_checkpoint(tmp_path, capsys, content):
     assert main(["probe", "--out", str(tmp_path / "p"), "--checkpoint", str(path)]
                 + _sets()) == 3
     assert "ParseError" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def tiny_bundle(tmp_path_factory):
+    """A TINY SEQ pretraining run directory, shared by the mutation tests."""
+    out, _ = _pretrain(tmp_path_factory.mktemp("bundle"))
+    return out
+
+
+def _edit_manifest(edit):
+    def mutate(manifest_path, aux_path):
+        record = json.loads(manifest_path.read_text())
+        manifest_path.write_text(json.dumps(edit(record)))
+    return mutate
+
+
+def _edit_aux(edit):
+    def mutate(manifest_path, aux_path):
+        with np.load(aux_path) as aux:
+            arrays = dict(aux)
+        edit(arrays)
+        with open(aux_path, "wb") as fh:
+            np.savez(fh, **arrays)
+    return mutate
+
+
+def _cut_aux(manifest_path, aux_path):
+    aux_path.write_bytes(aux_path.read_bytes()[:100])
+
+
+def _key_of_another_config(manifest_path, aux_path):
+    path = manifest_path.parent / json.loads(manifest_path.read_text())["encoders"]["SEQ"]["key"]
+    key = load_checkpoint(path)
+    save_checkpoint(EncoderState(dataclasses.replace(key.config, depth=2), key.params), path)
+
+
+def _drop(key):
+    return lambda record: {k: v for k, v in record.items() if k != key}
+
+
+_VELOCITY = "velocity.SEQ.gru0.fwd.w"
+# (id, mutation, error, file the message names, key the message names)
+_TRAINER_MUTATIONS = [
+    ("manifest-list", _edit_manifest(lambda record: [record]), ParseError,
+     "manifest", "JSON list"),
+    ("no-aux", _edit_manifest(_drop("aux")), ParseError, "manifest", "'aux'"),
+    ("trainer-no-representations", _edit_manifest(
+        lambda record: {**record, "trainer": _drop("representations")(record["trainer"])}),
+     ParseError, "manifest", "'trainer'"),
+    ("bones-not-pairs", _edit_manifest(lambda record: {**record, "bones": [[0, 1.5]]}),
+     ParseError, "manifest", "'bones'"),
+    ("no-encoder", _edit_manifest(lambda record: {**record, "encoders": {}}),
+     SchemaError, "manifest", "'encoders.SEQ'"),
+    ("key-config", _key_of_another_config, SchemaError, "manifest", "'encoders.SEQ'"),
+    ("aux-cut", _cut_aux, ParseError, "aux", "aux blob"),
+    ("velocity-missing", _edit_aux(lambda a: a.pop(_VELOCITY)), SchemaError,
+     "aux", "gru0.fwd.w"),
+    ("velocity-extra", _edit_aux(lambda a: a.update({"velocity.SEQ.extra": a[_VELOCITY]})),
+     SchemaError, "aux", "'extra'"),
+    ("velocity-shape", _edit_aux(lambda a: a.update({_VELOCITY: a[_VELOCITY][:-1]})),
+     SchemaError, "aux", _VELOCITY),
+    ("velocity-nan", _edit_aux(lambda a: a[_VELOCITY].fill(np.nan)), SchemaError,
+     "aux", _VELOCITY),
+]
+
+
+@pytest.mark.parametrize("mutate,error,names_file,names_key",
+                         [m[1:] for m in _TRAINER_MUTATIONS],
+                         ids=[m[0] for m in _TRAINER_MUTATIONS])
+def test_load_trainer_names_the_file_and_key_of_a_malformed_bundle(
+        tmp_path, capsys, tiny_bundle, mutate, error, names_file, names_key):
+    bundle = tmp_path / "bundle"
+    shutil.copytree(tiny_bundle, bundle)
+    manifest = bundle / "epoch0002.trainer.json"
+    aux = bundle / "epoch0002.aux.npz"
+    mutate(manifest, aux)
+    with pytest.raises(error) as caught:
+        load_trainer(manifest)
+    message = str(caught.value)
+    assert str({"manifest": manifest, "aux": aux}[names_file]) in message
+    assert names_key in message
+    assert main(["probe", "--out", str(tmp_path / "p"), "--checkpoint", str(manifest)]
+                + _sets()) == 3
+    assert f"error: {error.__name__}" in capsys.readouterr().err
 
 
 def test_cli_resume_continues_from_manifest(tmp_path):

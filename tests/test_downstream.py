@@ -1,5 +1,6 @@
 """Probe/retrieval/finetune harness: oracle comparisons and invariants."""
 
+import gc
 import json
 import math
 from dataclasses import replace
@@ -7,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from skelcon import downstream
 from skelcon.augment import CropResizeParams, temporal_crop_resize
 from skelcon.data import generate_synthetic, make_split
 from skelcon.downstream import (
@@ -26,7 +28,7 @@ from skelcon.downstream import (
     summarize,
     write_report,
 )
-from skelcon.encoders import desk_config, init_encoder
+from skelcon.encoders import desk_config, init_encoder, load_checkpoint, save_checkpoint
 from skelcon.errors import DegenerateTaskError
 
 
@@ -76,6 +78,132 @@ def test_extract_features_maps_missing_labels_to_minus_one():
     samples = [replace(ds.samples[0], label=None), ds.samples[1]]
     _, labels = extract_features(state, samples, ds.bones, crop_length=16)
     assert labels[0] == -1 and labels[1] == ds.samples[1].label
+
+
+# ---------------------------------------------------------------------------
+# the extraction memo
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def encoder_runs(monkeypatch):
+    """Counts `encoder_forward` runs made by `downstream`, per representation."""
+    runs = {}
+    forward = downstream.encoder_forward
+
+    def counted(config, *args, **kwargs):
+        runs[config.representation] = runs.get(config.representation, 0) + 1
+        return forward(config, *args, **kwargs)
+
+    monkeypatch.setattr(downstream, "encoder_forward", counted)
+    return runs
+
+
+def _split(ds):
+    split = make_split(ds, "random", 0.5, seed=0)
+    return ds.subset(list(split.train_ids)), ds.subset(list(split.test_ids))
+
+
+def _states(ds, reps=("IMG", "SEQ", "STG")):
+    return [init_encoder(desk_config(rep, ds.joint_count, hidden=4), seed=0) for rep in reps]
+
+
+def test_an_eval_sequence_runs_each_encoder_once_per_batch_and_split(encoder_runs):
+    """Per-encoder extraction of both splits, then the combined probe over
+    the same states: the combined probe reuses the features."""
+    ds = _dataset(instances=50, frames=12)
+    train, test = _split(ds)
+    states = _states(ds)
+    for state in states:
+        for part in (train, test):
+            extract_features(state, part, ds.bones, crop_length=8)
+    combined_probe(states, train, test, ds.bones, schedule=ProbeSchedule(epochs=2),
+                   crop_length=8)
+    batches = math.ceil(len(train) / 64) + math.ceil(len(test) / 64)
+    assert batches == 4
+    assert encoder_runs == {"IMG": batches, "SEQ": batches, "STG": batches}
+
+
+def test_combined_probe_after_extraction_equals_the_probe_on_fresh_states():
+    ds = _dataset()
+    train, test = _split(ds)
+    states = _states(ds)
+    for state in states:
+        for part in (train, test):
+            extract_features(state, part, ds.bones, crop_length=16)
+    schedule = ProbeSchedule(epochs=10)
+    reused = combined_probe(states, train, test, ds.bones, schedule=schedule, crop_length=16)
+    fresh = combined_probe([s.copy() for s in states], train, test, ds.bones,
+                           schedule=schedule, crop_length=16)
+    assert reused == fresh
+
+
+def test_an_in_place_edit_of_params_or_coords_is_extracted_again(encoder_runs):
+    ds = _dataset()
+    state = _states(ds, ("SEQ",))[0]
+    first, _ = extract_features(state, ds.samples, ds.bones, crop_length=16)
+    extract_features(state, ds.samples, ds.bones, crop_length=16)
+    assert encoder_runs == {"SEQ": 1}
+
+    state.params["gru0.fwd.w"][0, 0] += 1.0
+    edited, _ = extract_features(state, ds.samples, ds.bones, crop_length=16)
+    assert encoder_runs == {"SEQ": 2}
+    assert not np.array_equal(edited, first)
+
+    ds.samples[0].sequence.coords[:, 0, 0, :] += 1.0
+    moved, _ = extract_features(state, ds.samples, ds.bones, crop_length=16)
+    assert encoder_runs == {"SEQ": 3}
+    assert not np.array_equal(moved[0], edited[0])
+    assert np.array_equal(moved[1:], edited[1:])
+
+
+def test_loaded_and_copied_states_start_with_an_empty_memo(tmp_path, encoder_runs):
+    ds = _dataset()
+    state = _states(ds, ("STG",))[0]
+    features, _ = extract_features(state, ds.samples, ds.bones, crop_length=16)
+    save_checkpoint(state, tmp_path / "stg.ckpt")
+    for other in (state.copy(), load_checkpoint(tmp_path / "stg.ckpt")):
+        assert id(other) not in downstream._memos
+        again, _ = extract_features(other, ds.samples, ds.bones, crop_length=16)
+        assert np.array_equal(again, features)
+    assert encoder_runs == {"STG": 3}
+
+
+def test_extract_features_returns_a_copy_of_the_stored_features():
+    ds = _dataset()
+    state = _states(ds, ("IMG",))[0]
+    first, _ = extract_features(state, ds.samples, ds.bones, crop_length=16)
+    kept = first.copy()
+    first[:] = 0.0
+    second, _ = extract_features(state, ds.samples, ds.bones, crop_length=16)
+    assert np.array_equal(second, kept)
+    stored = list(downstream._memos[id(state)].values())
+    assert not any(np.shares_memory(second, f) or np.shares_memory(first, f)
+                   for f in stored)
+
+
+def test_the_memo_keeps_a_bounded_number_of_entries(encoder_runs):
+    ds = _dataset()
+    state = _states(ds, ("SEQ",))[0]
+    crops = range(8, 8 + downstream._MEMO_ENTRIES + 2)
+    for crop in crops:
+        extract_features(state, ds.samples, ds.bones, crop_length=crop)
+        assert len(downstream._memos[id(state)]) <= downstream._MEMO_ENTRIES
+    assert len(downstream._memos[id(state)]) == downstream._MEMO_ENTRIES
+    extract_features(state, ds.samples, ds.bones, crop_length=crops[-1])   # kept
+    assert encoder_runs == {"SEQ": len(crops)}
+    extract_features(state, ds.samples, ds.bones, crop_length=crops[0])    # evicted
+    assert encoder_runs == {"SEQ": len(crops) + 1}
+
+
+def test_the_memo_entry_goes_when_its_state_is_collected():
+    ds = _dataset()
+    state = _states(ds, ("SEQ",))[0]
+    extract_features(state, ds.samples, ds.bones, crop_length=16)
+    key = id(state)
+    assert key in downstream._memos
+    del state
+    gc.collect()
+    assert key not in downstream._memos
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ central differences through the conftest checker."""
 import numpy as np
 import pytest
 
-from skelcon import nn
+from skelcon import encoders, nn
+from skelcon.data import chain_tree_bones
+from skelcon.represent import graph_adjacency
 
 
 def _probe_like(rng, arr):
@@ -131,6 +133,50 @@ def test_conv2d_matches_direct_sum_oracle(kernel, pad):
     assert np.allclose(dx, want_dx, rtol=0, atol=1e-12)
     assert np.allclose(dw, want_dw, rtol=0, atol=1e-12)
     assert np.allclose(db, want_db, rtol=0, atol=1e-12)
+
+
+def _conv2d_bias_fill(x, w, b, pad):
+    """conv2d_forward summed in its reference order: the bias is filled in
+    first, then each tap's product is added into the windows it reaches."""
+    n, c, h, wd = x.shape
+    f, _, kh, kw = w.shape
+    ho, wo = h + 2 * pad[0] - kh + 1, wd + 2 * pad[1] - kw + 1
+    out = np.empty((n, f, ho, wo), dtype=np.result_type(x, w, b))
+    out[...] = b[:, None, None]
+    for i, j, o, s in nn._taps(x.shape, w.shape, pad, (ho, wo)):
+        xs = x[s]
+        out[o] += np.matmul(w[:, :, i, j], xs.reshape(n, c, -1)).reshape(n, f, *xs.shape[2:])
+    return out
+
+
+@pytest.mark.parametrize("rep", ["IMG", "STG"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv2d_forward_equals_the_bias_fill_sum_at_every_encoder_conv(
+        monkeypatch, rep, dtype):
+    """The 1x1 convs take their first tap's product as the output; every
+    conv an encoder runs must still give the bytes of the reference sum."""
+    calls, forward = [], nn.conv2d_forward
+
+    def record(x, w, b, pad=(0, 0)):
+        calls.append((x, w, b, pad))
+        return forward(x, w, b, pad)
+
+    monkeypatch.setattr(nn, "conv2d_forward", record)
+    rng = np.random.default_rng(12)
+    config = encoders.desk_config(rep, 25, hidden=32)
+    params = {k: (v + rng.normal(scale=0.1, size=v.shape)).astype(dtype)
+              for k, v in encoders.init_encoder(config, seed=0).params.items()}
+    shape = (4, 3, 32, 50) if rep == "IMG" else (4, 32, 50, 3)
+    a_hat = graph_adjacency(chain_tree_bones(25), 25, dtype)
+    encoders.encoder_forward(config, params, rng.normal(size=shape).astype(dtype), a_hat)
+    kernels = [w.shape[2:] for _, w, _, _ in calls]
+    assert kernels == ([(1, 1), (5, 1), (1, 1)] if rep == "IMG" else [(5, 1)])
+    for x, w, b, pad in calls:
+        for bias in (b, b.astype(np.float64)):     # a wider bias widens the output
+            out, _ = forward(x, w, bias, pad)
+            want = _conv2d_bias_fill(x, w, bias, pad)
+            assert out.dtype == want.dtype == np.result_type(x, w, bias)
+            assert out.tobytes() == want.tobytes()
 
 
 def test_temporal_conv_gradients_at_an_encoder_shape(fd_check):
