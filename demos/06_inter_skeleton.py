@@ -26,7 +26,7 @@ from skelcon.contrast import (
     warmup_queues,
 )
 from skelcon.data import generate_synthetic, make_split
-from skelcon.downstream import extract_features, linear_probe
+from skelcon.downstream import combined_probe, extract_features, linear_probe
 from skelcon.encoders import desk_config
 
 dataset = generate_synthetic(3, 12, frames=24, joints=5, seed=1)
@@ -47,23 +47,24 @@ def pretrain_and_probe(mode, reps, seed=0):
     trainer = make_trainer(config, configs, aug, dataset.bones, seed)
     warmup_queues(trainer, train_seqs)
     records = pretrain(trainer, train_seqs, schedule)
-    accuracies = {}
+    accuracies, states = {}, []
     for rep in reps:
         state = trainer.pairs[rep].query
         f_train, y_train = extract_features(state, train, dataset.bones, 16)
         f_test, y_test = extract_features(state, test, dataset.bones, 16)
         accuracies[rep] = linear_probe(f_train, y_train, f_test, y_test).accuracy
-    return records, accuracies
+        states.append(state)
+    return records, accuracies, states
 
 
 # --- intra baseline: each representation alone -------------------------------
-_, intra_seq = pretrain_and_probe("intra", ("SEQ",))
-_, intra_stg = pretrain_and_probe("intra", ("STG",))
+_, intra_seq, _ = pretrain_and_probe("intra", ("SEQ",))
+_, intra_stg, _ = pretrain_and_probe("intra", ("STG",))
 print(f"intra(SEQ) probe: {intra_seq['SEQ']:.3f}")
 print(f"intra(STG) probe: {intra_stg['STG']:.3f}")
 
 # --- inter: SEQ and STG trained jointly with crossed terms -------------------
-records, inter = pretrain_and_probe("inter", ("SEQ", "STG"))
+records, inter, _ = pretrain_and_probe("inter", ("SEQ", "STG"))
 print(f"\ninter(SEQ,STG) probes: SEQ={inter['SEQ']:.3f} STG={inter['STG']:.3f}")
 
 # The raw loss is a moving target in inter mode (the negatives improve as
@@ -79,8 +80,13 @@ print(f"positive-vs-negative logit gap: "
 # --- three-way variant --------------------------------------------------------
 # inter3 crosses all three representations; `cross_terms="cycle"` keeps one
 # directed term per pair instead of all six.
-_, inter3 = pretrain_and_probe("inter3", ("IMG", "SEQ", "STG"))
+_, inter3, states3 = pretrain_and_probe("inter3", ("IMG", "SEQ", "STG"))
 print(f"\ninter3(IMG,SEQ,STG) probes: "
       + "  ".join(f"{rep}={acc:.3f}" for rep, acc in sorted(inter3.items())))
+
+# The three backbones' features side by side, probed as one representation.
+# Each state has just extracted both splits, so this runs no encoder again.
+combined = combined_probe(states3, train, test, dataset.bones, crop_length=16)
+print(f"inter3 combined probe (IMG+SEQ+STG features): {combined.accuracy:.3f}")
 print("\n(single-seed, 36-sample demo: expect these numbers to move seed to "
       "seed; the acceptance suite compares 5-seed means on 500 samples)")

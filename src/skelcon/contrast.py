@@ -557,8 +557,11 @@ def _read_aux(path) -> dict[str, np.ndarray]:
 
 def _aux_velocity(path, aux: dict, rep: str, params: dict) -> dict[str, np.ndarray]:
     """The velocity of `rep` in the aux blob, checked against the query
-    parameters: the same names, and for each a finite array of the same
-    shape and dtype. A violation raises `SchemaError`."""
+    parameters: the same names, and for each a finite float array of the
+    same shape. A violation raises `SchemaError`. The stored dtype is kept:
+    `load_checkpoint` reads parameters as float32 whatever the trainer's
+    dtype, so a float64 trainer's velocities come back wider than its
+    parameters."""
     prefix = f"velocity.{rep}."
     velocity = {name[len(prefix):]: arr for name, arr in aux.items()
                 if name.startswith(prefix)}
@@ -569,7 +572,7 @@ def _aux_velocity(path, aux: dict, rep: str, params: dict) -> dict[str, np.ndarr
             f"{sorted(velocity.keys() - params.keys())}")
     for name, arr in velocity.items():
         want = params[name]
-        if arr.shape != want.shape or arr.dtype != want.dtype:
+        if arr.shape != want.shape or arr.dtype.kind != "f":
             raise SchemaError(f"{path}: '{prefix}{name}' is {arr.dtype}{list(arr.shape)}, "
                               f"the query parameter is {want.dtype}{list(want.shape)}")
         if not np.all(np.isfinite(arr)):

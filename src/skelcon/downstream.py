@@ -14,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import json
 import warnings
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +30,12 @@ from .represent import batch_views, graph_adjacency
 # feature extraction
 # ---------------------------------------------------------------------------
 
+def _center_window(coords: np.ndarray, length: int) -> np.ndarray:
+    """The central `length` frames of a sequence at least that long."""
+    start = (coords.shape[0] - length) // 2
+    return coords[start:start + length]
+
+
 def center_crop(seq, length: int = 64):
     """Deterministic evaluation window: central `length` frames, or a linear
     resample of the whole sequence when it is shorter."""
@@ -38,8 +43,7 @@ def center_crop(seq, length: int = 64):
     if t == length:
         return seq
     if t > length:
-        start = (t - length) // 2
-        return seq.with_coords(seq.coords[start:start + length])
+        return seq.with_coords(_center_window(seq.coords, length))
     return temporal_crop_resize(
         seq, CropResizeParams(length_ratio=1.0, start=0, output_length=length))
 
@@ -60,36 +64,28 @@ def _scorable(labels, task: str) -> np.ndarray:
     return labels
 
 
-# Each EncoderState keeps the features of its last few extractions, keyed by
-# a sha256 of everything the encoder reads; `weakref.finalize` drops a
-# state's entries when the state is collected.
-_MEMO_ENTRIES = 4
-_memos: dict[int, dict[str, np.ndarray]] = {}
+_MEMO_ENTRIES = 4   # feature sets kept per EncoderState, least recently used dropped
 
 
-def _memo(state: EncoderState) -> dict[str, np.ndarray]:
-    memo = _memos.get(id(state))
-    if memo is None:
-        memo = _memos[id(state)] = {}
-        weakref.finalize(state, _memos.pop, id(state), None)
-    return memo
-
-
-def _hash_array(h, arr: np.ndarray, name: str = "") -> None:
-    arr = np.ascontiguousarray(arr)
-    h.update(repr((name, arr.dtype.str, arr.shape)).encode())
-    h.update(arr)
-
-
-def _memo_key(state: EncoderState, a_hat, crop_length: int, batch_size: int,
-              batches: list[np.ndarray]) -> str:
+def _memo_key(state: EncoderState, a_hat, samples: list[LabeledSample],
+              crop_length: int, batch_size: int) -> str:
+    """sha256 over all the encoder reads: its config and parameters, the STG
+    adjacency, the crop and batch sizes and each sample's crop input. A
+    sequence at least `crop_length` long enters as its center window cast
+    to the encoder's dtype, which `batch_views` only re-indexes; a shorter
+    one is resampled before the cast, so its raw coords enter."""
     h = hashlib.sha256(repr((state.config, crop_length, batch_size)).encode())
-    for name in sorted(state.params):
-        _hash_array(h, state.params[name], name)
+    arrays = [(name, state.params[name]) for name in sorted(state.params)]
     if a_hat is not None:
-        _hash_array(h, a_hat, "a_hat")
-    for x in batches:
-        _hash_array(h, x)
+        arrays.append(("a_hat", a_hat))
+    for s in samples:
+        coords = s.sequence.coords
+        arrays.append(("", _center_window(coords, crop_length).astype(state.dtype)
+                       if coords.shape[0] >= crop_length else coords))
+    for name, arr in arrays:
+        arr = np.ascontiguousarray(arr)
+        h.update(repr((name, arr.dtype.str, arr.shape)).encode())
+        h.update(arr)
     return h.hexdigest()
 
 
@@ -97,30 +93,31 @@ def extract_features(state: EncoderState, samples: list[LabeledSample], bones,
                      crop_length: int = 64, batch_size: int = 64):
     """Backbone (pre-projection) features and labels (-1 when unlabeled).
 
-    The features are memoized on `state`: a repeat call with the same state
-    and the same inputs returns a copy of the stored features without
+    The features are memoized on `state.feature_memo`: a repeat call with
+    the same state and inputs returns a copy of the stored features without
     running the encoder. The key is a sha256 over the encoder config, every
     parameter's name, dtype, shape and bytes, the STG adjacency,
-    `crop_length`, `batch_size` and the encoder input batches, so an
-    in-place edit of the parameters or of the samples' coords misses the
-    memo. A state keeps its last `_MEMO_ENTRIES` results for as long as it
-    lives; neither `load_checkpoint` nor `EncoderState.copy` carries them.
-    The inputs of the whole split are built, and held, before the encoder
-    runs.
+    `crop_length`, `batch_size` and the frames each sample's center crop
+    reads (see `_memo_key`), so an in-place edit of the parameters or of
+    the samples' coords misses the memo. A state keeps its last `_MEMO_ENTRIES` results for as
+    long as it lives; `load_checkpoint` and `EncoderState.copy` start empty.
     """
     if not samples:
         raise ValueError("extract_features needs a nonempty split")
     rep, dtype = state.config.representation, state.dtype
     a_hat = graph_adjacency(bones, state.config.joints, dtype) if rep == "STG" else None
-    batches = [batch_views([center_crop(s.sequence, crop_length)
-                            for s in samples[start:start + batch_size]], rep).astype(dtype)
-               for start in range(0, len(samples), batch_size)]
-    key = _memo_key(state, a_hat, crop_length, batch_size, batches)
-    memo = _memo(state)
+    memo = state.feature_memo
+    key = _memo_key(state, a_hat, samples, crop_length, batch_size)
     feats = memo.pop(key, None)
     if feats is None:
-        feats = np.concatenate([encoder_forward(state.config, state.params, x, a_hat)[0]
-                                for x in batches], axis=0)
+        parts = []
+        for start in range(0, len(samples), batch_size):
+            chunk = samples[start:start + batch_size]
+            seqs = [center_crop(s.sequence, crop_length) for s in chunk]
+            x = batch_views(seqs, rep).astype(dtype)
+            f, _ = encoder_forward(state.config, state.params, x, a_hat)
+            parts.append(f)
+        feats = np.concatenate(parts, axis=0)
     memo[key] = feats                      # the most recently used entry is last
     while len(memo) > _MEMO_ENTRIES:
         del memo[next(iter(memo))]
@@ -439,8 +436,9 @@ def combined_probe(states: list[EncoderState], train: list[LabeledSample],
                    crop_length: int = 64, protocol: str = "") -> Metrics:
     """Concatenate backbone features from several encoders, then probe.
 
-    A state that has just extracted these splits with the same crop serves
-    them from its `extract_features` memo without running its encoder."""
+    A state that has just extracted these splits with the same crop and
+    `extract_features`' default batch size serves them from its memo
+    without running its encoder."""
     if len(states) < 2:
         raise ValueError("combined_probe expects at least two encoders")
     train_parts, test_parts = [], []

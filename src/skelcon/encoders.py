@@ -22,7 +22,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict, field, replace
 
 import numpy as np
 
@@ -83,6 +83,10 @@ class EncoderState:
     config: EncoderConfig
     params: dict[str, np.ndarray]
     step: int = 0
+    # `downstream.extract_features`' results for this state; never saved,
+    # copied or compared.
+    feature_memo: dict[str, np.ndarray] = field(default_factory=dict, compare=False,
+                                                repr=False)
 
     @property
     def dtype(self) -> np.dtype:

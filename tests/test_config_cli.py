@@ -402,6 +402,8 @@ _TRAINER_MUTATIONS = [
      SchemaError, "aux", _VELOCITY),
     ("velocity-nan", _edit_aux(lambda a: a[_VELOCITY].fill(np.nan)), SchemaError,
      "aux", _VELOCITY),
+    ("velocity-int", _edit_aux(lambda a: a.update({_VELOCITY: a[_VELOCITY].astype(np.int32)})),
+     SchemaError, "aux", _VELOCITY),
 ]
 
 

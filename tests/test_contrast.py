@@ -556,6 +556,21 @@ def test_trainer_round_trip_is_bitwise(tmp_path):
                               trainer.queues[rep].negatives())
 
 
+def test_a_float64_trainer_loads_back_with_its_velocities(tmp_path):
+    """CKPT1 stores float32 parameters, but `save_trainer` writes a float64
+    trainer's velocities as float64; `load_trainer` keeps them as written."""
+    trainer = _make_trainer("inter", ("SEQ", "STG"), dtype=np.float64, queue_size=8)
+    seqs = [s.sequence for s in _dataset().samples]
+    pretrain(trainer, seqs, Schedule(epochs=1, batch_size=4))
+    back = load_trainer(save_trainer(trainer, tmp_path))
+    for rep in trainer.representations:
+        for name, velocity in trainer.velocities[rep].items():
+            assert back.velocities[rep][name].dtype == np.float64
+            assert np.array_equal(back.velocities[rep][name], velocity)
+            assert np.array_equal(back.pairs[rep].query.params[name],
+                                  trainer.pairs[rep].query.params[name].astype(np.float32))
+
+
 def test_resume_replays_the_uninterrupted_run(tmp_path):
     seqs = [s.sequence for s in _dataset().samples]
     schedule = Schedule(epochs=4, batch_size=4, checkpoint_every=2)

@@ -3,6 +3,7 @@
 import gc
 import json
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -137,20 +138,21 @@ def test_combined_probe_after_extraction_equals_the_probe_on_fresh_states():
     assert reused == fresh
 
 
-def test_an_in_place_edit_of_params_or_coords_is_extracted_again(encoder_runs):
+@pytest.mark.parametrize("crop", [16, 32])     # a center window; a resample of all 20 frames
+def test_an_in_place_edit_of_params_or_coords_is_extracted_again(encoder_runs, crop):
     ds = _dataset()
     state = _states(ds, ("SEQ",))[0]
-    first, _ = extract_features(state, ds.samples, ds.bones, crop_length=16)
-    extract_features(state, ds.samples, ds.bones, crop_length=16)
+    first, _ = extract_features(state, ds.samples, ds.bones, crop_length=crop)
+    extract_features(state, ds.samples, ds.bones, crop_length=crop)
     assert encoder_runs == {"SEQ": 1}
 
     state.params["gru0.fwd.w"][0, 0] += 1.0
-    edited, _ = extract_features(state, ds.samples, ds.bones, crop_length=16)
+    edited, _ = extract_features(state, ds.samples, ds.bones, crop_length=crop)
     assert encoder_runs == {"SEQ": 2}
     assert not np.array_equal(edited, first)
 
-    ds.samples[0].sequence.coords[:, 0, 0, :] += 1.0
-    moved, _ = extract_features(state, ds.samples, ds.bones, crop_length=16)
+    ds.samples[0].sequence.coords[10, 0, 0, :] += 1.0     # a frame every crop reads
+    moved, _ = extract_features(state, ds.samples, ds.bones, crop_length=crop)
     assert encoder_runs == {"SEQ": 3}
     assert not np.array_equal(moved[0], edited[0])
     assert np.array_equal(moved[1:], edited[1:])
@@ -162,7 +164,7 @@ def test_loaded_and_copied_states_start_with_an_empty_memo(tmp_path, encoder_run
     features, _ = extract_features(state, ds.samples, ds.bones, crop_length=16)
     save_checkpoint(state, tmp_path / "stg.ckpt")
     for other in (state.copy(), load_checkpoint(tmp_path / "stg.ckpt")):
-        assert id(other) not in downstream._memos
+        assert other.feature_memo == {}
         again, _ = extract_features(other, ds.samples, ds.bones, crop_length=16)
         assert np.array_equal(again, features)
     assert encoder_runs == {"STG": 3}
@@ -176,7 +178,7 @@ def test_extract_features_returns_a_copy_of_the_stored_features():
     first[:] = 0.0
     second, _ = extract_features(state, ds.samples, ds.bones, crop_length=16)
     assert np.array_equal(second, kept)
-    stored = list(downstream._memos[id(state)].values())
+    stored = list(state.feature_memo.values())
     assert not any(np.shares_memory(second, f) or np.shares_memory(first, f)
                    for f in stored)
 
@@ -187,8 +189,8 @@ def test_the_memo_keeps_a_bounded_number_of_entries(encoder_runs):
     crops = range(8, 8 + downstream._MEMO_ENTRIES + 2)
     for crop in crops:
         extract_features(state, ds.samples, ds.bones, crop_length=crop)
-        assert len(downstream._memos[id(state)]) <= downstream._MEMO_ENTRIES
-    assert len(downstream._memos[id(state)]) == downstream._MEMO_ENTRIES
+        assert len(state.feature_memo) <= downstream._MEMO_ENTRIES
+    assert len(state.feature_memo) == downstream._MEMO_ENTRIES
     extract_features(state, ds.samples, ds.bones, crop_length=crops[-1])   # kept
     assert encoder_runs == {"SEQ": len(crops)}
     extract_features(state, ds.samples, ds.bones, crop_length=crops[0])    # evicted
@@ -199,11 +201,11 @@ def test_the_memo_entry_goes_when_its_state_is_collected():
     ds = _dataset()
     state = _states(ds, ("SEQ",))[0]
     extract_features(state, ds.samples, ds.bones, crop_length=16)
-    key = id(state)
-    assert key in downstream._memos
+    (stored,) = state.feature_memo.values()
+    stored = weakref.ref(stored)
     del state
     gc.collect()
-    assert key not in downstream._memos
+    assert stored() is None
 
 
 # ---------------------------------------------------------------------------
