@@ -16,6 +16,7 @@ the backbone features.
 """
 
 import json
+import os
 import tempfile
 import warnings
 
@@ -92,10 +93,12 @@ print(f"  semi-supervised  {semi.mean:.3f} +/- {semi.std:.3f}")
 print(f"  supervised-only  {solo.mean:.3f} +/- {solo.std:.3f}")
 
 # --- embedding export ----------------------------------------------------------
-with tempfile.NamedTemporaryFile(mode="r", suffix=".jsonl") as fh:
-    count = export_embeddings(state, test, dataset.bones, fh.name,
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "embeddings.jsonl")
+    count = export_embeddings(state, test, dataset.bones, path,
                               projector="pca2d", crop_length=CROP)
-    first = json.loads(fh.readline())
+    with open(path, encoding="utf-8") as fh:
+        first = json.loads(fh.readline())
     print(f"\nexported {count} embeddings; first record: id={first['id']} "
           f"label={first['label']} |vector|={len(first['vector'])} "
           f"xy=({first['xy'][0]:+.2f}, {first['xy'][1]:+.2f})")

@@ -13,7 +13,7 @@ from .errors import (SkelconError, ParseError, SchemaError, ValidationError,
                      DegenerateTaskError, ConfigError)
 from .data import (SkeletonSequence, LabeledSample, Dataset, DataSplit,
                    ValidationReport, validate_sequence, save_dataset,
-                   load_dataset, generate_synthetic, make_split,
+                   load_dataset, generate_synthetic, make_split, DatasetSpec,
                    chain_tree_bones, HUMAN25_BONES, NUM_ACTORS)
 from .augment import (ShearParams, JitterParams, CropResizeParams,
                       AugmentationSpec, ViewDraw, pose_augment, joint_jitter,
@@ -38,9 +38,8 @@ from .downstream import (Metrics, ProbeSchedule, FinetuneSchedule,
                          extract_features, linear_probe, build_index,
                          knn_retrieve, stratified_subset, finetune,
                          combined_probe, pca2d, export_embeddings,
-                         summarize, write_report)
-from .config import (DEFAULTS, ExperimentConfig, DatasetSpec, DownstreamSpec,
-                     SweepSpec, parse_config, resolve_config, parse_override,
-                     write_resolved)
+                         summarize, write_report, DownstreamSpec)
+from .config import (DEFAULTS, ExperimentConfig, SweepSpec, parse_config,
+                     resolve_config, parse_override, write_resolved)
 
 __version__ = "0.1.0"

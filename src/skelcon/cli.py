@@ -24,7 +24,7 @@ from .augment import draw_view, apply_view
 from .config import (ExperimentConfig, parse_config, parse_override,
                      resolve_config, write_resolved)
 from .data import Dataset
-from .encoders import CHECKPOINT_MAGIC, EncoderState, load_checkpoint, write_json
+from .encoders import CHECKPOINT_MAGIC, EncoderState, atomic_open, load_checkpoint, write_json
 from .errors import ConfigError, SkelconError
 
 FORMAT_VERSIONS = {"dataset": "SKL1", "checkpoint": "CKPT1", "trainer": "TRAINER1"}
@@ -214,7 +214,7 @@ def _cmd_augment_preview(args, config: ExperimentConfig, count: int = 4) -> int:
     rng = np.random.default_rng((config.seed, 0xA96))
     path = os.path.join(args.out, "preview.jsonl")
     picked = train[:count]
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         for sample in picked:
             seq = sample.sequence
             record = {"id": seq.sample_id, "label": sample.label,

@@ -4,26 +4,33 @@ Config files are JSON documents mirroring the ``DEFAULTS`` tree below.  An
 empty document is a valid config: every value falls back to the reference
 hyperparameters (temperature 0.07, 15 jittered joints, minimum crop ratio
 0.1, crop length 64, queue 16384, SGD lr 0.01 / weight decay 1e-4, 450
-epochs).  Unknown keys are rejected by full dotted path; range violations
-name the offending key.  Each rule lives in one place: this module checks
-types and cross-field limits, the dataclasses it builds check their own
-ranges, and their errors are raised again on the dotted key.  Command-line
-overrides use the same dotted paths (``trainer.tau=0.05``).
+epochs).  Unknown keys are rejected by full dotted path; type and range
+violations name the offending key.  Each rule lives in one place: a field's
+type is its annotation in the dataclass its section builds, which `_build`
+converts each value to; its range is checked by that dataclass, whose
+ValueError is raised again on the dotted key.  This module keeps only the
+defaults, the rules that span fields (``jitter_joints`` below the joint
+count, a temporal kernel no longer than the crop, a null ``feature_dim``
+meaning 2 * hidden) and the sweep.  Command-line overrides use the same
+dotted paths (``trainer.tau=0.05``).
 """
 
 from __future__ import annotations
 
 import copy
+import dataclasses
 import hashlib
 import json
 import os
 import re
+import types
+import typing
 from dataclasses import dataclass
 
 from .augment import AugmentationSpec
 from .contrast import Schedule, TrainerConfig
-from .data import Dataset, generate_synthetic, load_dataset, make_split
-from .downstream import FINETUNE_MODES, PROJECTORS, FinetuneSchedule, ProbeSchedule
+from .data import DatasetSpec
+from .downstream import DownstreamSpec
 from .encoders import EncoderConfig, write_json
 from .errors import ConfigError
 
@@ -112,20 +119,44 @@ def _require(cond: bool, path: str, message: str) -> None:
         raise ConfigError(f"{path}: {message}")
 
 
-def _number(raw, path: str, low=None, high=None, integer=False):
-    ok = isinstance(raw, (int, float)) and not isinstance(raw, bool)
-    _require(ok, path, f"expected a number, got {raw!r}")
-    if integer:
-        _require(float(raw) == int(raw), path, f"expected an integer, got {raw!r}")
-        raw = int(raw)
-    _require(low is None or raw >= low, path, f"value {raw} below minimum {low}")
-    _require(high is None or raw <= high, path, f"value {raw} above maximum {high}")
-    return raw
+def _convert(kind, raw, key: str):
+    """`raw` as the field type `kind`, or a ConfigError on `key`. A whole
+    float counts as an int, and a bool is not a number."""
+    if typing.get_origin(kind) in (types.UnionType, typing.Union):   # X | None
+        inner = next(k for k in typing.get_args(kind) if k is not type(None))
+        return None if raw is None else _convert(inner, raw, key)
+    if typing.get_origin(kind) is tuple:                    # tuple[X, ...]
+        _require(isinstance(raw, (list, tuple)), key, f"expected a list, got {raw!r}")
+        return tuple(_convert(typing.get_args(kind)[0], item, key) for item in raw)
+    if dataclasses.is_dataclass(kind):
+        return _build(kind, key, raw)
+    if kind is bool or kind is str:
+        wanted = "true or false" if kind is bool else "a string"
+        _require(isinstance(raw, kind), key, f"expected {wanted}, got {raw!r}")
+        return raw
+    _require(isinstance(raw, (int, float)) and not isinstance(raw, bool), key,
+             f"expected a number, got {raw!r}")
+    if kind is int:
+        _require(isinstance(raw, int) or raw.is_integer(), key,
+                 f"expected an integer, got {raw!r}")
+        return int(raw)
+    return float(raw)
 
 
-def _build(cls, section: str, **fields):
-    """``cls(**fields)``, with its ValueError raised as a ConfigError on the
-    dotted key; the dataclasses open each message with the field's name."""
+def _field(cls, name: str, raw, key: str):
+    """`raw` converted to the type of `cls`'s field `name` (see `_convert`)."""
+    return _convert(typing.get_type_hints(cls)[name], raw, key)
+
+
+def _build(cls, section: str, values: dict, **given):
+    """`cls` from its config section `values`: every field that `given` does
+    not set and `values` holds is converted to its annotated type, and
+    `cls`'s own ValueError is raised again as a ConfigError on the dotted
+    key; the dataclasses open each message with the field's name."""
+    fields = dict(given)
+    for f in dataclasses.fields(cls):
+        if f.name not in fields and f.name in values:
+            fields[f.name] = _field(cls, f.name, values[f.name], f"{section}.{f.name}")
     try:
         return cls(**fields)
     except ValueError as exc:
@@ -160,43 +191,6 @@ def parse_override(text: str) -> tuple[str, object]:
 
 
 @dataclass(frozen=True)
-class DatasetSpec:
-    source: str
-    path: str | None
-    num_classes: int
-    samples_per_class: int
-    frames: int
-    joints: int
-    noise: float
-    seed: int
-    protocol: str
-    train_fraction: float
-
-    def load(self) -> Dataset:
-        if self.source == "file":
-            return load_dataset(self.path)
-        return generate_synthetic(self.num_classes, self.samples_per_class,
-                                  self.frames, self.joints, self.seed,
-                                  self.noise)
-
-    def split(self, dataset: Dataset):
-        return make_split(dataset, self.protocol, self.train_fraction, self.seed)
-
-
-@dataclass(frozen=True)
-class DownstreamSpec:
-    checkpoint: str | None
-    representation: str | None
-    rho: float
-    finetune_mode: str
-    seeds: tuple[int, ...]
-    projector: str
-    min_accuracy: float | None
-    probe: ProbeSchedule
-    finetune: FinetuneSchedule
-
-
-@dataclass(frozen=True)
 class SweepSpec:
     cells: tuple[dict, ...]             # dotted-path override dicts, one per cell
 
@@ -220,116 +214,23 @@ class ExperimentConfig:
         return digest.hexdigest()[:16]
 
 
-def _build_dataset(tree: dict) -> DatasetSpec:
-    d = tree["dataset"]
-    _require(d["source"] in ("synthetic", "file"), "dataset.source",
-             f"must be 'synthetic' or 'file', got {d['source']!r}")
-    if d["source"] == "file":
-        _require(isinstance(d["path"], str) and d["path"], "dataset.path",
-                 "source 'file' needs a path")
-    _require(d["protocol"] in ("random", "cross-subject", "cross-view", "cross-setup"),
-             "dataset.protocol", f"unknown protocol {d['protocol']!r}")
-    return DatasetSpec(
-        source=d["source"], path=d["path"],
-        num_classes=_number(d["num_classes"], "dataset.num_classes", 2, integer=True),
-        samples_per_class=_number(d["samples_per_class"], "dataset.samples_per_class", 1, integer=True),
-        frames=_number(d["frames"], "dataset.frames", 8, integer=True),
-        joints=_number(d["joints"], "dataset.joints", 5, integer=True),
-        noise=float(_number(d["noise"], "dataset.noise", 0.0)),
-        seed=_number(d["seed"], "dataset.seed", integer=True),
-        protocol=d["protocol"],
-        train_fraction=float(_number(d["train_fraction"], "dataset.train_fraction", 0.05, 0.95)),
-    )
-
-
-def _build_aug(tree: dict) -> AugmentationSpec:
-    a = tree["augment"]
-    _require(isinstance(a["temporal"], bool), "augment.temporal", "expected true/false")
-    return _build(
-        AugmentationSpec, "augment",
-        spatial_mode=a["spatial_mode"], temporal=a["temporal"],
-        l_min=float(_number(a["l_min"], "augment.l_min")),
-        jitter_joints=_number(a["jitter_joints"], "augment.jitter_joints", integer=True),
-        output_length=_number(a["output_length"], "augment.output_length", integer=True))
-
-
 def _build_encoders(tree: dict, joints: int, output_length: int) -> dict[str, EncoderConfig]:
+    """One EncoderConfig per `encoders` section, with the rules that need
+    more than that section: the joint count, a `feature_dim` of null meaning
+    2 * hidden, and a temporal kernel no longer than the crop."""
     out = {}
-    for rep, e in tree["encoders"].items():
+    for rep, values in tree["encoders"].items():
         path = f"encoders.{rep}"
-        hidden = _number(e["hidden"], f"{path}.hidden", integer=True)
-        depth = _number(e["depth"], f"{path}.depth", integer=True)
-        feature = e["feature_dim"]
-        if feature is None:
-            feature = 2 * hidden
-        feature = _number(feature, f"{path}.feature_dim", integer=True)
-        kernel = _number(e["temporal_kernel"], f"{path}.temporal_kernel", integer=True)
-        _require(kernel <= output_length, f"{path}.temporal_kernel",
-                 f"kernel {kernel} exceeds crop length {output_length}")
-        kwargs = {"seq_pooling": e["seq_pooling"]} if rep == "SEQ" else {}
-        out[rep] = _build(
-            EncoderConfig, path, representation=rep, joints=joints, depth=depth,
-            hidden=hidden, feature_dim=feature,
-            projection_dim=_number(e["projection_dim"], f"{path}.projection_dim", integer=True),
-            temporal_kernel=kernel, **kwargs)
+        derived = {}
+        if values["feature_dim"] is None:
+            hidden = _field(EncoderConfig, "hidden", values["hidden"], f"{path}.hidden")
+            derived["feature_dim"] = 2 * hidden
+        config = _build(EncoderConfig, path, values, representation=rep, joints=joints,
+                        **derived)
+        _require(config.temporal_kernel <= output_length, f"{path}.temporal_kernel",
+                 f"kernel {config.temporal_kernel} exceeds crop length {output_length}")
+        out[rep] = config
     return out
-
-
-def _build_trainer(tree: dict) -> tuple[TrainerConfig, Schedule]:
-    t = tree["trainer"]
-    reps = t["representations"]
-    _require(isinstance(reps, (list, tuple)) and all(isinstance(r, str) for r in reps),
-             "trainer.representations", f"expected a list of names, got {reps!r}")
-    trainer = _build(
-        TrainerConfig, "trainer", mode=t["mode"], representations=tuple(reps),
-        tau=float(_number(t["tau"], "trainer.tau")),
-        momentum=float(_number(t["momentum"], "trainer.momentum")),
-        queue_size=_number(t["queue_size"], "trainer.queue_size", integer=True),
-        lr=float(_number(t["lr"], "trainer.lr", 0.0)),
-        weight_decay=float(_number(t["weight_decay"], "trainer.weight_decay", 0.0)),
-        opt_momentum=float(_number(t["opt_momentum"], "trainer.opt_momentum", 0.0, 1.0)),
-        cross_terms=t["cross_terms"])
-    schedule = _build(
-        Schedule, "trainer",
-        epochs=_number(t["epochs"], "trainer.epochs", integer=True),
-        batch_size=_number(t["batch_size"], "trainer.batch_size", integer=True),
-        checkpoint_every=_number(t["checkpoint_every"], "trainer.checkpoint_every", integer=True))
-    return trainer, schedule
-
-
-def _build_downstream(tree: dict) -> DownstreamSpec:
-    d = tree["downstream"]
-    rho = float(_number(d["rho"], "downstream.rho"))
-    _require(0.0 < rho <= 1.0, "downstream.rho", f"{rho} outside (0, 1]")
-    _require(d["finetune_mode"] in FINETUNE_MODES,
-             "downstream.finetune_mode", f"unknown mode {d['finetune_mode']!r}")
-    _require(d["projector"] in PROJECTORS, "downstream.projector",
-             f"unknown projector {d['projector']!r}")
-    seeds = d["seeds"]
-    _require(isinstance(seeds, (list, tuple)) and len(seeds) >= 1,
-             "downstream.seeds", "expected a nonempty list of integers")
-    seeds = tuple(_number(s, "downstream.seeds", integer=True) for s in seeds)
-    if d["min_accuracy"] is not None:
-        _number(d["min_accuracy"], "downstream.min_accuracy", 0.0, 1.0)
-    p, f = d["probe"], d["finetune"]
-    probe = ProbeSchedule(
-        epochs=_number(p["epochs"], "downstream.probe.epochs", 1, integer=True),
-        lr=float(_number(p["lr"], "downstream.probe.lr", 0.0)),
-        momentum=float(_number(p["momentum"], "downstream.probe.momentum", 0.0, 1.0)),
-        decay_epochs=tuple(_number(e, "downstream.probe.decay_epochs", 0, integer=True)
-                           for e in p["decay_epochs"]),
-        decay_factor=float(_number(p["decay_factor"], "downstream.probe.decay_factor", 0.0, 1.0)))
-    finetune = FinetuneSchedule(
-        epochs=_number(f["epochs"], "downstream.finetune.epochs", 1, integer=True),
-        lr=float(_number(f["lr"], "downstream.finetune.lr", 0.0)),
-        decay_epochs=tuple(_number(e, "downstream.finetune.decay_epochs", 0, integer=True)
-                           for e in f["decay_epochs"]),
-        decay_factor=float(_number(f["decay_factor"], "downstream.finetune.decay_factor", 0.0, 1.0)),
-        batch_size=_number(f["batch_size"], "downstream.finetune.batch_size", 1, integer=True))
-    return DownstreamSpec(checkpoint=d["checkpoint"], representation=d["representation"],
-                          rho=rho, finetune_mode=d["finetune_mode"], seeds=seeds,
-                          projector=d["projector"], min_accuracy=d["min_accuracy"],
-                          probe=probe, finetune=finetune)
 
 
 def _build_sweep(tree: dict) -> SweepSpec | None:
@@ -343,6 +244,7 @@ def _build_sweep(tree: dict) -> SweepSpec | None:
                  all(isinstance(c, dict) for c in cells),
                  "sweep.cells", "expected a nonempty list of override objects")
         return SweepSpec(cells=tuple(dict(c) for c in cells))
+    _require(isinstance(s["key"], str), "sweep.key", f"expected a dotted key, got {s['key']!r}")
     values = s["values"]
     _require(isinstance(values, (list, tuple)) and len(values) >= 1,
              "sweep.values", "expected a nonempty list")
@@ -361,18 +263,18 @@ def resolve_config(user_tree: dict, overrides=()) -> ExperimentConfig:
         set_by_path(probe_tree, key, value)
         tree = _merge(tree, probe_tree)
 
-    seed = _number(tree["seed"], "seed", integer=True)
-    dataset = _build_dataset(tree)
-    aug = _build_aug(tree)
+    seed = _field(ExperimentConfig, "seed", tree["seed"], "seed")
+    dataset = _build(DatasetSpec, "dataset", tree["dataset"])
+    aug = _build(AugmentationSpec, "augment", tree["augment"])
     _require(aug.jitter_joints < dataset.joints, "augment.jitter_joints",
              f"must be smaller than the joint count {dataset.joints}")
     encoders = _build_encoders(tree, dataset.joints, aug.output_length)
-    trainer, schedule = _build_trainer(tree)
-    downstream = _build_downstream(tree)
-    sweep = _build_sweep(tree)
     return ExperimentConfig(resolved=tree, seed=seed, dataset=dataset, aug=aug,
-                            encoders=encoders, trainer=trainer, schedule=schedule,
-                            downstream=downstream, sweep=sweep)
+                            encoders=encoders,
+                            trainer=_build(TrainerConfig, "trainer", tree["trainer"]),
+                            schedule=_build(Schedule, "trainer", tree["trainer"]),
+                            downstream=_build(DownstreamSpec, "downstream", tree["downstream"]),
+                            sweep=_build_sweep(tree))
 
 
 def parse_config(path, overrides=()) -> ExperimentConfig:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .augment import AugmentationSpec, apply_view, draw_view, make_query_key_pair
-from .data import SkeletonSequence
+from .data import SkeletonSequence, parse_bones, parse_json_object
 from .encoders import (EncoderConfig, EncoderState, atomic_open, embed_forward,
                        embed_backward, init_encoder, save_checkpoint,
                        load_checkpoint, write_json)
@@ -269,16 +269,21 @@ class TrainerConfig:
         if not isinstance(self.mode, str) or self.mode not in expected:
             raise ValueError(f"mode must be one of {sorted(expected)}, got {self.mode!r}")
         reps = tuple(self.representations)
+        object.__setattr__(self, "representations", reps)   # JSON gives a list
         if len(reps) != expected[self.mode] or len(set(reps)) != len(reps):
             raise ValueError(f"representations must be {expected[self.mode]} "
                              f"distinct names for mode {self.mode!r}, got {reps}")
         for rep in reps:
             if rep not in REPRESENTATIONS:
                 raise ValueError(f"representations must be among {REPRESENTATIONS}, got {rep!r}")
-        if self.tau <= 0:
+        if not self.tau > 0:
             raise ValueError(f"tau must be positive, got {self.tau}")
-        if not 0.0 <= self.momentum <= 1.0:
-            raise ValueError(f"momentum must be in [0,1], got {self.momentum}")
+        for name in ("momentum", "opt_momentum"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0,1], got {getattr(self, name)}")
+        for name in ("lr", "weight_decay"):
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.queue_size < 1:
             raise ValueError(f"queue_size must be positive, got {self.queue_size}")
         if self.cross_terms not in ("full", "cycle"):
@@ -518,22 +523,8 @@ _MANIFEST_KEYS = (("trainer", dict), ("aug", dict), ("bones", list), ("seed", in
 def _read_manifest(path) -> dict:
     """The TRAINER1 manifest at `path`, after checking its type and the type
     of every key; a violation raises `ParseError` naming the file and key."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except ValueError as exc:
-        raise ParseError(f"{path}: manifest is not valid JSON: {exc}") from None
-    if not isinstance(manifest, dict):
-        raise ParseError(f"{path}: manifest is a JSON {type(manifest).__name__}, "
-                         "not an object")
-    if manifest.get("format") != "TRAINER1":
-        raise ParseError(f"{path}: not a TRAINER1 manifest")
-    for key, kind in _MANIFEST_KEYS:
-        if key not in manifest:
-            raise ParseError(f"{path}: manifest has no {key!r}")
-        if not isinstance(manifest[key], kind) or isinstance(manifest[key], bool):
-            raise ParseError(f"{path}: manifest {key!r} is not a JSON {kind.__name__}")
-    return manifest
+    with open(path, "rb") as fh:
+        return parse_json_object(path, fh.read(), "manifest", "TRAINER1", _MANIFEST_KEYS)
 
 
 def _manifest_section(path, key: str, build):
@@ -588,20 +579,11 @@ def load_trainer(manifest_path) -> TrainerState:
     manifest = _read_manifest(manifest_path)
     base = os.path.dirname(manifest_path)
 
-    def trainer_config():
-        fields = dict(manifest["trainer"])
-        if "representations" in fields:   # a missing one is TrainerConfig's TypeError
-            fields["representations"] = tuple(fields["representations"])
-        return TrainerConfig(**fields)
-
-    config = _manifest_section(manifest_path, "trainer", trainer_config)
+    config = _manifest_section(manifest_path, "trainer",
+                               lambda: TrainerConfig(**manifest["trainer"]))
     manifest["aug"].pop("seed", None)  # written by older versions, unused
     aug = _manifest_section(manifest_path, "aug", lambda: AugmentationSpec(**manifest["aug"]))
-    if not all(isinstance(edge, list) and len(edge) == 2
-               and all(type(v) is int for v in edge) for edge in manifest["bones"]):
-        raise ParseError(f"{manifest_path}: manifest 'bones' is not a list of "
-                         "[int, int] edges")
-    bones = tuple(tuple(edge) for edge in manifest["bones"])
+    bones = parse_bones(manifest_path, "manifest", manifest["bones"])
     aux_path = os.path.join(base, manifest["aux"])
     aux = _read_aux(aux_path)
     pairs, queues, velocities = {}, {}, {}

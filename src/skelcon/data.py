@@ -1,4 +1,5 @@
-"""Skeleton sequence data types, canonical file I/O, splits and a synthetic generator.
+"""Skeleton sequence data types, canonical file I/O, splits, a synthetic
+generator, and `DatasetSpec`, which builds a run's dataset from its config.
 
 A skeleton sequence is a rank-4 float array of shape (T, M, J, 3): T frames,
 M actors (always 2, a missing second actor is an all-zeros slab), J joints,
@@ -20,6 +21,11 @@ import numpy as np
 from .errors import ParseError, SchemaError, ValidationError
 
 NUM_ACTORS = 2
+
+# The split protocols `make_split` knows, and the smallest dataset
+# `generate_synthetic` makes.
+PROTOCOLS = ("random", "cross-subject", "cross-view", "cross-setup")
+SYNTHETIC_MINIMUMS = {"num_classes": 2, "samples_per_class": 1, "frames": 8, "joints": 5}
 
 # 25-joint Kinect-v2 style human tree: spine-rooted, 24 bone edges.
 # Joint order: spine base, spine mid, neck, head, shoulders/arms (L then R),
@@ -153,6 +159,36 @@ def validate_sequence(seq: SkeletonSequence) -> ValidationReport:
 # canonical SKL1 file format
 # ---------------------------------------------------------------------------
 
+def parse_json_object(source: str, text, what: str, fmt: str | None, keys) -> dict:
+    """`text` as a JSON object, after checking that its ``"format"`` is `fmt`
+    (unless None) and that each ``(key, type)`` of `keys` is present with that
+    type. A violation raises `ParseError` naming `source`, `what` the object
+    is, and the key."""
+    try:
+        obj = json.loads(text)
+    except ValueError as exc:
+        raise ParseError(f"{source}: {what} is not valid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ParseError(f"{source}: {what} is a JSON {type(obj).__name__}, not an object")
+    if fmt is not None and obj.get("format") != fmt:
+        raise ParseError(f"{source}: not a {fmt} {what}")
+    for key, kind in keys:
+        if key not in obj:
+            raise ParseError(f"{source}: {what} has no {key!r}")
+        if not isinstance(obj[key], kind) or isinstance(obj[key], bool):
+            raise ParseError(f"{source}: {what} {key!r} is not a JSON {kind.__name__}")
+    return obj
+
+
+def parse_bones(source: str, what: str, edges: list) -> tuple[tuple[int, int], ...]:
+    """The ``bones`` list of a parsed header or manifest as edge tuples, or a
+    `ParseError` naming `source` unless every edge is ``[int, int]``."""
+    if not all(isinstance(edge, list) and len(edge) == 2
+               and all(type(v) is int for v in edge) for edge in edges):
+        raise ParseError(f"{source}: {what} 'bones' is not a list of [int, int] edges")
+    return tuple(tuple(edge) for edge in edges)
+
+
 def save_dataset(dataset: Dataset, path) -> None:
     """Write a dataset in the canonical line-delimited format."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -184,7 +220,9 @@ def load_dataset(path) -> Dataset:
     Raises
     ------
     ParseError
-        Malformed JSON or a missing/bad header, naming the offending line.
+        Malformed JSON, or a header that is missing, has no int ``J`` or
+        ``num_classes`` or whose ``bones`` are not ``[int, int]`` edges,
+        naming the offending line and key.
     SchemaError
         A header whose bones are not a tree over its joints, or a record
         whose joint count or declared shape contradicts the header.
@@ -195,15 +233,10 @@ def load_dataset(path) -> Dataset:
         lines = fh.read().splitlines()
     if not lines:
         raise ParseError(f"{path}: empty file")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as e:
-        raise ParseError(f"{path}: line 1: bad header: {e}") from e
-    if not isinstance(header, dict) or header.get("format") != "SKL1":
-        raise ParseError(f"{path}: line 1: missing SKL1 header")
-    joint_count = int(header["J"])
-    num_classes = int(header["num_classes"])
-    bones = tuple(tuple(int(v) for v in b) for b in header["bones"])
+    header = parse_json_object(f"{path}: line 1", lines[0], "header", "SKL1",
+                               (("J", int), ("num_classes", int), ("bones", list)))
+    joint_count, num_classes = header["J"], header["num_classes"]
+    bones = parse_bones(f"{path}: line 1", "header", header["bones"])
     from .represent import graph_adjacency  # represent imports this module
     try:
         graph_adjacency(bones, joint_count)
@@ -260,6 +293,14 @@ def load_dataset(path) -> Dataset:
 # synthetic action generator
 # ---------------------------------------------------------------------------
 
+def _check_synthetic_sizes(**sizes: int) -> None:
+    """Raise ValueError, naming the size, unless each of `sizes` (the keys of
+    `SYNTHETIC_MINIMUMS`) reaches its minimum."""
+    for name, low in SYNTHETIC_MINIMUMS.items():
+        if not sizes[name] >= low:
+            raise ValueError(f"{name} must be >= {low}, got {sizes[name]}")
+
+
 def _rest_pose(rng: np.random.Generator, joints: int) -> np.ndarray:
     """Random but tree-consistent rest pose: each joint hangs off its parent."""
     bones = chain_tree_bones(joints)
@@ -288,14 +329,8 @@ def generate_synthetic(num_classes: int, samples_per_class: int, frames: int,
     Pure function of its arguments: the same seed always yields the
     identical dataset.
     """
-    if num_classes < 2:
-        raise ValueError(f"num_classes must be >= 2, got {num_classes}")
-    if samples_per_class < 1:
-        raise ValueError(f"samples_per_class must be >= 1, got {samples_per_class}")
-    if frames < 8:
-        raise ValueError(f"frames must be >= 8, got {frames}")
-    if joints < 5:
-        raise ValueError(f"joints must be >= 5, got {joints}")
+    _check_synthetic_sizes(num_classes=num_classes, samples_per_class=samples_per_class,
+                          frames=frames, joints=joints)
 
     rng = np.random.default_rng((int(seed), 0x5C31))
     rest = _rest_pose(rng, joints)
@@ -351,6 +386,8 @@ def make_split(dataset: Dataset, protocol: str = "random",
     cross-view    views {0, 1} train, view 2 test
     cross-setup   even (subject + view) train, odd test
     """
+    if protocol not in PROTOCOLS:
+        raise ValueError(f"unknown protocol {protocol!r}")
     ids = dataset.sample_ids()
     if protocol == "random":
         rng = np.random.default_rng((int(seed), 0x5711))
@@ -358,7 +395,7 @@ def make_split(dataset: Dataset, protocol: str = "random",
         n_train = int(round(train_fraction * len(ids)))
         train = [ids[i] for i in perm[:n_train]]
         test = [ids[i] for i in perm[n_train:]]
-    elif protocol in ("cross-subject", "cross-view", "cross-setup"):
+    else:
         train, test = [], []
         for s in dataset.samples:
             if s.subject_id is None or s.view_id is None:
@@ -370,6 +407,41 @@ def make_split(dataset: Dataset, protocol: str = "random",
             else:
                 is_train = (s.subject_id + s.view_id) % 2 == 0
             (train if is_train else test).append(s.sequence.sample_id)
-    else:
-        raise ValueError(f"unknown protocol {protocol!r}")
     return DataSplit(train_ids=tuple(train), test_ids=tuple(test), protocol=protocol)
+
+
+@dataclass(frozen=True)
+class DatasetSpec:
+    source: str                     # synthetic | file
+    path: str | None                # the SKL1 file of source "file"
+    num_classes: int
+    samples_per_class: int
+    frames: int
+    joints: int
+    noise: float
+    seed: int
+    protocol: str
+    train_fraction: float
+
+    def __post_init__(self):
+        if self.source not in ("synthetic", "file"):
+            raise ValueError(f"source must be 'synthetic' or 'file', got {self.source!r}")
+        if self.source == "file" and not self.path:
+            raise ValueError("path must name an SKL1 file for source 'file'")
+        _check_synthetic_sizes(**{name: getattr(self, name) for name in SYNTHETIC_MINIMUMS})
+        if not self.noise >= 0.0:
+            raise ValueError(f"noise must be >= 0, got {self.noise}")
+        if self.protocol not in PROTOCOLS:
+            raise ValueError(f"protocol must be one of {PROTOCOLS}, got {self.protocol!r}")
+        if not 0.05 <= self.train_fraction <= 0.95:
+            raise ValueError(f"train_fraction {self.train_fraction} outside [0.05, 0.95]")
+
+    def load(self) -> Dataset:
+        if self.source == "file":
+            return load_dataset(self.path)
+        return generate_synthetic(self.num_classes, self.samples_per_class,
+                                  self.frames, self.joints, self.seed,
+                                  self.noise)
+
+    def split(self, dataset: Dataset) -> DataSplit:
+        return make_split(dataset, self.protocol, self.train_fraction, self.seed)

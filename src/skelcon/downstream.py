@@ -6,7 +6,8 @@ to the training frame count (resampled up when the sequence is shorter).
 
 Tasks: frozen linear probe, k=1 cosine retrieval, semi-supervised / transfer /
 supervised-only finetuning, combined-representation probing, and embedding
-export with an optional 2-d PCA projection.
+export with an optional 2-d PCA projection.  `DownstreamSpec` holds their
+settings from a run's config.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .augment import CropResizeParams, temporal_crop_resize
 from .data import LabeledSample
-from .encoders import (EncoderConfig, EncoderState, encoder_forward,
+from .encoders import (EncoderConfig, EncoderState, atomic_open, encoder_forward,
                        encoder_backward, init_encoder, write_json)
 from .errors import DegenerateTaskError
 from .represent import batch_views, graph_adjacency
@@ -155,6 +156,18 @@ def _score(predictions: np.ndarray, labels: np.ndarray, protocol: str) -> Metric
 # linear probe
 # ---------------------------------------------------------------------------
 
+def _check_schedule(schedule) -> None:
+    """The ranges `ProbeSchedule` and `FinetuneSchedule` share."""
+    if schedule.epochs < 1:
+        raise ValueError(f"epochs must be >= 1, got {schedule.epochs}")
+    if not schedule.lr >= 0.0:
+        raise ValueError(f"lr must be >= 0, got {schedule.lr}")
+    if any(epoch < 0 for epoch in schedule.decay_epochs):
+        raise ValueError(f"decay_epochs must be >= 0, got {schedule.decay_epochs}")
+    if not 0.0 <= schedule.decay_factor <= 1.0:
+        raise ValueError(f"decay_factor must be in [0,1], got {schedule.decay_factor}")
+
+
 @dataclass(frozen=True)
 class ProbeSchedule:
     epochs: int = 80
@@ -162,6 +175,11 @@ class ProbeSchedule:
     momentum: float = 0.9
     decay_epochs: tuple[int, ...] = (50, 70)
     decay_factor: float = 0.1
+
+    def __post_init__(self):
+        _check_schedule(self)
+        if not 0.0 <= self.momentum <= 1.0:
+            raise ValueError(f"momentum must be in [0,1], got {self.momentum}")
 
 
 def _softmax_ce(logits: np.ndarray, y_index: np.ndarray):
@@ -271,6 +289,11 @@ class FinetuneSchedule:
     decay_epochs: tuple[int, ...] = (30, 40)
     decay_factor: float = 0.1
     batch_size: int = 16
+
+    def __post_init__(self):
+        _check_schedule(self)
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
 def stratified_subset(labels: np.ndarray, rho: float, seed: int) -> np.ndarray:
@@ -476,7 +499,7 @@ def export_embeddings(state: EncoderState, samples: list[LabeledSample],
         raise ValueError(f"projector must be one of {PROJECTORS}, got {projector!r}")
     features, labels = extract_features(state, samples, bones, crop_length)
     coords = pca2d(features)[0] if projector == "pca2d" else None
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         for i, sample in enumerate(samples):
             record = {"id": sample.sequence.sample_id,
                       "label": None if sample.label is None else int(sample.label),
@@ -485,3 +508,29 @@ def export_embeddings(state: EncoderState, samples: list[LabeledSample],
                 record["xy"] = [float(coords[i, 0]), float(coords[i, 1])]
             fh.write(json.dumps(record, sort_keys=True) + "\n")
     return len(samples)
+
+
+@dataclass(frozen=True)
+class DownstreamSpec:
+    checkpoint: str | None              # CKPT1 file or TRAINER1 manifest
+    representation: str | None          # which encoder of a trainer manifest
+    rho: float
+    finetune_mode: str
+    seeds: tuple[int, ...]
+    projector: str
+    min_accuracy: float | None          # floor for CI gating (exit 4)
+    probe: ProbeSchedule
+    finetune: FinetuneSchedule
+
+    def __post_init__(self):
+        if not 0.0 < self.rho <= 1.0:
+            raise ValueError(f"rho {self.rho} outside (0, 1]")
+        if self.finetune_mode not in FINETUNE_MODES:
+            raise ValueError(f"finetune_mode must be one of {FINETUNE_MODES}, "
+                             f"got {self.finetune_mode!r}")
+        if not self.seeds:
+            raise ValueError("seeds must hold at least one seed")
+        if self.projector not in PROJECTORS:
+            raise ValueError(f"projector must be one of {PROJECTORS}, got {self.projector!r}")
+        if self.min_accuracy is not None and not 0.0 <= self.min_accuracy <= 1.0:
+            raise ValueError(f"min_accuracy {self.min_accuracy} outside [0, 1]")

@@ -27,10 +27,12 @@ from dataclasses import dataclass, asdict, field, replace
 import numpy as np
 
 from . import nn
+from .data import parse_json_object
 from .errors import DegenerateEmbeddingError, ParseError
 from .represent import GraphView, REPRESENTATIONS
 
 CHECKPOINT_MAGIC = b"CKPT1\n"
+_NORM_FLOOR = 1e-12         # smallest projected norm `head_forward` normalizes
 
 
 @dataclass(frozen=True)
@@ -319,14 +321,14 @@ def encoder_backward(config: EncoderConfig, params: dict, cache, dfeat: np.ndarr
     return cache.replay(dfeat)
 
 
-def head_forward(params: dict, feats: np.ndarray, want_cache: bool = False,
-                 norm_floor: float = 1e-12):
-    """Two-layer projection plus exact L2 normalization."""
+def head_forward(params: dict, feats: np.ndarray, want_cache: bool = False):
+    """Two-layer projection plus exact L2 normalization; a projected vector
+    with a (near-)zero norm raises `DegenerateEmbeddingError`."""
     hidden, c1 = nn.linear_forward(feats, params["head.w1"], params["head.b1"])
     hidden, r1 = nn.relu_forward(hidden)
     y, c2 = nn.linear_forward(hidden, params["head.w2"], params["head.b2"])
     norms = np.linalg.norm(y, axis=-1, keepdims=True)
-    if np.any(norms < norm_floor):
+    if np.any(norms < _NORM_FLOOR):
         bad = int(np.argmin(norms))
         raise DegenerateEmbeddingError(
             f"projected vector {bad} has norm {float(norms.flat[bad]):.3e}")
@@ -431,7 +433,7 @@ def save_checkpoint(state: EncoderState, path) -> None:
         fh.write(blob.getvalue())
 
 
-def load_checkpoint(path, dtype=np.float32) -> EncoderState:
+def load_checkpoint(path) -> EncoderState:
     """Read a `save_checkpoint` file. A file that is not CKPT1, or whose
     header, manifest or parameter index is malformed, raises `ParseError`
     naming the file and, where one is at fault, the manifest key."""
@@ -446,18 +448,8 @@ def load_checkpoint(path, dtype=np.float32) -> EncoderState:
         (mlen,) = struct.unpack("<I", head[len(CHECKPOINT_MAGIC):])
         payload = fh.read(mlen)
         blob = fh.read()
-    try:
-        manifest = json.loads(payload.decode("utf-8"))
-    except ValueError as exc:
-        raise ParseError(f"{path}: manifest is not valid JSON: {exc}") from None
-    if not isinstance(manifest, dict):
-        raise ParseError(f"{path}: manifest is a JSON {type(manifest).__name__}, "
-                         "not an object")
-    for key, kind in (("config", dict), ("step", int), ("params", dict)):
-        if key not in manifest:
-            raise ParseError(f"{path}: manifest has no {key!r}")
-        if not isinstance(manifest[key], kind) or isinstance(manifest[key], bool):
-            raise ParseError(f"{path}: manifest {key!r} is not a JSON {kind.__name__}")
+    manifest = parse_json_object(path, payload, "manifest", None,
+                                 (("config", dict), ("step", int), ("params", dict)))
     fields = dict(manifest["config"])
     fields.pop("scale", None)  # written by older versions, unused
     try:
@@ -477,7 +469,8 @@ def load_checkpoint(path, dtype=np.float32) -> EncoderState:
             raise ParseError(f"{path}: manifest 'params.{name}.offset' is {offset}, "
                              f"the parameters before it end at {end}")
         end += sizes[name]
-        params[name] = flat[offset:end].reshape(index[name]["shape"]).astype(dtype)
+        # a copy: a view of the read-only buffer could not be trained on resume
+        params[name] = flat[offset:end].reshape(index[name]["shape"]).astype(np.float32)
     return EncoderState(config=config, params=params, step=manifest["step"])
 
 

@@ -1,6 +1,8 @@
 """Config resolution rules and the `skelcon` CLI end-to-end on a tiny run."""
 
+import contextlib
 import dataclasses
+import itertools
 import json
 import shutil
 import struct
@@ -11,7 +13,7 @@ import pytest
 
 from skelcon import cli
 from skelcon.cli import main
-from skelcon.contrast import load_trainer
+from skelcon.contrast import TrainerConfig, load_trainer
 from skelcon.config import (
     DEFAULTS,
     parse_config,
@@ -19,10 +21,11 @@ from skelcon.config import (
     resolve_config,
     write_resolved,
 )
-from skelcon.data import generate_synthetic, save_dataset
-from skelcon.downstream import summarize, write_report
-from skelcon.encoders import (CHECKPOINT_MAGIC, EncoderState, load_checkpoint,
-                              save_checkpoint)
+from skelcon.data import SYNTHETIC_MINIMUMS, generate_synthetic, save_dataset
+from skelcon.downstream import (FinetuneSchedule, ProbeSchedule, export_embeddings,
+                                summarize, write_report)
+from skelcon.encoders import (CHECKPOINT_MAGIC, EncoderState, desk_config, init_encoder,
+                              load_checkpoint, save_checkpoint)
 from skelcon.errors import ConfigError, ParseError, SchemaError
 
 # Overrides that shrink every knob so CLI runs finish in well under a second.
@@ -112,12 +115,96 @@ def test_unknown_keys_are_rejected_by_dotted_path():
     ("encoders.SEQ.hidden", 0),
     ("encoders.IMG.feature_dim", 1),
     ("encoders.IMG.temporal_kernel", -1),
+    ("downstream.probe.decay_epochs", 5),
+    ("downstream.finetune.decay_epochs", 5),
+    ("downstream.representation", [1]),
+    ("downstream.checkpoint", 1),
+    ("sweep.key", [1]),
+    ("trainer.epochs", float("nan")),
+    ("trainer.epochs", float("inf")),
 ])
 def test_range_violations_name_the_key(key, value, tmp_path):
     with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
         resolve_config({}, [(key, value)])
     assert main(["pretrain", "--out", str(tmp_path),
                  "--set", f"{key}={json.dumps(value)}"]) == 2
+
+
+_DEFAULT = resolve_config({})
+
+
+@pytest.mark.parametrize("instance,field,value", [
+    (TrainerConfig("intra", ("SEQ",)), "lr", -1.0),
+    (TrainerConfig("intra", ("SEQ",)), "weight_decay", -1e-4),
+    (TrainerConfig("intra", ("SEQ",)), "opt_momentum", 5.0),
+    (TrainerConfig("intra", ("SEQ",)), "tau", float("nan")),
+    (ProbeSchedule(), "epochs", -3),
+    (ProbeSchedule(), "lr", -0.1),
+    (ProbeSchedule(), "momentum", 1.5),
+    (ProbeSchedule(), "decay_epochs", (50, -1)),
+    (ProbeSchedule(), "decay_factor", 2.0),
+    (FinetuneSchedule(), "batch_size", 0),
+    (FinetuneSchedule(), "epochs", 0),
+    (FinetuneSchedule(), "decay_factor", -0.5),
+    (_DEFAULT.dataset, "source", "disk"),
+    (_DEFAULT.dataset, "frames", 7),
+    (_DEFAULT.dataset, "noise", float("nan")),
+    (_DEFAULT.dataset, "protocol", "cross-age"),
+    (_DEFAULT.dataset, "train_fraction", 0.01),
+    (dataclasses.replace(_DEFAULT.dataset, source="file", path="a.skl"), "path", ""),
+    (_DEFAULT.downstream, "rho", 1.5),
+    (_DEFAULT.downstream, "finetune_mode", "linear"),
+    (_DEFAULT.downstream, "seeds", ()),
+    (_DEFAULT.downstream, "projector", "tsne"),
+    (_DEFAULT.downstream, "min_accuracy", -0.1),
+], ids=lambda v: type(v).__name__ if dataclasses.is_dataclass(v) else None)
+def test_config_dataclasses_reject_out_of_range_values_naming_the_field(instance, field, value):
+    with pytest.raises(ValueError, match=f"^{field}"):
+        dataclasses.replace(instance, **{field: value})
+
+
+@pytest.mark.parametrize("name", sorted(SYNTHETIC_MINIMUMS))
+def test_generator_and_dataset_spec_share_the_size_floor(name):
+    below = {**SYNTHETIC_MINIMUMS, name: SYNTHETIC_MINIMUMS[name] - 1}
+    with pytest.raises(ValueError, match=f"^{name}"):
+        generate_synthetic(**below, seed=0)
+    with pytest.raises(ValueError, match=f"^{name}"):
+        dataclasses.replace(_DEFAULT.dataset, **below)
+    assert len(generate_synthetic(**SYNTHETIC_MINIMUMS, seed=0)) == 2
+    dataclasses.replace(_DEFAULT.dataset, **SYNTHETIC_MINIMUMS)
+
+
+_ENCODER_GIVEN = {"representation", "joints", "actors"}
+# (section, the dataclasses built from it, their fields that no key of the
+# section sets: the builder gives them, or they keep their dataclass default)
+_SECTIONS = [
+    ("dataset", lambda c: [c.dataset], set()),
+    ("augment", lambda c: [c.aug], set()),
+    ("encoders.IMG", lambda c: [c.encoders["IMG"]], _ENCODER_GIVEN | {"seq_pooling"}),
+    ("encoders.SEQ", lambda c: [c.encoders["SEQ"]], _ENCODER_GIVEN),
+    ("encoders.STG", lambda c: [c.encoders["STG"]], _ENCODER_GIVEN | {"seq_pooling"}),
+    ("trainer", lambda c: [c.trainer, c.schedule], set()),
+    ("downstream", lambda c: [c.downstream], set()),
+    ("downstream.probe", lambda c: [c.downstream.probe], set()),
+    ("downstream.finetune", lambda c: [c.downstream.finetune], set()),
+]
+
+
+@pytest.mark.parametrize("section,built,not_in_section", _SECTIONS,
+                         ids=[case[0] for case in _SECTIONS])
+def test_every_defaults_key_is_a_field_of_the_dataclass_its_section_builds(
+        section, built, not_in_section):
+    defaults = DEFAULTS
+    for part in section.split("."):
+        defaults = defaults[part]
+    objects = built(_DEFAULT)
+    names = [f.name for obj in objects for f in dataclasses.fields(obj)]
+    assert len(names) == len(set(names))           # each key builds one field
+    assert set(defaults) == set(names) - not_in_section
+    for key, value in defaults.items():            # and reaches it
+        if not isinstance(value, dict) and (key, value) != ("feature_dim", None):
+            got = next(getattr(obj, key) for obj in objects if hasattr(obj, key))
+            assert got == (tuple(value) if isinstance(value, list) else value), key
 
 
 def test_cross_field_validation():
@@ -208,6 +295,44 @@ def test_json_artifact_write_that_fails_midway_keeps_the_previous_file(artifact,
         writers[artifact](object())
     assert (tmp_path / artifact).read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == [artifact]
+
+
+def _write_embeddings(tmp_path, monkeypatch, fail):
+    """`export_embeddings`; with `fail`, the last sample's label is no integer."""
+    ds = generate_synthetic(2, 3, 16, 5, seed=1)
+    samples = ds.samples[:-1] + [dataclasses.replace(ds.samples[-1],
+                                                     label="x" if fail else 1)]
+    state = init_encoder(desk_config("SEQ", 5, hidden=4, projection_dim=8), seed=0)
+    with pytest.raises(ValueError, match="'x'") if fail else contextlib.nullcontext():
+        export_embeddings(state, samples, ds.bones, tmp_path / "embeddings.jsonl",
+                          crop_length=8)
+
+
+def _write_preview(tmp_path, monkeypatch, fail):
+    """`skelcon augment-preview`; with `fail`, the last view cannot be made."""
+    if fail:
+        views, apply_view = itertools.count(1), cli.apply_view
+
+        def failing(*args):
+            if next(views) == 8:          # 4 previewed samples, 2 views each
+                raise ValueError("view failed")
+            return apply_view(*args)
+        monkeypatch.setattr(cli, "apply_view", failing)
+    assert main(["augment-preview", "--out", str(tmp_path)] + _sets()) == (3 if fail else 0)
+
+
+@pytest.mark.parametrize("artifact,write", [("embeddings.jsonl", _write_embeddings),
+                                            ("preview.jsonl", _write_preview)],
+                         ids=["embeddings.jsonl", "preview.jsonl"])
+def test_jsonl_artifact_write_that_fails_midway_keeps_the_previous_file(
+        artifact, write, tmp_path, monkeypatch):
+    """The last record fails after the records before it were written; the
+    previous artifact must survive untouched, with no temporary file left."""
+    write(tmp_path, monkeypatch, fail=False)
+    before = (tmp_path / artifact).read_bytes()
+    write(tmp_path, monkeypatch, fail=True)
+    assert (tmp_path / artifact).read_bytes() == before
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_run_id_depends_on_config_and_subcommand():

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from skelcon.cli import main
 from skelcon.data import (
     HUMAN25_BONES,
     SkeletonSequence,
@@ -167,6 +168,25 @@ def test_loader_rejects_missing_header(tmp_path):
     path.write_text('{"id": "x"}\n')
     with pytest.raises(ParseError, match="SKL1"):
         load_dataset(path)
+
+
+@pytest.mark.parametrize("edit,key", [
+    (lambda header: header.pop("J"), "'J'"),
+    (lambda header: header.update(bones=5), "'bones'"),
+    (lambda header: header.update(num_classes="5"), "'num_classes'"),
+    (lambda header: header.update(bones=[[0, 1.0]]), "'bones'"),
+], ids=["no-J", "bones-int", "num_classes-str", "bones-float"])
+def test_loader_names_the_file_and_key_of_a_malformed_header(tmp_path, capsys, edit, key):
+    path, lines = _tiny_file_lines(tmp_path)
+    header = json.loads(lines[0])
+    edit(header)
+    path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+    with pytest.raises(ParseError) as caught:
+        load_dataset(path)
+    assert f"{path}: line 1" in str(caught.value) and key in str(caught.value)
+    assert main(["probe", "--out", str(tmp_path / "probe"), "--set", "dataset.source=file",
+                 "--set", f"dataset.path={path}"]) == 3
+    assert "ParseError" in capsys.readouterr().err
 
 
 def test_loader_rejects_single_frame_sequences(tmp_path):
