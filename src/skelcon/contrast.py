@@ -17,7 +17,6 @@ uninterrupted run.
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 import zipfile
@@ -618,12 +617,20 @@ def load_trainer(manifest_path) -> TrainerState:
 def _open_loss_log(path, step: int):
     """Open the loss log for writing from `step` on: records of earlier
     steps are kept, those of a previous run or of steps after the last
-    checkpoint (a crash) go, and so does a torn last line."""
+    checkpoint (a crash) go, and so does a torn last line. A full line read
+    before the cut that is not a JSON object with an integer ``step`` raises
+    `ParseError` naming the file and the line."""
     kept = []
     if os.path.exists(path):
         with open(path, "r", encoding="utf-8") as fh:
-            kept = list(itertools.takewhile(
-                lambda line: line.endswith("\n") and json.loads(line)["step"] < step, fh))
+            for lineno, line in enumerate(fh, start=1):
+                if not line.endswith("\n"):
+                    break
+                record = parse_json_object(f"{path}: line {lineno}", line, "loss record",
+                                           None, (("step", int),))
+                if record["step"] >= step:
+                    break
+                kept.append(line)
     fh = open(path, "w", encoding="utf-8")
     fh.writelines(kept)
     return fh

@@ -220,9 +220,10 @@ def load_dataset(path) -> Dataset:
     Raises
     ------
     ParseError
-        Malformed JSON, or a header that is missing, has no int ``J`` or
-        ``num_classes`` or whose ``bones`` are not ``[int, int]`` edges,
-        naming the offending line and key.
+        Malformed JSON, a header that is missing, has no int ``J`` or
+        ``num_classes`` or whose ``bones`` are not ``[int, int]`` edges, or a
+        record whose ``T``, ``M``, ``J``, ``label``, ``subject`` or ``view``
+        is not a JSON integer, naming the offending line and key.
     SchemaError
         A header whose bones are not a tree over its joints, or a record
         whose joint count or declared shape contradicts the header.
@@ -248,16 +249,18 @@ def load_dataset(path) -> Dataset:
         if not line.strip():
             continue
         record_index = len(samples) + 1
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"{path}: line {lineno} (record {record_index}): {e}") from e
+        source = f"{path}: line {lineno} (record {record_index})"
+        rec = parse_json_object(source, line, "record", None,
+                                (("T", int), ("M", int), ("J", int)))
+        for key in ("label", "subject", "view"):
+            if rec.get(key) is not None and type(rec[key]) is not int:
+                raise ParseError(f"{source}: record {key!r} is not a JSON int")
         try:
             coords = np.asarray(rec["coords"], dtype=np.float64)
-            declared = (int(rec["T"]), int(rec["M"]), int(rec["J"]))
             sample_id = str(rec["id"])
         except (KeyError, TypeError, ValueError) as e:
-            raise ParseError(f"{path}: line {lineno} (record {record_index}): bad record: {e}") from e
+            raise ParseError(f"{source}: bad record: {e}") from e
+        declared = (rec["T"], rec["M"], rec["J"])
         if coords.ndim != 4 or coords.shape[3] != 3:
             raise SchemaError(
                 f"{path}: record {record_index}: coords shape {coords.shape} is not (T, M, J, 3)")
@@ -272,19 +275,11 @@ def load_dataset(path) -> Dataset:
         if not report:
             raise ValidationError(f"{path}: sample {sample_id!r}: {report.message}")
         label = rec.get("label")
-        if label is not None:
-            label = int(label)
-            if not 0 <= label < num_classes:
-                raise SchemaError(
-                    f"{path}: record {record_index}: label {label} outside [0, {num_classes})")
-        subject = rec.get("subject")
-        view = rec.get("view")
-        samples.append(LabeledSample(
-            sequence=seq,
-            label=label,
-            subject_id=None if subject is None else int(subject),
-            view_id=None if view is None else int(view),
-        ))
+        if label is not None and not 0 <= label < num_classes:
+            raise SchemaError(
+                f"{path}: record {record_index}: label {label} outside [0, {num_classes})")
+        samples.append(LabeledSample(sequence=seq, label=label,
+                                     subject_id=rec.get("subject"), view_id=rec.get("view")))
     return Dataset(samples=samples, num_classes=num_classes,
                    joint_count=joint_count, bones=bones)
 

@@ -204,21 +204,20 @@ class _Tape(list):
         return y
 
     def bigru(self, params, layer, x):
-        """Both directions of a GRU layer, outputs concatenated (N, T, 2H)."""
-        names, outs, caches = [], [], []
-        for direction in ("fwd", "bwd"):
-            keys = [f"{layer}.{direction}.{k}" for k in ("w", "u", "b")]
-            out, _, c = nn.gru_forward(x, *(params[k] for k in keys),
-                                       reverse=direction == "bwd")
-            names, outs, caches = names + keys, outs + [out], caches + [c]
-        h = outs[0].shape[2]
+        """Both directions of a GRU layer as one packed `nn.gru_forward`,
+        outputs [fwd | bwd] (N, T, 2H)."""
+        names = tuple(f"{layer}.{direction}.{k}" for direction in ("fwd", "bwd")
+                      for k in ("w", "u", "b"))
+        w, u, b = (np.concatenate([params[f"{layer}.fwd.{k}"], params[f"{layer}.bwd.{k}"]],
+                                  axis=-1) for k in ("w", "u", "b"))
+        y, _, c = nn.gru_forward(x, w, u, b)
+        g = u.shape[1] // 2
 
         def backward(d):
-            dx_f, *g_f = nn.gru_backward(d[:, :, :h], None, caches[0])
-            dx_b, *g_b = nn.gru_backward(d[:, :, h:], None, caches[1])
-            return (dx_f + dx_b, *g_f, *g_b)
-        self.append((tuple(names), backward))
-        return np.concatenate(outs, axis=2)
+            dx, *grads = nn.gru_backward(d, None, c)
+            return (dx, *(a[..., :g] for a in grads), *(a[..., g:] for a in grads))
+        self.append((names, backward))
+        return y
 
     def final_states(self, y):
         """(N, 2H) final states of a bidirectional layer: the forward
@@ -434,9 +433,10 @@ def save_checkpoint(state: EncoderState, path) -> None:
 
 
 def load_checkpoint(path) -> EncoderState:
-    """Read a `save_checkpoint` file. A file that is not CKPT1, or whose
-    header, manifest or parameter index is malformed, raises `ParseError`
-    naming the file and, where one is at fault, the manifest key."""
+    """Read a `save_checkpoint` file. A file that is not CKPT1, whose header,
+    manifest or parameter index is malformed, or whose parameters are not all
+    finite, raises `ParseError` naming the file and, where one is at fault,
+    the manifest key."""
     header = len(CHECKPOINT_MAGIC) + 4
     with open(path, "rb") as fh:
         head = fh.read(header)
@@ -471,6 +471,8 @@ def load_checkpoint(path) -> EncoderState:
         end += sizes[name]
         # a copy: a view of the read-only buffer could not be trained on resume
         params[name] = flat[offset:end].reshape(index[name]["shape"]).astype(np.float32)
+        if not np.isfinite(params[name]).all():
+            raise ParseError(f"{path}: 'params.{name}' holds NaN or infinite values")
     return EncoderState(config=config, params=params, step=manifest["step"])
 
 

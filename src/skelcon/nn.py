@@ -12,9 +12,14 @@ from __future__ import annotations
 import numpy as np
 
 
-def sigmoid(x):
-    # tanh form: no masked branches, and it saturates to exactly 0 and 1
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
+def sigmoid(x, out=None):
+    # tanh form: no masked branches, and it saturates to exactly 0 and 1;
+    # `out` may be `x`, and each step has the bytes of 0.5 * (1 + tanh(0.5 x))
+    y = np.multiply(x, 0.5, out=out)
+    np.tanh(y, out=y)
+    y += 1.0
+    y *= 0.5
+    return y
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +138,7 @@ def conv2d_backward(dout, cache, w):
 
 
 # ---------------------------------------------------------------------------
-# gated recurrent layer (single direction)
+# gated recurrent layer: one direction, or two packed side by side
 # ---------------------------------------------------------------------------
 #
 # gate layout inside the (.., 3H) projections: [update z | reset r | candidate n]
@@ -142,74 +147,134 @@ def conv2d_backward(dout, cache, w):
 #   r_t = sigmoid(x_t Wr + h_{t-1} Ur + br)
 #   n_t = tanh(x_t Wn + r_t * (h_{t-1} Un) + bn)
 #   h_t = (1 - z_t) * n_t + z_t * h_{t-1}
+#
+# k = 2 directions sit side by side on the gate axis, w: (D, 6H) = [fwd | bwd],
+# and run as one recurrence over a leading direction axis (Appleyard et al.,
+# arXiv 1604.01946).  The recurrence is time-major: row s of direction j is
+# the step that reads frame s, or frame T-1-s when j runs reversed, so each
+# step's slab (k, N, .) is contiguous and both directions share one batched
+# matmul.
+
+def _steps(a, flips):
+    """Frame-major (N, T, k, C) -> step-major (T, k, N, C)."""
+    out = np.empty((a.shape[1], len(flips), a.shape[0], a.shape[3]), dtype=a.dtype)
+    for j, flip in enumerate(flips):
+        frames = a[:, :, j].transpose(1, 0, 2)
+        out[:, j] = frames[::-1] if flip else frames
+    return out
+
+
+def _frames(a, flips):
+    """Step-major (T, k, N, C) -> frame-major (N, T, k, C); undoes `_steps`."""
+    out = np.empty((a.shape[2], a.shape[0], len(flips), a.shape[3]), dtype=a.dtype)
+    for j, flip in enumerate(flips):
+        steps = a[::-1, j] if flip else a[:, j]
+        out[:, :, j] = steps.transpose(1, 0, 2)
+    return out
+
 
 def gru_forward(x, w, u, b, reverse=False):
-    """x: (N, T, D), w: (D, 3H), u: (H, 3H), b: (3H,) -> outputs (N, T, H).
+    """x: (N, T, D) and k = 1 or 2 directions packed on the gate axis,
+    w: (D, 3H*k), u: (H, 3H*k), b: (3H*k,) -> outputs (N, T, H*k) and final
+    state (N, H*k), both [fwd | bwd] when k = 2.
 
-    With reverse=True the sequence is consumed back to front and the output
-    is returned re-flipped into original frame order; the "final" state is
-    then the one produced after reading frame 0.
+    A reversed direction consumes the sequence back to front; its outputs
+    are returned in original frame order and its "final" state is the one
+    produced after reading frame 0.  With k = 2 the second direction is
+    reversed; with k = 1, `reverse` chooses.
     """
-    if reverse:
-        x = x[:, ::-1]
     n, t, _ = x.shape
-    hdim = u.shape[0]
-    xp = x @ w + b
-    hs = np.zeros((n, t + 1, hdim), dtype=x.dtype)     # hs[:, 0] is the initial state
-    gates = np.empty((n, t, 3 * hdim), dtype=x.dtype)  # [z | r | n] per step
-    qs = np.empty((n, t, hdim), dtype=x.dtype)         # h_{t-1} Un per step
+    hdim, width = u.shape
+    if width not in (3 * hdim, 6 * hdim) or w.shape[-1] != width or b.shape != (width,):
+        raise ValueError(f"gru_forward needs u of shape (H, 3H) or (H, 6H) and w, b of "
+                         f"its width; got w {w.shape}, u {u.shape}, b {b.shape}")
+    k, g = width // (3 * hdim), 3 * hdim
+    if reverse and k == 2:
+        raise ValueError("reverse=True needs one direction; the second of a packed "
+                         "pair is always reversed")
+    flips = (False, True) if k == 2 else (reverse,)
+    uk = u.reshape(hdim, k, g).transpose(1, 0, 2)                   # (k, H, 3H)
+    # x w + b per step, overwritten in place by [z | r | n]
+    gates = _steps((x @ w + b).reshape(n, t, k, g), flips)
+    hs = np.zeros((t + 1, k, n, hdim), dtype=x.dtype)   # hs[0] is the initial state
+    qs = np.empty((t, k, n, hdim), dtype=x.dtype)       # h_{t-1} Un per step
+    tmp = np.empty((k, n, hdim), dtype=x.dtype)
     for step in range(t):
-        h = hs[:, step]
-        hu = h @ u
-        zr = sigmoid(xp[:, step, :2 * hdim] + hu[:, :2 * hdim])
-        z, r, q = zr[:, :hdim], zr[:, hdim:], hu[:, 2 * hdim:]
-        nn_ = np.tanh(xp[:, step, 2 * hdim:] + r * q)
-        hs[:, step + 1] = (1.0 - z) * nn_ + z * h
-        gates[:, step, :2 * hdim], gates[:, step, 2 * hdim:], qs[:, step] = zr, nn_, q
-    cache = (x, w, u, gates, qs, hs, reverse)
-    outputs = hs[:, :0:-1] if reverse else hs[:, 1:]
-    return outputs.copy(), hs[:, t].copy(), cache
+        h, gs, h_new = hs[step], gates[step], hs[step + 1]
+        hu = np.matmul(h, uk)
+        zr, cand, q = gs[..., :2 * hdim], gs[..., 2 * hdim:], qs[step]
+        zr += hu[..., :2 * hdim]
+        sigmoid(zr, out=zr)
+        z, r = zr[..., :hdim], zr[..., hdim:]
+        q[...] = hu[..., 2 * hdim:]
+        cand += np.multiply(r, q, out=tmp)
+        np.tanh(cand, out=cand)
+        np.multiply(z, h, out=h_new)
+        np.subtract(1.0, z, out=tmp)
+        h_new += np.multiply(tmp, cand, out=tmp)
+    cache = (x, w, u, gates, qs, hs, flips)
+    outputs = _frames(hs[1:], flips).reshape(n, t, k * hdim)
+    return outputs, hs[t].transpose(1, 0, 2).reshape(n, k * hdim).copy(), cache
 
 
 def gru_backward(doutputs, dh_final, cache):
     """Backprop through time.
 
-    doutputs: (N, T, H) gradient on every per-frame output (frame order as
+    doutputs: (N, T, H*k) gradient on every per-frame output (frame order as
     returned by gru_forward), or None.  dh_final: extra gradient on the
-    final state, or None.  Returns (dx, dw, du, db) with dx in original
-    frame order.
+    final state (N, H*k), or None.  Returns (dx, dw, du, db) with dx in
+    original frame order and dw, du, db packed like w, u, b.
     """
-    x, w, u, gates, qs, hs, reverse = cache
+    x, w, u, gates, qs, hs, flips = cache
     n, t, d = x.shape
-    hdim = u.shape[0]
-    if doutputs is not None and reverse:
-        doutputs = doutputs[:, ::-1]
+    hdim, width = u.shape
+    k, g = len(flips), 3 * hdim
     # Every gate gradient is dh_t times a coefficient the forward cache fixes:
     # d(x w + b) = dh_t * [cz | cr | cn] and d(h_{t-1} u) = dh_t * [cz | cr | cn r],
-    # with dh_t tiled over the three gates.  Only dh is carried through time.
+    # with dh_t tiled over the three gates.  Only dh is carried through time;
+    # coef_h holds [cz | cr | cn r] and du is summed as the steps go.
     z, r, nn_ = gates[..., :hdim], gates[..., hdim:2 * hdim], gates[..., 2 * hdim:]
-    cn = (1.0 - z) * (1.0 - nn_ * nn_)
-    coef_x = np.concatenate([(hs[:, :-1] - nn_) * z * (1.0 - z),
-                             cn * qs * r * (1.0 - r), cn], axis=-1).reshape(n, t, 3, hdim)
-    coef_h = coef_x.copy()
-    coef_h[:, :, 2] *= r
-    dh = np.zeros((n, hdim), dtype=x.dtype) if dh_final is None else dh_final
-    dhs = np.empty((n, t, 1, hdim), dtype=x.dtype)    # dh_t per step
+    coef_h = np.empty((t, k, n, 3, hdim), dtype=x.dtype)
+    cz, cr, cnr = coef_h[..., 0, :], coef_h[..., 1, :], coef_h[..., 2, :]
+    omz = np.subtract(1.0, z)
+    cn = np.multiply(nn_, nn_)
+    np.subtract(1.0, cn, out=cn)
+    cn *= omz
+    np.subtract(hs[:-1], nn_, out=cz)
+    cz *= z
+    cz *= omz
+    np.multiply(cn, qs, out=cr)
+    cr *= r
+    cr *= np.subtract(1.0, r, out=omz)                              # omz is done with
+    np.multiply(cn, r, out=cnr)
+    if doutputs is not None:
+        doutputs = _steps(doutputs.reshape(n, t, k, hdim), flips)
+    if dh_final is None:
+        dh = np.zeros((k, n, hdim), dtype=x.dtype)
+    else:
+        dh = dh_final.reshape(n, k, hdim).transpose(1, 0, 2)
+    ut = u.reshape(hdim, k, g).transpose(1, 2, 0)                   # (k, 3H, H)
+    dhs = np.empty((t, k, n, 1, hdim), dtype=x.dtype)   # dh_t per step
+    du = np.zeros((k, hdim, g), dtype=x.dtype)
     for step in range(t - 1, -1, -1):
         if doutputs is not None:
-            dh = dh + doutputs[:, step]
-        dhs[:, step, 0] = dh
-        dhu_t = (dh[:, None] * coef_h[:, step]).reshape(n, 3 * hdim)
-        dh = dh * z[:, step] + dhu_t @ u.T
-    dxp = (dhs * coef_x).reshape(-1, 3 * hdim)        # d(x w + b), a row per (sample, step)
-    dhu = (dhs * coef_h).reshape(-1, 3 * hdim)        # d(h_{t-1} u), likewise
-    du = hs[:, :-1].reshape(-1, hdim).T @ dhu
+            dh = dh + doutputs[step]
+        dhs[step, :, :, 0] = dh
+        dhu_t = (dh[:, :, None] * coef_h[step]).reshape(k, n, g)
+        du += np.matmul(hs[step].transpose(0, 2, 1), dhu_t)
+        dh = dh * z[step] + np.matmul(dhu_t, ut)
+    # d(x w + b) in frame order: a row per (sample, frame), both directions'
+    # gates side by side
+    dxp = np.empty((n, t, k, 3, hdim), dtype=x.dtype)
+    for j, flip in enumerate(flips):
+        frames = (dxp[:, ::-1, j] if flip else dxp[:, :, j]).transpose(1, 0, 2, 3)
+        np.multiply(dhs[:, j, :, 0], cn[:, j], out=frames[..., 2, :])
+        np.multiply(dhs[:, j], coef_h[:, j, :, :2], out=frames[..., :2, :])
+    dxp = dxp.reshape(n * t, width)
     dw = x.reshape(-1, d).T @ dxp
     db = dxp.sum(axis=0)
-    dx = (dxp @ w.T).reshape(n, t, d)                 # one 2-D GEMM, not n batched ones
-    if reverse:
-        dx = dx[:, ::-1]
-    return np.ascontiguousarray(dx), dw, du, db
+    dx = (dxp @ w.T).reshape(n, t, d)                 # one 2-D GEMM over both directions
+    return dx, dw, du.transpose(1, 0, 2).reshape(hdim, width), db
 
 
 # ---------------------------------------------------------------------------

@@ -83,3 +83,25 @@ def test_traced_mac_counters_match_the_encoder_shapes():
                 assert tracer.counters[("setup", f"nn.{op}.macs")] == ops.get(op, 0), (rep, op)
     finally:
         tracer.uninstall()
+
+
+def test_traced_gru_macs_count_both_packed_directions_of_every_layer():
+    """A bidirectional layer is one `gru_forward` with a (H, 6H) `u`; the
+    second layer reads D = 2H.  The counters must still sum both directions
+    of every layer."""
+    hidden, depth = 4, 2
+    n, t, d = SHAPES["SEQ"]
+    per_layer = [2 * n * t * (d_l + hidden) * 3 * hidden for d_l in (d, 2 * hidden)]
+    config = encoders.desk_config("SEQ", 5, hidden=hidden, depth=depth, projection_dim=8)
+    params = encoders.init_encoder(config, seed=0).params
+    x = np.random.default_rng(0).normal(size=SHAPES["SEQ"]).astype(np.float32)
+    tracer = tracer_module.Tracer().install()
+    try:
+        z, cache = encoders.embed_forward(config, params, x, None, True)
+        encoders.embed_backward(config, params, cache, np.ones_like(z))
+        assert tracer.counters[("setup", "nn.gru_forward.macs")] == sum(per_layer)
+        assert tracer.counters[("setup", "nn.gru_backward.macs")] == 2 * sum(per_layer)
+        for op in ("nn.gru_forward", "nn.gru_backward"):
+            assert sum(span[1] == op for span in tracer.spans) == depth, op
+    finally:
+        tracer.uninstall()

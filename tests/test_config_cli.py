@@ -466,6 +466,24 @@ def test_cli_exits_3_on_a_malformed_checkpoint(tmp_path, capsys, content):
     assert "ParseError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_cli_exits_3_on_a_checkpoint_parameter_that_is_not_finite(tmp_path, capsys, value):
+    state = init_encoder(desk_config("SEQ", 5, hidden=4, projection_dim=8), seed=0)
+    path = tmp_path / "enc.ckpt"
+    save_checkpoint(state, path)
+    loaded = load_checkpoint(path)                      # finite parameters load as saved
+    assert {k: v.tobytes() for k, v in loaded.params.items()} == \
+        {k: v.tobytes() for k, v in state.params.items()}
+    state.params["gru0.bwd.u"][1, 2] = value
+    save_checkpoint(state, path)
+    with pytest.raises(ParseError) as caught:
+        load_checkpoint(path)
+    assert str(path) in str(caught.value) and "'params.gru0.bwd.u'" in str(caught.value)
+    assert main(["probe", "--out", str(tmp_path / "p"), "--checkpoint", str(path)]
+                + _sets()) == 3
+    assert "ParseError" in capsys.readouterr().err
+
+
 @pytest.fixture(scope="module")
 def tiny_bundle(tmp_path_factory):
     """A TINY SEQ pretraining run directory, shared by the mutation tests."""
@@ -565,6 +583,33 @@ def test_cli_resume_continues_from_manifest(tmp_path):
     resumed = [json.loads(l) for l
                in (tmp_path / "steps" / "loss_log.jsonl").read_text().splitlines()]
     assert resumed == straight
+
+
+def _resume_tiny_bundle(tmp_path, tiny_bundle, edit_log):
+    bundle = tmp_path / "bundle"
+    shutil.copytree(tiny_bundle, bundle)
+    log = bundle / "loss_log.jsonl"
+    log.write_text(edit_log(log.read_text().splitlines(keepends=True)))
+    code = main(["pretrain", "--out", str(bundle), "--resume",
+                 str(bundle / "epoch0002.trainer.json")] + _sets(["trainer.epochs=4"]))
+    return code, log
+
+
+@pytest.mark.parametrize("bad_line", ['{"total": 1.0}', '[0]', '{"step": 1.0}', '{not json'],
+                         ids=["no-step", "list", "float-step", "not-json"])
+def test_cli_resume_names_the_file_and_line_of_a_malformed_loss_record(
+        tmp_path, capsys, tiny_bundle, bad_line):
+    code, log = _resume_tiny_bundle(tmp_path, tiny_bundle,
+                                    lambda lines: "".join([lines[0], bad_line + "\n"] + lines[2:]))
+    err = capsys.readouterr().err
+    assert code == 3 and "error: ParseError" in err and f"{log}: line 2" in err
+
+
+def test_cli_resume_drops_a_torn_last_loss_record(tmp_path, tiny_bundle):
+    code, log = _resume_tiny_bundle(tmp_path, tiny_bundle,
+                                    lambda lines: "".join(lines) + '{"step": 99, "to')
+    steps = [json.loads(line)["step"] for line in log.read_text().splitlines()]
+    assert code == 0 and steps == list(range(len(steps)))
 
 
 def test_cli_sweep_grid_and_cell_isolation(tmp_path):

@@ -189,6 +189,24 @@ def test_loader_names_the_file_and_key_of_a_malformed_header(tmp_path, capsys, e
     assert "ParseError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,value", [("label", 1.7), ("subject", 2.9), ("T", "32"),
+                                       ("view", True)],
+                         ids=["label-float", "subject-float", "T-str", "view-bool"])
+def test_loader_names_the_line_and_key_of_a_record_field_that_is_not_an_int(
+        tmp_path, capsys, key, value):
+    path, lines = _tiny_file_lines(tmp_path)
+    record = json.loads(lines[2])
+    record[key] = value
+    lines[2] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as caught:
+        load_dataset(path)
+    assert f"{path}: line 3 (record 2)" in str(caught.value) and f"'{key}'" in str(caught.value)
+    assert main(["probe", "--out", str(tmp_path / "probe"), "--set", "dataset.source=file",
+                 "--set", f"dataset.path={path}"]) == 3
+    assert "ParseError" in capsys.readouterr().err
+
+
 def test_loader_rejects_single_frame_sequences(tmp_path):
     path, lines = _tiny_file_lines(tmp_path)
     record = json.loads(lines[1])

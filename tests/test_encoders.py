@@ -81,7 +81,8 @@ def test_encoder_config_rejects_out_of_range_fields_by_name(field, value):
 
 def test_forward_only_pass_frees_each_layer_cache_as_it_goes(monkeypatch):
     """Without want_cache no tape holds a layer's cache: when the second
-    bidirectional layer starts, the first layer's GRU caches are gone."""
+    bidirectional layer starts, the first layer's packed GRU cache is gone.
+    Each layer makes one `gru_forward` call for both directions."""
     config = desk_config("SEQ", JOINTS, hidden=4, depth=2)
     params = init_encoder(config, seed=0).params
     x = _batch("SEQ").astype(np.float32)
@@ -90,16 +91,16 @@ def test_forward_only_pass_frees_each_layer_cache_as_it_goes(monkeypatch):
     def recording(*args, **kwargs):
         alive.append(sum(ref() is not None for ref in gates))
         out = gru_forward(*args, **kwargs)
-        gates.append(weakref.ref(out[2][3]))     # the cache's gate tensor
+        gates.append(weakref.ref(out[2][3]))     # the cache's (T, 2, N, 3H) gate tensor
         return out
 
     monkeypatch.setattr(nn, "gru_forward", recording)
     kept, _ = encoder_forward(config, params, x, want_cache=True)
-    assert alive == [0, 1, 2, 3]
+    assert alive == [0, 1]
     gates.clear()
     alive.clear()
     feats, cache = encoder_forward(config, params, x)
-    assert cache is None and alive == [0, 1, 0, 1]
+    assert cache is None and alive == [0, 0]
     assert feats.tobytes() == kept.tobytes()
 
 

@@ -305,15 +305,26 @@ def test_gru_matches_per_gate_oracle(reverse, probes):
         _check_gru_against_oracle(*shape, reverse, probes)
 
 
-def _check_gru_against_oracle(n, t, d, h, w_scale, reverse, probes):
+def _check_gru_against_oracle(n, t, d, h, w_scale, reverse, probes, k=1):
+    """k = 2 packs a forward and a reversed direction side by side; the
+    oracle runs each on its own, and the input gradient is their sum."""
     rng = np.random.default_rng(12)
     x = rng.normal(size=(n, t, d))
-    w = rng.normal(size=(d, 3 * h)) * w_scale
-    u = rng.normal(size=(h, 3 * h)) * 0.5
-    b = rng.normal(size=3 * h) * 0.1
-    doutputs = None if probes == "final only" else rng.normal(size=(n, t, h))
-    dh_final = None if probes == "outputs only" else rng.normal(size=(n, h))
-    want_out, want_h, want_grads = _gru_oracle(x, w, u, b, reverse, doutputs, dh_final)
+    w = rng.normal(size=(d, 3 * h * k)) * w_scale
+    u = rng.normal(size=(h, 3 * h * k)) * 0.5
+    b = rng.normal(size=3 * h * k) * 0.1
+    doutputs = None if probes == "final only" else rng.normal(size=(n, t, h * k))
+    dh_final = None if probes == "outputs only" else rng.normal(size=(n, h * k))
+    runs = []
+    for j, rev in enumerate((reverse,) if k == 1 else (False, True)):
+        gates, states = slice(3 * h * j, 3 * h * (j + 1)), slice(h * j, h * (j + 1))
+        runs.append(_gru_oracle(x, w[:, gates], u[:, gates], b[gates], rev,
+                                None if doutputs is None else doutputs[..., states],
+                                None if dh_final is None else dh_final[:, states]))
+    want_out = np.concatenate([run[0] for run in runs], axis=-1)
+    want_h = np.concatenate([run[1] for run in runs], axis=-1)
+    want_grads = [sum(run[2][0] for run in runs)] + [
+        np.concatenate([run[2][i] for run in runs], axis=-1) for i in (1, 2, 3)]
     outputs, h_final, cache = nn.gru_forward(x, w, u, b, reverse=reverse)
     assert np.allclose(outputs, want_out, rtol=0, atol=1e-12)
     assert np.allclose(h_final, want_h, rtol=0, atol=1e-12)
@@ -321,6 +332,45 @@ def _check_gru_against_oracle(n, t, d, h, w_scale, reverse, probes):
     for name, got, want in zip("x w u b".split(), grads, want_grads):
         assert got.shape == want.shape, name
         assert np.allclose(got, want, rtol=0, atol=1e-12), name
+
+
+@pytest.mark.parametrize("probes", ["outputs+final", "final only", "outputs only"])
+def test_packed_gru_matches_per_direction_oracles(probes):
+    for shape in ((3, 7, 5, 4, 0.5), (16, 32, 150, 32, 0.1)):
+        _check_gru_against_oracle(*shape, False, probes, k=2)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n, t, d, h", [(3, 7, 5, 4), (16, 32, 150, 32)])
+def test_packed_gru_forward_is_byte_identical_to_two_single_direction_calls(n, t, d, h, dtype):
+    rng = np.random.default_rng(13)
+    x = rng.normal(size=(n, t, d)).astype(dtype)
+    w = (rng.normal(size=(d, 6 * h)) * 0.1).astype(dtype)
+    u = (rng.normal(size=(h, 6 * h)) * 0.5).astype(dtype)
+    b = (rng.normal(size=6 * h) * 0.1).astype(dtype)
+    g = 3 * h
+    out_f, h_f, _ = nn.gru_forward(x, w[:, :g], u[:, :g], b[:g])
+    out_b, h_b, _ = nn.gru_forward(x, w[:, g:], u[:, g:], b[g:], reverse=True)
+    out, h_final, _ = nn.gru_forward(x, w, u, b)
+    assert out.dtype == h_final.dtype == dtype
+    assert out.tobytes() == np.concatenate([out_f, out_b], axis=2).tobytes()
+    assert h_final.tobytes() == np.concatenate([h_f, h_b], axis=1).tobytes()
+
+
+@pytest.mark.parametrize("w_cols, u_cols, b_cols, reverse", [   # H = 4: 3H = 12, 6H = 24
+    (16, 16, 16, False),     # u wider than 3H but not 6H
+    (36, 36, 36, False),     # 9H
+    (24, 12, 12, False),     # w wider than u
+    (12, 12, 24, False),     # b wider than u
+    (24, 24, 24, True),      # a packed pair cannot be reversed
+])
+def test_gru_forward_rejects_widths_that_are_not_one_or_two_directions(w_cols, u_cols,
+                                                                      b_cols, reverse):
+    rng = np.random.default_rng(14)
+    args = (rng.normal(size=(2, 3, 5)), rng.normal(size=(5, w_cols)),
+            rng.normal(size=(4, u_cols)), rng.normal(size=b_cols))
+    with pytest.raises(ValueError):
+        nn.gru_forward(*args, reverse=reverse)
 
 
 def test_graph_conv_gradients(fd_check):
