@@ -65,6 +65,15 @@ def _scorable(labels, task: str) -> np.ndarray:
     return labels
 
 
+def _class_targets(labels, task: str, where: str):
+    """The sorted classes of `labels` and each label's index among them; a
+    task with fewer than 2 classes raises `DegenerateTaskError`."""
+    classes = np.unique(labels)
+    if len(classes) < 2:
+        raise DegenerateTaskError(f"{task} needs >= 2 classes, {where} has {len(classes)}")
+    return classes, np.searchsorted(classes, labels)
+
+
 _MEMO_ENTRIES = 4   # feature sets kept per EncoderState, least recently used dropped
 
 
@@ -207,12 +216,8 @@ def linear_probe(features_train: np.ndarray, labels_train: np.ndarray,
     and the probe's fixed schedule needs well-conditioned inputs to converge.
     The encoder itself is untouched (the transform is per-dimension affine).
     """
-    classes = np.unique(_scorable(labels_train, "linear probe"))
-    if len(classes) < 2:
-        raise DegenerateTaskError(
-            f"linear probe needs >= 2 classes, training set has {len(classes)}")
-    class_index = {int(c): i for i, c in enumerate(classes)}
-    y = np.array([class_index[int(l)] for l in labels_train])
+    classes, y = _class_targets(_scorable(labels_train, "linear probe"), "linear probe",
+                                "training set")
     x = np.asarray(features_train, dtype=np.float64)
     mean, scale = x.mean(axis=0), x.std(axis=0) + 1e-8
     x = (x - mean) / scale
@@ -374,13 +379,7 @@ def _finetune_one(init_state: EncoderState, train: list[LabeledSample],
     rep, dtype = config.representation, state.dtype
     a_hat = graph_adjacency(bones, config.joints, dtype) if rep == "STG" else None
 
-    labels = _labels(train)
-    classes = np.unique(labels)
-    if len(classes) < 2:
-        raise DegenerateTaskError(
-            f"finetune needs >= 2 classes, labeled subset has {len(classes)}")
-    class_index = {int(c): i for i, c in enumerate(classes)}
-    y = np.array([class_index[int(l)] for l in labels])
+    classes, y = _class_targets(_labels(train), "finetune", "labeled subset")
     x = batch_views([center_crop(s.sequence, crop_length) for s in train], rep).astype(dtype)
 
     rng = np.random.default_rng((int(seed), 0xF1E7))
@@ -388,8 +387,8 @@ def _finetune_one(init_state: EncoderState, train: list[LabeledSample],
     head = {"cls.w": rng.uniform(-s, s, size=(config.feature_dim, len(classes))).astype(dtype),
             "cls.b": np.zeros(len(classes), dtype=dtype)}
     # projection-head parameters stay out of the task optimizer
-    trainable = {k: v for k, v in state.params.items() if not k.startswith("head.")}
-    opt = _Adam({**trainable, **head})
+    trained = {k: v for k, v in state.params.items() if not k.startswith("head.")} | head
+    opt = _Adam(trained)
 
     lr = schedule.lr
     n = len(train)
@@ -407,8 +406,7 @@ def _finetune_one(init_state: EncoderState, train: list[LabeledSample],
             grads = {"cls.w": feats.T @ dlogits, "cls.b": dlogits.sum(axis=0)}
             dfeats = dlogits @ head["cls.w"].T
             grads.update(encoder_backward(config, state.params, cache, dfeats))
-            merged = {**trainable, **head}
-            opt.update(merged, grads, lr)
+            opt.update(trained, grads, lr)
 
     test_x = batch_views([center_crop(s.sequence, crop_length) for s in test], rep).astype(dtype)
     test_labels = _labels(test)

@@ -9,6 +9,8 @@
 * STG: graph-convolution blocks over the fixed per-actor joint adjacency
   interleaved with temporal convolutions, global pooling, dense layer.
 
+The IMG and STG layers keep their tensors in (N, C, T, V) layout.
+
 Each encoder ends in a two-layer projection head producing L2-normalized
 embeddings (128-d by default).  Forward passes can retain caches so that
 exact analytic parameter gradients flow back through the whole stack.
@@ -27,7 +29,7 @@ from dataclasses import dataclass, asdict, field, replace
 import numpy as np
 
 from . import nn
-from .data import parse_json_object
+from .data import NUM_ACTORS, parse_json_object
 from .errors import DegenerateEmbeddingError, ParseError
 from .represent import GraphView, REPRESENTATIONS
 
@@ -45,7 +47,6 @@ class EncoderConfig:
     projection_dim: int = 128
     temporal_kernel: int = 5
     seq_pooling: str = "final"
-    actors: int = 2
 
     def __post_init__(self):
         if self.representation not in REPRESENTATIONS:
@@ -65,12 +66,8 @@ class EncoderConfig:
             raise ValueError(f"seq_pooling must be 'final' or 'mean', got {self.seq_pooling!r}")
 
     @property
-    def input_dim(self) -> int:
-        return self.actors * self.joints * 3
-
-    @property
     def node_count(self) -> int:
-        return self.actors * self.joints
+        return NUM_ACTORS * self.joints
 
 
 def desk_config(representation: str, joints: int, hidden: int = 32,
@@ -114,7 +111,7 @@ def _param_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
     kt = config.temporal_kernel
     shapes: dict[str, tuple[int, ...]] = {}
     if config.representation == "SEQ":
-        d = config.input_dim
+        d = 3 * config.node_count
         for layer in range(config.depth):
             d_in = d if layer == 0 else 2 * h
             for direction in ("fwd", "bwd"):
@@ -187,14 +184,12 @@ class _Tape(list):
         return grads
 
     def conv(self, params, layer, x, pad=(0, 0)):
-        w = params[f"{layer}.w"]
-        y, c = nn.conv2d_forward(x, w, params[f"{layer}.b"], pad=pad)
-        self.append(((f"{layer}.w", f"{layer}.b"), lambda d: nn.conv2d_backward(d, c, w)))
+        y, c = nn.conv2d_forward(x, params[f"{layer}.w"], params[f"{layer}.b"], pad=pad)
+        self.append(((f"{layer}.w", f"{layer}.b"), lambda d: nn.conv2d_backward(d, c)))
         return y
 
-    def graph_conv(self, params, layer, x, a_hat, actors):
-        y, c = nn.graph_conv_forward(x, a_hat, params[f"{layer}.w"],
-                                     params[f"{layer}.b"], actors=actors)
+    def graph_conv(self, params, layer, x, a_hat):
+        y, c = nn.graph_conv_forward(x, a_hat, params[f"{layer}.w"], params[f"{layer}.b"])
         self.append(((f"{layer}.w", f"{layer}.b"), lambda d: nn.graph_conv_backward(d, c)))
         return y
 
@@ -279,12 +274,12 @@ def _img_forward(config, params, x, tape):
 
 def _stg_forward(config, params, x, a_hat, tape):
     pad = (config.temporal_kernel // 2, 0)
+    # (N, T, V, 3) -> (N, 3, T, V); no step needs the input's gradient
+    x = np.ascontiguousarray(x.transpose(0, 3, 1, 2))
     for i in range(config.depth):
-        x = tape.relu(tape.graph_conv(params, f"block{i}.gc", x, a_hat, config.actors))
-        x = tape.transpose(x, (0, 3, 1, 2))  # (N, C, T, V)
+        x = tape.relu(tape.graph_conv(params, f"block{i}.gc", x, a_hat))
         x = tape.relu(tape.conv(params, f"block{i}.tc", x, pad))
-        x = tape.transpose(x, (0, 2, 3, 1))  # back to (N, T, V, C)
-    return tape.relu(tape.linear(params, "fc", tape.pool(x, (1, 2))))
+    return tape.relu(tape.linear(params, "fc", tape.pool(x, (2, 3))))
 
 
 _EXPECTED_NDIM = {"IMG": 4, "SEQ": 3, "STG": 4}
@@ -300,8 +295,8 @@ def encoder_forward(config: EncoderConfig, params: dict, x: np.ndarray,
             f"{_EXPECTED_NDIM[config.representation]} batch, got shape {x.shape}")
     tape = _Tape() if want_cache else _NoTape()
     if config.representation == "SEQ":
-        if x.shape[2] != config.input_dim:
-            raise ValueError(f"SEQ feature axis {x.shape[2]} != {config.input_dim}")
+        if x.shape[2] != 3 * config.node_count:
+            raise ValueError(f"SEQ feature axis {x.shape[2]} != {3 * config.node_count}")
         feats = _seq_forward(config, params, x, tape)
     elif config.representation == "IMG":
         if x.shape[1] != 3 or x.shape[3] != config.node_count:
@@ -435,8 +430,8 @@ def save_checkpoint(state: EncoderState, path) -> None:
 def load_checkpoint(path) -> EncoderState:
     """Read a `save_checkpoint` file. A file that is not CKPT1, whose header,
     manifest or parameter index is malformed, or whose parameters are not all
-    finite, raises `ParseError` naming the file and, where one is at fault,
-    the manifest key."""
+    finite or not the names and shapes its config builds, raises `ParseError`
+    naming the file and, where one is at fault, the manifest key."""
     header = len(CHECKPOINT_MAGIC) + 4
     with open(path, "rb") as fh:
         head = fh.read(header)
@@ -452,6 +447,10 @@ def load_checkpoint(path) -> EncoderState:
                                  (("config", dict), ("step", int), ("params", dict)))
     fields = dict(manifest["config"])
     fields.pop("scale", None)  # written by older versions, unused
+    actors = fields.pop("actors", NUM_ACTORS)  # written by older versions, always 2
+    if actors != NUM_ACTORS:
+        raise ParseError(f"{path}: manifest 'config.actors' is {actors!r}, the data "
+                         f"holds {NUM_ACTORS} actors")
     try:
         config = EncoderConfig(**fields)
     except (TypeError, ValueError) as exc:
@@ -473,6 +472,12 @@ def load_checkpoint(path) -> EncoderState:
         params[name] = flat[offset:end].reshape(index[name]["shape"]).astype(np.float32)
         if not np.isfinite(params[name]).all():
             raise ParseError(f"{path}: 'params.{name}' holds NaN or infinite values")
+    wanted = _param_shapes(config)
+    for name in sorted(wanted.keys() | params.keys()):
+        got, want = params[name].shape if name in params else "missing", wanted.get(name, "none")
+        if got != want:
+            raise ParseError(f"{path}: manifest 'params.{name}': shape {got}, the config's "
+                             f"{config.representation} encoder wants {want}")
     return EncoderState(config=config, params=params, step=manifest["step"])
 
 

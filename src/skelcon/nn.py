@@ -68,72 +68,65 @@ def mean_pool_backward(dout, cache):
 
 
 # ---------------------------------------------------------------------------
-# 2-D convolution (stride 1) as one shifted matmul per kernel tap
+# temporal convolution (stride 1) as one shifted matmul per kernel tap
 # ---------------------------------------------------------------------------
 #
-# Tap (i, j) of a zero-padded conv multiplies w[:, :, i, j] into the input
-# shifted by (i - ph, j - pw).  Output row r reads input row r + i - ph, so
-# the tap only touches the output rows whose input row lies in [0, h); the
-# padding is never materialized.  Same along the width.
+# The encoders convolve (N, C, T, V) along T only, with (kt x 1) and 1x1
+# kernels.  Tap i multiplies w[:, :, i, 0] into the input shifted by
+# i - pad[0]: output row r reads input row r + i - pad[0], so the tap only
+# touches the output rows whose input row lies in [0, T); the padding is
+# never materialized.
 
-def _tap_span(k, pad, size, out):
-    """Along one axis: the output slice kernel offset `k` reaches and the
-    input slice it reads (output index r reads input index r + k - pad)."""
-    lo, hi = max(0, pad - k), min(out, size + pad - k)
-    return slice(lo, hi), slice(lo + k - pad, hi + k - pad)
-
-
-def _taps(x_shape, w_shape, pad, out_shape):
-    """Yield (i, j, output window, input window) for every tap that reaches
-    the output."""
-    _, _, h, wd = x_shape
-    _, _, kh, kw = w_shape
-    for i in range(kh):
-        ro, ri = _tap_span(i, pad[0], h, out_shape[0])
-        for j in range(kw):
-            co, ci = _tap_span(j, pad[1], wd, out_shape[1])
-            if ro.start < ro.stop and co.start < co.stop:
-                yield i, j, (..., ro, co), (..., ri, ci)
+def _taps(t, kt, pad, t_out):
+    """Yield (i, output rows, input rows) for every tap that reaches the
+    output."""
+    for i in range(kt):
+        lo, hi = max(0, pad - i), min(t_out, t + pad - i)
+        if lo < hi:
+            yield i, slice(lo, hi), slice(lo + i - pad, hi + i - pad)
 
 
 def conv2d_forward(x, w, b, pad=(0, 0)):
-    """x: (N, C, H, W), w: (F, C, kh, kw), stride 1, zero padding `pad`."""
-    n, c, h, wd = x.shape
-    f, _, kh, kw = w.shape
-    ho, wo = h + 2 * pad[0] - kh + 1, wd + 2 * pad[1] - kw + 1
-    taps = list(_taps(x.shape, w.shape, pad, (ho, wo)))
+    """x: (N, C, T, V), w: (F, C, kt, 1), stride 1, zero padding `pad` =
+    (pad along T, 0): the kernel spans time only."""
+    n, c, t, v = x.shape
+    f, _, kt, kw = w.shape
+    if kw != 1 or pad[1] != 0:
+        raise ValueError(f"conv2d convolves along T only: needs a (kt, 1) kernel and "
+                         f"pad (p, 0), got w {w.shape} and pad {tuple(pad)}")
+    t_out = t + 2 * pad[0] - kt + 1
+    taps = list(_taps(t, kt, pad[0], t_out))
 
-    def product(i, j, s):
-        xs = x[s]
-        return np.matmul(w[:, :, i, j], xs.reshape(n, c, -1)).reshape(n, f, *xs.shape[2:])
+    def product(i, rows):
+        return np.matmul(w[:, :, i, 0], x[:, :, rows].reshape(n, c, -1)).reshape(n, f, -1, v)
 
     dtype = np.result_type(x, w, b)
-    if taps and taps[0][2] == (..., slice(0, ho), slice(0, wo)):
+    if taps and taps[0][1] == slice(0, t_out):
         # The first tap reaches every output (a 1x1 or unpadded kernel): its
         # product becomes the output, and tap + b has the bytes of b + tap.
-        i, j, _, s = taps.pop(0)
-        out = product(i, j, s).astype(dtype, copy=False)
+        i, _, rows = taps.pop(0)
+        out = product(i, rows).astype(dtype, copy=False)
         out += b[:, None, None]
     else:
-        out = np.empty((n, f, ho, wo), dtype=dtype)
+        out = np.empty((n, f, t_out, v), dtype=dtype)
         out[...] = b[:, None, None]
-    for i, j, o, s in taps:
-        out[o] += product(i, j, s)
-    return out, (x, x.shape, w.shape, pad, (ho, wo))
+    for i, o, rows in taps:
+        out[:, :, o] += product(i, rows)
+    return out, (x, x.shape, w.shape, pad, w)
 
 
-def conv2d_backward(dout, cache, w):
-    x, x_shape, w_shape, pad, out_shape = cache
-    n, c = x_shape[:2]
-    f = w_shape[0]
+def conv2d_backward(dout, cache):
+    x, x_shape, w_shape, pad, w = cache
+    n, c, t, _ = x_shape
+    f, _, kt, _ = w_shape
     db = dout.sum(axis=(0, 2, 3))
     dw = np.zeros(w_shape, dtype=dout.dtype)
     dx = np.zeros(x_shape, dtype=dout.dtype)
-    for i, j, o, s in _taps(x_shape, w_shape, pad, out_shape):
-        ds = dout[o].reshape(n, f, -1)
-        xs = x[s]
-        dw[:, :, i, j] = np.matmul(ds, xs.reshape(n, c, -1).transpose(0, 2, 1)).sum(axis=0)
-        dx[s] += np.matmul(w[:, :, i, j].T, ds).reshape(xs.shape)
+    for i, o, rows in _taps(t, kt, pad[0], dout.shape[2]):
+        ds = dout[:, :, o].reshape(n, f, -1)
+        xs = x[:, :, rows]
+        dw[:, :, i, 0] = np.matmul(ds, xs.reshape(n, c, -1).transpose(0, 2, 1)).sum(axis=0)
+        dx[:, :, rows] += np.matmul(w[:, :, i, 0].T, ds).reshape(xs.shape)
     return dx, dw, db
 
 
@@ -281,28 +274,30 @@ def gru_backward(doutputs, dh_final, cache):
 # graph convolution over a fixed per-actor adjacency
 # ---------------------------------------------------------------------------
 
-def graph_conv_forward(x, a_hat, w, b, actors=2):
-    """x: (N, T, V, C) with V = actors * J; a_hat: normalized (J, J).
+def graph_conv_forward(x, a_hat, w, b):
+    """x: (N, C, T, V) with V = actors * J; a_hat: normalized (J, J);
+    w: (C, F) -> (N, F, T, V).
 
-    Spatial mixing applies a_hat inside each actor block (disjoint
-    components), then a shared channel map:  y = mix(x) @ w + b.
+    a_hat mixes the joints inside each actor block (disjoint components),
+    then w maps the channels:  y = w^T mix(x) + b.  The cache's last slot,
+    the actor count V // J, keeps the five-slot layout that
+    `benchmarks/tracer.py` unpacks; the backward does not read it.
     """
-    n, t, v, c = x.shape
+    n, c, t, v = x.shape
     j = a_hat.shape[0]
-    xr = x.reshape(n, t, actors, j, c)
-    mixed = np.matmul(a_hat, xr).reshape(n, t, v, c)
-    y = mixed @ w + b
-    return y, (mixed, x.shape, a_hat, w, actors)
+    if v % j:
+        raise ValueError(f"graph_conv needs V a multiple of the {j} joints, got x {x.shape}")
+    mixed = (x.reshape(-1, j) @ a_hat.T).reshape(n, c, t * v)
+    y = np.matmul(w.T, mixed).astype(np.result_type(mixed, w, b), copy=False)
+    y += b[:, None]
+    return y.reshape(n, -1, t, v), (mixed, x.shape, a_hat, w, v // j)
 
 
 def graph_conv_backward(dout, cache):
-    mixed, x_shape, a_hat, w, actors = cache
-    n, t, v, c = x_shape
-    j = a_hat.shape[0]
-    dmat = dout.reshape(-1, dout.shape[-1])
-    dw = mixed.reshape(-1, c).T @ dmat
-    db = dmat.sum(axis=0)
-    dmixed = (dout @ w.T).reshape(n, t, actors, j, c)
-    # mixed = A x  =>  dx = A^T dmixed
-    dx = np.matmul(a_hat.T, dmixed).reshape(x_shape)
+    mixed, x_shape, a_hat, w, _ = cache
+    d = dout.reshape(*dout.shape[:2], -1)
+    dw = np.matmul(mixed, d.transpose(0, 2, 1)).sum(axis=0)
+    db = d.sum(axis=(0, 2))
+    # mixed = x a_hat^T over the joint axis  =>  dx = dmixed a_hat
+    dx = (np.matmul(w, d).reshape(-1, a_hat.shape[0]) @ a_hat).reshape(x_shape)
     return dx, dw, db

@@ -174,7 +174,7 @@ def test_generator_and_dataset_spec_share_the_size_floor(name):
     dataclasses.replace(_DEFAULT.dataset, **SYNTHETIC_MINIMUMS)
 
 
-_ENCODER_GIVEN = {"representation", "joints", "actors"}
+_ENCODER_GIVEN = {"representation", "joints"}
 # (section, the dataclasses built from it, their fields that no key of the
 # section sets: the builder gives them, or they keep their dataclass default)
 _SECTIONS = [
@@ -452,12 +452,14 @@ def test_cli_exit_codes(tmp_path):
 
 
 _NO_STEP = b'{"config": {}, "params": {}}'
+_NO_PARAMS = b'{"config": {"representation": "SEQ", "joints": 5}, "params": {}, "step": 0}'
 
 
 @pytest.mark.parametrize("content", [
     CHECKPOINT_MAGIC + b"\x00",
     CHECKPOINT_MAGIC + struct.pack("<I", len(_NO_STEP)) + _NO_STEP,
-], ids=["cut-header", "no-step"])
+    CHECKPOINT_MAGIC + struct.pack("<I", len(_NO_PARAMS)) + _NO_PARAMS,
+], ids=["cut-header", "no-step", "no-params"])
 def test_cli_exits_3_on_a_malformed_checkpoint(tmp_path, capsys, content):
     path = tmp_path / "enc.ckpt"
     path.write_bytes(content)
@@ -513,9 +515,12 @@ def _cut_aux(manifest_path, aux_path):
 
 
 def _key_of_another_config(manifest_path, aux_path):
+    """A well-formed key checkpoint whose config builds the same parameters
+    as the query's but differs from it."""
     path = manifest_path.parent / json.loads(manifest_path.read_text())["encoders"]["SEQ"]["key"]
     key = load_checkpoint(path)
-    save_checkpoint(EncoderState(dataclasses.replace(key.config, depth=2), key.params), path)
+    save_checkpoint(EncoderState(dataclasses.replace(key.config, seq_pooling="mean"),
+                                 key.params), path)
 
 
 def _drop(key):

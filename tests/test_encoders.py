@@ -1,5 +1,6 @@
 """Encoder families: shapes, determinism, projection norms, checkpoints."""
 
+import dataclasses
 import json
 import struct
 import weakref
@@ -149,8 +150,10 @@ def test_degenerate_embedding_raises():
         embed_forward(config, state.params, x)
 
 
-@pytest.mark.parametrize("rep", ["IMG", "SEQ", "STG"])
-def test_embedding_gradients(fd_check, rep):
+@pytest.mark.parametrize("rep, pooling", [("IMG", "final"), ("SEQ", "final"), ("STG", "final"),
+                                          ("SEQ", "mean")],
+                         ids=["IMG", "SEQ", "STG", "SEQ-mean"])
+def test_embedding_gradients(fd_check, rep, pooling):
     """End-to-end backbone+head gradient against central differences.
 
     The check runs at a generic parameter point: biases are nudged off
@@ -159,7 +162,8 @@ def test_embedding_gradients(fd_check, rep):
     produce exact zeros), where the loss is legitimately one-sided in the
     biases and finite differences measure the two-sided average."""
     rng = np.random.default_rng(10)
-    config = desk_config(rep, JOINTS, hidden=4, projection_dim=6)
+    config = dataclasses.replace(desk_config(rep, JOINTS, hidden=4, projection_dim=6),
+                                 seq_pooling=pooling)
     a_hat = A_HAT if rep == "STG" else None
     state = init_encoder(config, seed=5, dtype=np.float64)
     for name, value in state.params.items():
@@ -282,6 +286,20 @@ def test_checkpoint_params_that_do_not_tile_the_blob_are_a_parse_error(tmp_path,
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("edit, key", [
+    (lambda params: params.pop("head.w1"), "head.w1"),
+    (lambda params: params.update({"gru0.fwd.u": params["gru0.fwd.u"].T.copy()}), "gru0.fwd.u"),
+    (lambda params: params.update({"gru0.extra": np.zeros(3, np.float32)}), "gru0.extra"),
+], ids=["missing", "wrong-shape", "extra"])
+def test_checkpoint_params_that_do_not_match_the_config_are_a_parse_error(tmp_path, edit, key):
+    state = init_encoder(desk_config("SEQ", JOINTS, hidden=4), seed=0)
+    edit(state.params)
+    path = tmp_path / "enc.ckpt"
+    save_checkpoint(state, path)
+    with pytest.raises(ParseError, match=rf"enc.ckpt.*'params\.{key}'"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_write_that_fails_midway_keeps_the_previous_file(tmp_path, monkeypatch):
     path = tmp_path / "enc.ckpt"
     save_checkpoint(init_encoder(desk_config("SEQ", JOINTS, hidden=4), seed=0), path)
@@ -307,8 +325,25 @@ def test_checkpoint_loads_the_older_scale_key(tmp_path):
     assert all(np.array_equal(back.params[k], v) for k, v in state.params.items())
 
 
+@pytest.mark.parametrize("actors", [2, 1])
+def test_checkpoint_loads_the_older_actors_key_only_at_two_actors(tmp_path, actors):
+    state = init_encoder(desk_config("STG", JOINTS, hidden=4), seed=0)
+    path = tmp_path / "enc.ckpt"
+    _write_checkpoint_with(path, lambda m: {**m, "config": {**m["config"], "actors": actors}},
+                           state)
+    if actors != 2:
+        with pytest.raises(ParseError, match="enc.ckpt.*'config.actors' is 1"):
+            load_checkpoint(path)
+        return
+    back = load_checkpoint(path)
+    assert back.config == state.config and back.step == state.step
+    assert {k: v.tobytes() for k, v in back.params.items()} == \
+        {k: v.tobytes() for k, v in state.params.items()}
+
+
 def test_forward_rejects_wrong_rank():
     config = desk_config("SEQ", JOINTS, hidden=8)
     state = init_encoder(config, seed=0)
     with pytest.raises(ValueError):
         encoder_forward(config, state.params, np.zeros((4, 4), dtype=np.float32))
+

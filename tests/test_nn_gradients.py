@@ -71,26 +71,6 @@ def test_mean_pool_gradients(fd_check):
     fd_check(loss, params, {"x": dx}, rng, samples_per_array=8)
 
 
-def test_conv2d_gradients(fd_check):
-    rng = np.random.default_rng(3)
-    params = {"x": rng.normal(size=(2, 2, 5, 4)),
-              "w": rng.normal(size=(3, 2, 3, 3)) * 0.5,
-              "b": rng.normal(size=3)}
-    out, cache = nn.conv2d_forward(params["x"], params["w"], params["b"],
-                                   pad=(1, 1))
-    assert out.shape == (2, 3, 5, 4)
-    probe = rng.normal(size=out.shape)
-
-    def loss():
-        o, _ = nn.conv2d_forward(params["x"], params["w"], params["b"],
-                                 pad=(1, 1))
-        return float(np.sum(o * probe))
-
-    dx, dw, db = nn.conv2d_backward(probe, cache, params["w"])
-    fd_check(loss, params, {"x": dx, "w": dw, "b": db}, rng,
-             samples_per_array=6)
-
-
 def _conv2d_oracle(x, w, b, pad, dout):
     """Direct sums over every (output pixel, tap) pair: the forward output
     and the gradients of sum(output * dout)."""
@@ -117,7 +97,6 @@ def _conv2d_oracle(x, w, b, pad, dout):
     ((1, 1), (0, 0)),     # pointwise stem and co-occurrence mix
     ((3, 1), (0, 0)),     # valid conv: fewer output rows than input rows
     ((5, 1), (1, 0)),     # padding narrower than the kernel's half
-    ((3, 3), (1, 1)),     # taps that shift along both axes
 ])
 def test_conv2d_matches_direct_sum_oracle(kernel, pad):
     rng = np.random.default_rng(8)
@@ -129,7 +108,7 @@ def test_conv2d_matches_direct_sum_oracle(kernel, pad):
     want_out, want_dx, want_dw, want_db = _conv2d_oracle(x, w, b, pad, dout)
     assert out.shape == want_out.shape
     assert np.allclose(out, want_out, rtol=0, atol=1e-12)
-    dx, dw, db = nn.conv2d_backward(dout, cache, w)
+    dx, dw, db = nn.conv2d_backward(dout, cache)
     assert np.allclose(dx, want_dx, rtol=0, atol=1e-12)
     assert np.allclose(dw, want_dw, rtol=0, atol=1e-12)
     assert np.allclose(db, want_db, rtol=0, atol=1e-12)
@@ -137,15 +116,15 @@ def test_conv2d_matches_direct_sum_oracle(kernel, pad):
 
 def _conv2d_bias_fill(x, w, b, pad):
     """conv2d_forward summed in its reference order: the bias is filled in
-    first, then each tap's product is added into the windows it reaches."""
-    n, c, h, wd = x.shape
-    f, _, kh, kw = w.shape
-    ho, wo = h + 2 * pad[0] - kh + 1, wd + 2 * pad[1] - kw + 1
-    out = np.empty((n, f, ho, wo), dtype=np.result_type(x, w, b))
+    first, then each tap's product is added into the rows it reaches."""
+    n, c, t, v = x.shape
+    f, _, kt, _ = w.shape
+    t_out = t + 2 * pad[0] - kt + 1
+    out = np.empty((n, f, t_out, v), dtype=np.result_type(x, w, b))
     out[...] = b[:, None, None]
-    for i, j, o, s in nn._taps(x.shape, w.shape, pad, (ho, wo)):
-        xs = x[s]
-        out[o] += np.matmul(w[:, :, i, j], xs.reshape(n, c, -1)).reshape(n, f, *xs.shape[2:])
+    for i, o, rows in nn._taps(t, kt, pad[0], t_out):
+        xs = x[:, :, rows]
+        out[:, :, o] += np.matmul(w[:, :, i, 0], xs.reshape(n, c, -1)).reshape(n, f, -1, v)
     return out
 
 
@@ -192,9 +171,17 @@ def test_temporal_conv_gradients_at_an_encoder_shape(fd_check):
         o, _ = nn.conv2d_forward(params["x"], params["w"], params["b"], pad=(2, 0))
         return float(np.sum(o * probe))
 
-    dx, dw, db = nn.conv2d_backward(probe, cache, params["w"])
+    dx, dw, db = nn.conv2d_backward(probe, cache)
     fd_check(loss, params, {"x": dx, "w": dw, "b": db}, rng,
              samples_per_array=8)
+
+
+@pytest.mark.parametrize("kernel,pad", [((3, 3), (1, 1)), ((1, 1), (0, 1)), ((5, 2), (2, 0))])
+def test_conv2d_rejects_kernels_and_padding_along_the_joint_axis(kernel, pad):
+    rng = np.random.default_rng(15)
+    with pytest.raises(ValueError, match="along T only"):
+        nn.conv2d_forward(rng.normal(size=(2, 3, 7, 4)), rng.normal(size=(4, 3, *kernel)),
+                          np.zeros(4), pad=pad)
 
 
 def test_kernels_keep_float32():
@@ -203,10 +190,10 @@ def test_kernels_keep_float32():
     w = rng.normal(size=(4, 3, 5, 1)).astype(np.float32)
     b = rng.normal(size=4).astype(np.float32)
     out, cache = nn.conv2d_forward(x, w, b, pad=(2, 0))
-    grads = nn.conv2d_backward(np.ones_like(out), cache, w)
+    grads = nn.conv2d_backward(np.ones_like(out), cache)
     assert [a.dtype for a in (out, *grads)] == [np.float32] * 4
     a_hat = rng.normal(size=(4, 4)).astype(np.float32)
-    x = rng.normal(size=(2, 3, 8, 3)).astype(np.float32)
+    x = rng.normal(size=(2, 3, 3, 8)).astype(np.float32)
     w = rng.normal(size=(3, 4)).astype(np.float32)
     out, cache = nn.graph_conv_forward(x, a_hat, w, b)
     grads = nn.graph_conv_backward(np.ones_like(out), cache)
@@ -380,12 +367,12 @@ def test_graph_conv_gradients(fd_check):
     j = 4
     a_hat = normalized_adjacency(bone_adjacency(chain_tree_bones(j), j))
     n, t, c_in, c_out = 2, 3, 3, 5
-    params = {"x": rng.normal(size=(n, t, 2 * j, c_in)),
+    params = {"x": rng.normal(size=(n, c_in, t, 2 * j)),
               "w": rng.normal(size=(c_in, c_out)) * 0.5,
               "b": rng.normal(size=c_out) * 0.1}
     out, cache = nn.graph_conv_forward(params["x"], a_hat, params["w"],
                                        params["b"])
-    assert out.shape == (n, t, 2 * j, c_out)
+    assert out.shape == (n, c_out, t, 2 * j)
     probe = rng.normal(size=out.shape)
 
     def loss():
@@ -403,21 +390,21 @@ def test_graph_conv_matches_einsum_oracle():
     rng = np.random.default_rng(11)
     n, t, actors, j, c_in, c_out = 2, 3, 2, 4, 3, 5
     a_hat = rng.normal(size=(j, j))
-    x = rng.normal(size=(n, t, actors * j, c_in))
+    x = rng.normal(size=(n, c_in, t, actors * j))
     w = rng.normal(size=(c_in, c_out))
     b = rng.normal(size=c_out)
-    out, cache = nn.graph_conv_forward(x, a_hat, w, b, actors)
-    mixed = np.einsum("jk,ntmkc->ntmjc", a_hat,
-                      x.reshape(n, t, actors, j, c_in)).reshape(x.shape)
-    assert np.allclose(out, mixed @ w + b, rtol=0, atol=1e-12)
+    out, cache = nn.graph_conv_forward(x, a_hat, w, b)
+    mixed = np.einsum("jk,nctmk->nctmj", a_hat,
+                      x.reshape(n, c_in, t, actors, j)).reshape(x.shape)
+    assert np.allclose(out, np.einsum("cf,nctv->nftv", w, mixed) + b[:, None, None],
+                       rtol=0, atol=1e-12)
     dout = rng.normal(size=out.shape)
     dx, dw, db = nn.graph_conv_backward(dout, cache)
-    dmixed = (dout @ w.T).reshape(n, t, actors, j, c_in)
-    want_dx = np.einsum("jk,ntmjc->ntmkc", a_hat, dmixed).reshape(x.shape)
+    dmixed = np.einsum("cf,nftv->nctv", w, dout).reshape(n, c_in, t, actors, j)
+    want_dx = np.einsum("jk,nctmj->nctmk", a_hat, dmixed).reshape(x.shape)
     assert np.allclose(dx, want_dx, rtol=0, atol=1e-12)
-    assert np.allclose(dw, mixed.reshape(-1, c_in).T @ dout.reshape(-1, c_out),
-                       rtol=0, atol=1e-12)
-    assert np.allclose(db, dout.sum(axis=(0, 1, 2)), rtol=0, atol=1e-12)
+    assert np.allclose(dw, np.einsum("nctv,nftv->cf", mixed, dout), rtol=0, atol=1e-12)
+    assert np.allclose(db, dout.sum(axis=(0, 2, 3)), rtol=0, atol=1e-12)
 
 
 def test_graph_conv_mixes_actors_independently():
@@ -427,9 +414,11 @@ def test_graph_conv_mixes_actors_independently():
     from skelcon.represent import bone_adjacency, normalized_adjacency
     j = 4
     a_hat = normalized_adjacency(bone_adjacency(chain_tree_bones(j), j))
-    x = rng.normal(size=(1, 2, 2 * j, 3))
-    x[:, :, j:] = 0.0
+    x = rng.normal(size=(1, 3, 2, 2 * j))
+    x[..., j:] = 0.0
     w = rng.normal(size=(3, 4))
     out, _ = nn.graph_conv_forward(x, a_hat, w, np.zeros(4))
-    assert np.all(out[:, :, j:] == 0.0)
-    assert np.any(out[:, :, :j] != 0.0)
+    assert np.all(out[..., j:] == 0.0)
+    assert np.any(out[..., :j] != 0.0)
+    with pytest.raises(ValueError, match="multiple of the 4 joints"):
+        nn.graph_conv_forward(x[..., 1:], a_hat, w, np.zeros(4))
