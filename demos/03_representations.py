@@ -42,9 +42,9 @@ print(f"\nIMG view: {image.shape}   SEQ view: {flat.shape}   "
       f"STG nodes: {graph.nodes.shape}")
 
 print("round-trips exact:",
-      np.array_equal(image_to_coords(image, actors=2), seq.coords),
-      np.array_equal(sequence_to_coords(flat, actors=2, joints=5), seq.coords),
-      np.array_equal(graph_to_coords(graph, actors=2), seq.coords))
+      np.array_equal(image_to_coords(image), seq.coords),
+      np.array_equal(sequence_to_coords(flat, joints=5), seq.coords),
+      np.array_equal(graph_to_coords(graph), seq.coords))
 
 # --- graph structure ---------------------------------------------------------
 # One J x J adjacency describes the skeleton (self-loops included); both

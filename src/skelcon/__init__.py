@@ -24,8 +24,7 @@ from .represent import (GraphView, REPRESENTATIONS, bone_adjacency,
                         to_sequence, to_graph, image_to_coords,
                         sequence_to_coords, graph_to_coords, batch_views)
 from .encoders import (EncoderConfig, EncoderState, desk_config,
-                       init_encoder, parameter_count, encode,
-                       encoder_forward, encoder_backward,
+                       init_encoder, encoder_forward, encoder_backward,
                        head_forward, head_backward, embed_forward,
                        embed_backward, save_checkpoint, load_checkpoint)
 from .contrast import (NegativeQueue, InfoNCEResult, info_nce, MomentumPair,

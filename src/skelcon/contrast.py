@@ -37,8 +37,10 @@ REP_IDS = {rep: i for i, rep in enumerate(REPRESENTATIONS)}
 # rng stream tags (second entry of the default_rng seed tuple)
 _TAG_SHUFFLE, _TAG_AUGMENT, _TAG_WARMUP = 1, 2, 4
 
-# Rows that `info_nce` casts to float64, and `_check_unit_norm` measures, at a
-# time: 2 MB of float64 at dim 128, so no temporary grows with the queue.
+# Negatives that `info_nce` reads, and `_check_unit_norm` measures, at a time,
+# so no temporary grows with the queue. `info_nce` runs its two GEMMs on each
+# chunk in place, in the queue's dtype; the chunk's logits and their softmax,
+# the running max, sum and weighted row sum, the loss and `grad_q` are float64.
 _CHUNK_ROWS = 2048
 
 
@@ -147,13 +149,20 @@ def info_nce(z_q: np.ndarray, z_k: np.ndarray, negatives,
     ``negatives`` is a `NegativeQueue` or an array of unit-norm rows. A queue
     is read in place in slot order (the loss does not depend on the order of
     the negatives), and its rows are not checked again: the queue checked
-    them on entry. Array rows, ``z_q`` and ``z_k`` are checked here. Logits
-    and softmax are 64-bit. One pass reads `_CHUNK_ROWS` negatives at a time
-    and keeps an online softmax per query (Milakov & Gimelshein 2018): a
-    running max ``m``, a running sum ``s = sum exp(l - m)`` and a weighted
-    row sum ``G = sum exp(l - m) * row``, all seeded from the positive and
-    rescaled by ``exp(m_old - m_new)`` when the max grows. Returns the exact
-    analytic gradient with respect to ``z_q``: ``(G / s - k) / (B * tau)``.
+    them on entry. Array rows, ``z_q`` and ``z_k`` are checked here.
+
+    Both GEMMs, the logits ``rows @ q.T`` and the weighted rows ``p @ rows``,
+    run in the negatives' dtype (at least float32): float32 on a float32
+    queue, float64 on a float64 queue or on array negatives, which are read
+    as float64. The logits' softmax, the running max, sum and weighted row
+    sum, the loss and ``grad_q`` are float64 whatever the queue's dtype.
+
+    One pass reads `_CHUNK_ROWS` negatives at a time and keeps an online
+    softmax per query (Milakov & Gimelshein 2018): a running max ``m``, a
+    running sum ``s = sum exp(l - m)`` and a weighted row sum
+    ``G = sum exp(l - m) * row``, all seeded from the positive and rescaled
+    by ``exp(m_old - m_new)`` when the max grows. Returns the analytic
+    gradient with respect to ``z_q``: ``(G / s - k) / (B * tau)``.
     """
     if tau <= 0:
         raise ValueError(f"temperature must be positive, got {tau}")
@@ -183,15 +192,25 @@ def info_nce(z_q: np.ndarray, z_k: np.ndarray, negatives,
     s = np.ones(b)                                 # running sum of exp(l - m)
     g = k.copy()                                   # running sum of exp(l - m) * row
     neg_sum = 0.0
-    # One float64 chunk and its logits, reused by every chunk: a fresh 2 MB
-    # cast per chunk took about 2 ms of a 12 ms call at queue 16384.
-    rows_buf = np.empty((min(n, _CHUNK_ROWS), q.shape[1]))
-    logits_buf = np.empty((b, rows_buf.shape[0]))
+    # Buffers reused by every chunk. The logits GEMM writes a row-major
+    # (chunk, B) block, which one transposing cast turns into the float64
+    # (B, chunk) logits: twice as fast as writing (B, chunk) directly, and a
+    # softmax along axis 0 of the block costs more than the cast saves. `q_t`
+    # is the transpose of a contiguous q, so a one-row chunk runs the gemv of
+    # ``q @ row`` and float64 negatives keep the bytes of ``q @ rows.T``.
+    gemm = np.promote_types(negs.dtype, np.float32)
+    c = min(n, _CHUNK_ROWS)
+    q_t = np.ascontiguousarray(q, dtype=gemm).T               # (D, B)
+    lt_buf = np.empty((c, b), dtype=gemm)
+    logits_buf = np.empty((b, c))
+    p_buf = np.empty((b, c), dtype=gemm)                      # softmax weights
+    g_chunk = np.empty_like(g, dtype=gemm)
     for start in range(0, n, _CHUNK_ROWS):
-        chunk = negs[start:start + _CHUNK_ROWS]
-        rows, logits = rows_buf[:len(chunk)], logits_buf[:, :len(chunk)]
-        np.copyto(rows, chunk)                     # the chunk's one float64 cast
-        np.matmul(q, rows.T, out=logits)
+        rows = negs[start:start + _CHUNK_ROWS]
+        r = rows.shape[0]
+        lt, logits, p = lt_buf[:r], logits_buf[:, :r], p_buf[:, :r]
+        np.matmul(rows, q_t, out=lt)
+        np.copyto(logits, lt.T)
         neg_sum += logits.sum()
         logits /= tau
         m_new = np.maximum(m, logits.max(axis=1))
@@ -201,7 +220,8 @@ def info_nce(z_q: np.ndarray, z_k: np.ndarray, negatives,
         s *= scale
         s += logits.sum(axis=1)
         g *= scale[:, None]
-        g += logits @ rows
+        np.copyto(p, logits)
+        g += np.matmul(p, rows, out=g_chunk)
         m = m_new
     loss = float(np.mean(m + np.log(s) - l_pos / tau))
     grad_q = g / s[:, None]                        # softmax-weighted rows
@@ -615,22 +635,29 @@ def load_trainer(manifest_path) -> TrainerState:
 
 
 def _open_loss_log(path, step: int):
-    """Open the loss log for writing from `step` on: records of earlier
-    steps are kept, those of a previous run or of steps after the last
-    checkpoint (a crash) go, and so does a torn last line. A full line read
-    before the cut that is not a JSON object with an integer ``step`` raises
-    `ParseError` naming the file and the line."""
+    """Open the loss log for writing from `step` on. The file's first `step`
+    lines are kept and must be the records of steps 0..step-1, in order;
+    lines after them (steps logged after the last checkpoint, before a
+    crash) go, and so does a torn last line. A full line read before the cut
+    that is not a JSON object with an integer ``step``, a record of another
+    step, or too few records (another run rewrote the file) raise
+    `ParseError` naming the file; the file is left as it was. A missing file
+    starts empty."""
     kept = []
     if os.path.exists(path):
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
-                if not line.endswith("\n"):
+                if len(kept) == step or not line.endswith("\n"):
                     break
                 record = parse_json_object(f"{path}: line {lineno}", line, "loss record",
                                            None, (("step", int),))
-                if record["step"] >= step:
-                    break
+                if record["step"] != len(kept):
+                    raise ParseError(f"{path}: line {lineno}: a record of step "
+                                     f"{record['step']} where step {len(kept)} belongs")
                 kept.append(line)
+        if len(kept) < step:
+            raise ParseError(f"{path}: {len(kept)} full records, but the run resumes "
+                             f"at step {step}")
     fh = open(path, "w", encoding="utf-8")
     fh.writelines(kept)
     return fh

@@ -31,7 +31,7 @@ import numpy as np
 from . import nn
 from .data import NUM_ACTORS, parse_json_object
 from .errors import DegenerateEmbeddingError, ParseError
-from .represent import GraphView, REPRESENTATIONS
+from .represent import REPRESENTATIONS
 
 CHECKPOINT_MAGIC = b"CKPT1\n"
 _NORM_FLOOR = 1e-12         # smallest projected norm `head_forward` normalizes
@@ -96,10 +96,6 @@ class EncoderState:
         return EncoderState(config=self.config,
                             params={k: v.copy() for k, v in self.params.items()},
                             step=self.step)
-
-
-def parameter_count(state: EncoderState) -> int:
-    return sum(int(v.size) for v in state.params.values())
 
 
 # ---------------------------------------------------------------------------
@@ -226,12 +222,6 @@ class _Tape(list):
         self.append(((), backward))
         return np.concatenate([y[:, -1, :h], y[:, 0, h:]], axis=1)
 
-    def time_mean(self, y):
-        shape = y.shape
-        self.append(((), lambda d: (np.broadcast_to(d[:, None, :] / shape[1],
-                                                    shape).astype(d.dtype),)))
-        return y.mean(axis=1)
-
     def relu(self, x):
         y, c = nn.relu_forward(x)
         self.append(((), lambda d: (nn.relu_backward(d, c),)))
@@ -259,7 +249,7 @@ class _NoTape(_Tape):
 def _seq_forward(config, params, x, tape):
     for layer in range(config.depth):
         x = tape.bigru(params, f"gru{layer}", x)
-    return tape.final_states(x) if config.seq_pooling == "final" else tape.time_mean(x)
+    return tape.final_states(x) if config.seq_pooling == "final" else tape.pool(x, (1,))
 
 
 def _img_forward(config, params, x, tape):
@@ -353,26 +343,6 @@ def embed_backward(config, params, cache, dz):
     dfeat, grads = head_backward(params, head_cache, dz)
     grads.update(encoder_backward(config, params, enc_cache, dfeat))
     return grads
-
-
-# ---------------------------------------------------------------------------
-# public single-sample / batch ops
-# ---------------------------------------------------------------------------
-
-def encode(view, state: EncoderState) -> np.ndarray:
-    """Backbone feature vector(s) for one view or a batch of views."""
-    config, dtype = state.config, state.dtype
-    if isinstance(view, GraphView):
-        x = view.nodes.transpose(1, 0, 2)[None]
-        feats, _ = encoder_forward(config, state.params, x.astype(dtype),
-                                   a_hat=view.adjacency.astype(dtype))
-        return feats[0]
-    x = np.asarray(view)
-    single = x.ndim == _EXPECTED_NDIM[config.representation] - 1
-    if single:
-        x = x[None]
-    feats, _ = encoder_forward(config, state.params, x.astype(dtype))
-    return feats[0] if single else feats
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import SkeletonSequence
+from .data import NUM_ACTORS, SkeletonSequence
 
 REPRESENTATIONS = ("IMG", "SEQ", "STG")
 
@@ -79,19 +79,21 @@ def to_graph(seq: SkeletonSequence, bones) -> GraphView:
     return GraphView(nodes=nodes, adjacency=graph_adjacency(bones, j))
 
 
-def image_to_coords(view: np.ndarray, actors: int) -> np.ndarray:
+def image_to_coords(view: np.ndarray) -> np.ndarray:
     c, t, mj = view.shape
-    return np.ascontiguousarray(view.transpose(1, 2, 0).reshape(t, actors, mj // actors, c))
+    return np.ascontiguousarray(
+        view.transpose(1, 2, 0).reshape(t, NUM_ACTORS, mj // NUM_ACTORS, c))
 
 
-def sequence_to_coords(view: np.ndarray, actors: int, joints: int) -> np.ndarray:
+def sequence_to_coords(view: np.ndarray, joints: int) -> np.ndarray:
     t = view.shape[0]
-    return view.reshape(t, actors, joints, 3).copy()
+    return view.reshape(t, NUM_ACTORS, joints, 3).copy()
 
 
-def graph_to_coords(view: GraphView, actors: int) -> np.ndarray:
+def graph_to_coords(view: GraphView) -> np.ndarray:
     mj, t, c = view.nodes.shape
-    return np.ascontiguousarray(view.nodes.transpose(1, 0, 2).reshape(t, actors, mj // actors, c))
+    return np.ascontiguousarray(
+        view.nodes.transpose(1, 0, 2).reshape(t, NUM_ACTORS, mj // NUM_ACTORS, c))
 
 
 # ---------------------------------------------------------------------------

@@ -617,6 +617,39 @@ def test_cli_resume_drops_a_torn_last_loss_record(tmp_path, tiny_bundle):
     assert code == 0 and steps == list(range(len(steps)))
 
 
+@pytest.mark.parametrize("edit", [
+    lambda lines: "".join(lines[:1] + lines[2:]),                 # step 1 missing
+    lambda lines: "".join([lines[1], lines[0]] + lines[2:]),      # steps out of order
+    lambda lines: "".join(lines[:2] + lines[1:]),                 # step 1 twice
+], ids=["gap", "order", "repeat"])
+def test_cli_resume_refuses_a_loss_log_whose_records_are_not_steps_0_to_step(
+        tmp_path, capsys, tiny_bundle, edit):
+    log = tmp_path / "bundle" / "loss_log.jsonl"
+    code, _ = _resume_tiny_bundle(tmp_path, tiny_bundle, edit)
+    err = capsys.readouterr().err
+    assert code == 3 and "error: ParseError" in err and str(log) in err
+    assert log.read_text() == edit((tiny_bundle / "loss_log.jsonl").read_text()
+                                   .splitlines(keepends=True))
+
+
+def test_cli_resume_refuses_a_loss_log_that_another_run_rewrote(tmp_path, capsys):
+    """Run A checkpoints every epoch; a fresh run B in the same directory
+    rewrites the loss log with its own, shorter history. Resuming A's last
+    bundle there must not log A's later steps after B's records."""
+    out = tmp_path / "run"
+    every = ["trainer.checkpoint_every=1"]
+    assert main(["pretrain", "--out", str(out)] + _sets(every)) == 0
+    assert main(["pretrain", "--out", str(out)]
+                + _sets(every + ["trainer.epochs=1", "trainer.lr=0.05"])) == 0
+    b_log = (out / "loss_log.jsonl").read_bytes()
+    capsys.readouterr()
+    assert main(["pretrain", "--out", str(out), "--resume", str(out / "epoch0002.trainer.json")]
+                + _sets(every + ["trainer.epochs=3"])) == 3
+    err = capsys.readouterr().err
+    assert "error: ParseError" in err and str(out / "loss_log.jsonl") in err
+    assert (out / "loss_log.jsonl").read_bytes() == b_log
+
+
 def test_cli_sweep_grid_and_cell_isolation(tmp_path):
     ok = tmp_path / "sweep_ok"
     assert main(["sweep", "--out", str(ok)]

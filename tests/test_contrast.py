@@ -4,7 +4,10 @@ loss gradients, and checkpoint/resume replay."""
 import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -182,6 +185,71 @@ def test_info_nce_online_softmax_matches_a_logsumexp_oracle(rows, tau, max_in_la
     assert np.isfinite(got.loss) and np.all(np.isfinite(got.grad_q))
     assert abs(got.loss - loss) <= 1e-12 * max(1.0, abs(loss))
     assert np.max(np.abs(got.grad_q - grad)) <= 1e-12 * max(1.0, np.max(np.abs(grad)))
+
+
+_EPS32 = float(np.finfo(np.float32).eps)
+
+
+@pytest.mark.parametrize("tau, loss_tol, grad_tol", [
+    (0.07, 1e-8, 1e-6),
+    # At tau 1e-3 one negative carries each query's softmax, so the float32
+    # rounding of its logit (below eps32 for a cosine) reaches the loss and
+    # the weights undiluted, scaled by 1/tau.
+    (1e-3, _EPS32 / 1e-3, _EPS32 / 1e-3),
+], ids=["tau-0.07", "tau-1e-3"])
+def test_info_nce_on_a_float32_queue_matches_the_float64_path(tau, loss_tol, grad_tol):
+    """A float32 queue runs both GEMMs in float32; the same rows as a float64
+    array run them in float64. At MoCo's queue and batch 16 the two agree to
+    within the float32 rounding of the logits, and `grad_q` stays float64."""
+    rng = np.random.default_rng(17)
+    rows = _unit_rows(rng, 16384, 128).astype(np.float32)
+    z_q = _unit_rows(rng, 16, 128).astype(np.float32)
+    z_k = _unit_rows(rng, 16, 128).astype(np.float32)
+    # random keys sit far from their queries: a negative outscores every
+    # positive, so grad_q is not zero even at tau 1e-3
+    assert np.all(np.max(z_q @ rows.T, axis=1) > np.sum(z_q * z_k, axis=1) + 0.1)
+    queue = NegativeQueue(16384, 128)
+    queue.push(rows)
+    got = info_nce(z_q, z_k, queue, tau=tau)
+    want = info_nce(z_q, z_k, rows.astype(np.float64), tau=tau)
+    scale = np.max(np.abs(want.grad_q))
+    assert got.grad_q.dtype == np.float64 and got.grad_q.shape == z_q.shape
+    assert np.all(np.max(np.abs(want.grad_q), axis=1) > 0.1 * scale)
+    assert abs(got.loss - want.loss) <= loss_tol
+    assert np.max(np.abs(got.grad_q - want.grad_q)) <= grad_tol * scale
+    assert got.pos_logit_mean == want.pos_logit_mean
+    assert abs(got.neg_logit_mean - want.neg_logit_mean) <= loss_tol
+
+
+_THREADED_CALL = """
+import sys
+import numpy as np
+from skelcon.contrast import NegativeQueue, info_nce
+rng = np.random.default_rng(5)
+def unit(n):
+    x = rng.normal(size=(n, 128))
+    return (x / np.linalg.norm(x, axis=1, keepdims=True)).astype(np.float32)
+queue = NegativeQueue(16384, 128)
+queue.push(unit(16384))
+res = info_nce(unit(16), unit(16), queue)
+sys.stdout.write(" ".join([res.loss.hex(), res.neg_logit_mean.hex(), res.grad_q.tobytes().hex()]))
+"""
+
+
+def test_info_nce_gives_the_same_bytes_at_one_and_two_blas_threads():
+    """One call at the intra-seq shape (batch 16, a full float32 queue of
+    16384 x 128) in fresh interpreters at OPENBLAS_NUM_THREADS 1 and 2."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        done = subprocess.run([sys.executable, "-c", _THREADED_CALL], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr[-2000:]
+        outputs.append(done.stdout)
+    assert len(outputs[0].split()) == 3 and outputs[0] == outputs[1]
 
 
 def test_info_nce_reads_the_queue_in_place():

@@ -16,11 +16,9 @@ from skelcon.encoders import (
     desk_config,
     embed_backward,
     embed_forward,
-    encode,
     encoder_forward,
     init_encoder,
     load_checkpoint,
-    parameter_count,
     save_checkpoint,
 )
 from skelcon.errors import DegenerateEmbeddingError, ParseError
@@ -28,9 +26,6 @@ from skelcon.represent import (
     batch_views,
     bone_adjacency,
     normalized_adjacency,
-    to_graph,
-    to_image,
-    to_sequence,
 )
 
 JOINTS = 5
@@ -62,7 +57,7 @@ def test_init_is_deterministic(rep):
 @pytest.mark.parametrize("rep", ["IMG", "SEQ", "STG"])
 def test_desk_encoders_stay_small(rep):
     state = init_encoder(desk_config(rep, 25, hidden=32), seed=0)
-    assert parameter_count(state) < 100_000
+    assert sum(p.size for p in state.params.values()) < 100_000
 
 
 def test_seq_feature_dim_must_be_twice_hidden():
@@ -116,28 +111,6 @@ def test_forward_shapes_and_embedding_norms(rep):
     z, _ = embed_forward(config, state.params, x, a_hat)
     assert z.shape == (3, 16)
     assert np.allclose(np.linalg.norm(z, axis=1), 1.0, atol=1e-6)
-
-
-def test_encode_single_matches_batch():
-    config = desk_config("SEQ", JOINTS, hidden=8)
-    state = init_encoder(config, seed=2)
-    seqs = _sequences(2)
-    batch = encode(batch_views(seqs, "SEQ").astype(np.float32), state)
-    single = encode(to_sequence(seqs[0]).astype(np.float32), state)
-    assert batch.shape == (2, config.feature_dim)
-    assert np.allclose(single, batch[0], atol=1e-6)
-
-
-def test_encode_accepts_graph_views():
-    config = desk_config("STG", JOINTS, hidden=8)
-    state = init_encoder(config, seed=3)
-    seq = _sequences(1)[0]
-    feats = encode(to_graph(seq, BONES), state)
-    assert feats.shape == (config.feature_dim,)
-    assert feats.dtype == np.float32
-    batch = batch_views([seq], "STG").astype(np.float32)
-    direct, _ = encoder_forward(config, state.params, batch, A_HAT.astype(np.float32))
-    assert np.array_equal(feats, direct[0])
 
 
 def test_degenerate_embedding_raises():

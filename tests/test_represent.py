@@ -32,7 +32,7 @@ def test_image_view_shape_and_round_trip():
     seq = _seq()
     img = to_image(seq)
     assert img.shape == (3, 6, 10)          # (channels, T, M*J)
-    back = image_to_coords(img, actors=2)
+    back = image_to_coords(img)
     assert np.array_equal(back, seq.coords)
 
 
@@ -40,7 +40,7 @@ def test_sequence_view_shape_and_round_trip():
     seq = _seq()
     flat = to_sequence(seq)
     assert flat.shape == (6, 30)            # (T, M*J*3)
-    back = sequence_to_coords(flat, actors=2, joints=5)
+    back = sequence_to_coords(flat, joints=5)
     assert np.array_equal(back, seq.coords)
 
 
@@ -49,7 +49,7 @@ def test_graph_view_shape_and_round_trip():
     bones = chain_tree_bones(5)
     view = to_graph(seq, bones)
     assert view.nodes.shape == (10, 6, 3)   # (M*J, T, 3)
-    back = graph_to_coords(view, actors=2)
+    back = graph_to_coords(view)
     assert np.array_equal(back, seq.coords)
 
 
