@@ -1,16 +1,16 @@
 """One sequence, three input representations: IMG, SEQ, STG.
 
-The same skeleton sequence can be packed three ways, and each packing pairs
-with a different encoder family:
+The same skeleton sequence is packed two ways, and three encoder families
+read them:
 
   IMG - a (3, frames, joints*actors) pseudo-image for 2D convolutions, the
         coordinate channel playing the role of color;
   SEQ - a (frames, actors*joints*3) flat time series for recurrent models;
-  STG - a (joints*actors, frames, 3) node-major tensor plus a normalized
-        bone adjacency for graph convolutions.
+  STG - the IMG tensor read as (3, frames, nodes) node features, plus a
+        normalized bone adjacency for graph convolutions.
 
-All three are loss-free rearrangements: each has an exact inverse back to
-the (frames, actors, joints, 3) coordinate array.
+Both packings are loss-free rearrangements: each has an exact inverse back
+to the (frames, actors, joints, 3) coordinate array.
 """
 
 import numpy as np
@@ -20,11 +20,9 @@ from skelcon.represent import (
     REPRESENTATIONS,
     batch_views,
     bone_adjacency,
-    graph_to_coords,
     image_to_coords,
     normalized_adjacency,
     sequence_to_coords,
-    to_graph,
     to_image,
     to_sequence,
 )
@@ -34,17 +32,14 @@ seq = dataset.samples[0].sequence
 print(f"representations: {REPRESENTATIONS}")
 print(f"input coords: {seq.coords.shape}")
 
-# --- the three packings and their exact inverses ----------------------------
+# --- the two packings and their exact inverses ------------------------------
 image = to_image(seq)
 flat = to_sequence(seq)
-graph = to_graph(seq, dataset.bones)
-print(f"\nIMG view: {image.shape}   SEQ view: {flat.shape}   "
-      f"STG nodes: {graph.nodes.shape}")
+print(f"\nIMG and STG view: {image.shape}   SEQ view: {flat.shape}")
 
 print("round-trips exact:",
       np.array_equal(image_to_coords(image), seq.coords),
-      np.array_equal(sequence_to_coords(flat, joints=5), seq.coords),
-      np.array_equal(graph_to_coords(graph), seq.coords))
+      np.array_equal(sequence_to_coords(flat, joints=5), seq.coords))
 
 # --- graph structure ---------------------------------------------------------
 # One J x J adjacency describes the skeleton (self-loops included); both

@@ -19,10 +19,9 @@ from .augment import (ShearParams, JitterParams, CropResizeParams,
                       AugmentationSpec, ViewDraw, pose_augment, joint_jitter,
                       temporal_crop_resize, draw_shear, draw_jitter, draw_crop,
                       draw_view, apply_view, make_query_key_pair)
-from .represent import (GraphView, REPRESENTATIONS, bone_adjacency,
-                        normalized_adjacency, graph_adjacency, to_image,
-                        to_sequence, to_graph, image_to_coords,
-                        sequence_to_coords, graph_to_coords, batch_views)
+from .represent import (REPRESENTATIONS, bone_adjacency, normalized_adjacency,
+                        graph_adjacency, to_image, to_sequence, image_to_coords,
+                        sequence_to_coords, batch_views)
 from .encoders import (EncoderConfig, EncoderState, desk_config,
                        init_encoder, encoder_forward, encoder_backward,
                        head_forward, head_backward, embed_forward,
@@ -37,7 +36,7 @@ from .downstream import (Metrics, ProbeSchedule, FinetuneSchedule,
                          extract_features, linear_probe, build_index,
                          knn_retrieve, stratified_subset, finetune,
                          combined_probe, pca2d, export_embeddings,
-                         summarize, write_report, DownstreamSpec)
+                         summarize, DownstreamSpec)
 from .config import (DEFAULTS, ExperimentConfig, SweepSpec, parse_config,
                      resolve_config, parse_override, write_resolved)
 

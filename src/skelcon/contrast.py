@@ -387,13 +387,8 @@ def _embed(trainer: TrainerState, rep: str, state: EncoderState,
 def _cross_plan(config: TrainerConfig) -> list[tuple[str, str]]:
     """Ordered (query_rep, key_rep) contrast terms for the trainer's mode."""
     reps = config.representations
-    if config.mode == "intra":
-        return [(reps[0], reps[0])]
-    if config.mode == "inter":
-        a, b = reps
-        return [(a, b), (b, a)]
-    if config.cross_terms == "cycle":
-        return [(reps[i], reps[(i + 1) % 3]) for i in range(3)]
+    if len(reps) < 3 or config.cross_terms == "cycle":
+        return [(r, reps[(i + 1) % len(reps)]) for i, r in enumerate(reps)]
     return [(r, s) for r in reps for s in reps if r != s]
 
 

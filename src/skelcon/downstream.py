@@ -22,7 +22,7 @@ import numpy as np
 from .augment import CropResizeParams, temporal_crop_resize
 from .data import LabeledSample
 from .encoders import (EncoderConfig, EncoderState, atomic_open, encoder_forward,
-                       encoder_backward, init_encoder, write_json)
+                       encoder_backward, init_encoder)
 from .errors import DegenerateTaskError
 from .represent import batch_views, graph_adjacency
 
@@ -344,10 +344,6 @@ def summarize(task: str, protocol: str, seeds, accuracies) -> SeedSummary:
                        per_seed=tuple(float(a) for a in acc))
 
 
-def write_report(summary: SeedSummary, path) -> None:
-    write_json(path, summary.to_record())
-
-
 class _Adam:
     def __init__(self, params: dict, b1=0.9, b2=0.999, eps=1e-8):
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
@@ -408,9 +404,7 @@ def _finetune_one(init_state: EncoderState, train: list[LabeledSample],
             grads.update(encoder_backward(config, state.params, cache, dfeats))
             opt.update(trained, grads, lr)
 
-    test_x = batch_views([center_crop(s.sequence, crop_length) for s in test], rep).astype(dtype)
-    test_labels = _labels(test)
-    feats, _ = encoder_forward(config, state.params, test_x, a_hat)
+    feats, test_labels = extract_features(state, test, bones, crop_length)
     predictions = classes[np.argmax(feats @ head["cls.w"] + head["cls.b"], axis=1)]
     return _score(predictions, test_labels, protocol)
 

@@ -9,7 +9,8 @@
 * STG: graph-convolution blocks over the fixed per-actor joint adjacency
   interleaved with temporal convolutions, global pooling, dense layer.
 
-The IMG and STG layers keep their tensors in (N, C, T, V) layout.
+IMG and STG read the same (N, 3, T, V) batch and keep every tensor in
+(N, C, T, V) layout; STG also takes the normalized adjacency.
 
 Each encoder ends in a two-layer projection head producing L2-normalized
 embeddings (128-d by default).  Forward passes can retain caches so that
@@ -264,8 +265,6 @@ def _img_forward(config, params, x, tape):
 
 def _stg_forward(config, params, x, a_hat, tape):
     pad = (config.temporal_kernel // 2, 0)
-    # (N, T, V, 3) -> (N, 3, T, V); no step needs the input's gradient
-    x = np.ascontiguousarray(x.transpose(0, 3, 1, 2))
     for i in range(config.depth):
         x = tape.relu(tape.graph_conv(params, f"block{i}.gc", x, a_hat))
         x = tape.relu(tape.conv(params, f"block{i}.tc", x, pad))
@@ -288,16 +287,16 @@ def encoder_forward(config: EncoderConfig, params: dict, x: np.ndarray,
         if x.shape[2] != 3 * config.node_count:
             raise ValueError(f"SEQ feature axis {x.shape[2]} != {3 * config.node_count}")
         feats = _seq_forward(config, params, x, tape)
-    elif config.representation == "IMG":
-        if x.shape[1] != 3 or x.shape[3] != config.node_count:
-            raise ValueError(f"IMG batch shape {x.shape} does not match config")
-        feats = _img_forward(config, params, x, tape)
     else:
-        if x.shape[2] != config.node_count or x.shape[3] != 3:
-            raise ValueError(f"STG batch shape {x.shape} does not match config")
-        if a_hat is None:
-            raise ValueError("STG encoder needs the normalized adjacency")
-        feats = _stg_forward(config, params, x, a_hat, tape)
+        if x.shape[1] != 3 or x.shape[3] != config.node_count:
+            raise ValueError(f"{config.representation} batch shape {x.shape} "
+                             f"does not match config")
+        if config.representation == "IMG":
+            feats = _img_forward(config, params, x, tape)
+        else:
+            if a_hat is None:
+                raise ValueError("STG encoder needs the normalized adjacency")
+            feats = _stg_forward(config, params, x, a_hat, tape)
     return feats, (tape if want_cache else None)
 
 

@@ -1,33 +1,20 @@
-"""The three input packings of a skeleton sequence: pseudo-image, time
-series and spatio-temporal graph.
+"""The input packings of a skeleton sequence: pseudo-image and time series.
 
-All three are pure re-indexings of the same (T, M, J, 3) coordinates, so
-each view is invertible back to raw coordinates.  Actors are concatenated
-along the joint axis for the image view, along the feature axis for the
-sequence view, and form disjoint graph components for the graph view.
+Both are pure re-indexings of the same (T, M, J, 3) coordinates, so each
+view is invertible back to raw coordinates.  Actors are concatenated along
+the joint axis for the image view and along the feature axis for the
+sequence view.  The spatio-temporal graph encoder reads the image view too,
+as (C, T, V) node features over two disjoint joint-tree copies, with the
+per-actor adjacency of `graph_adjacency`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .data import NUM_ACTORS, SkeletonSequence
 
 REPRESENTATIONS = ("IMG", "SEQ", "STG")
-
-
-@dataclass(frozen=True)
-class GraphView:
-    """Node features (M*J, T, 3) plus the per-actor joint adjacency.
-
-    `adjacency` is the normalized (J, J) matrix of `graph_adjacency` over
-    the joints of one actor; encoders consume it directly.
-    """
-
-    nodes: np.ndarray
-    adjacency: np.ndarray
 
 
 def bone_adjacency(bones, joints: int) -> np.ndarray:
@@ -72,13 +59,6 @@ def to_sequence(seq: SkeletonSequence) -> np.ndarray:
     return seq.coords.reshape(t, -1).copy()
 
 
-def to_graph(seq: SkeletonSequence, bones) -> GraphView:
-    """(T, M, J, 3) -> nodes (M*J, T, 3) over two disjoint joint-tree copies."""
-    t, m, j, _ = seq.coords.shape
-    nodes = np.ascontiguousarray(seq.coords.reshape(t, m * j, 3).transpose(1, 0, 2))
-    return GraphView(nodes=nodes, adjacency=graph_adjacency(bones, j))
-
-
 def image_to_coords(view: np.ndarray) -> np.ndarray:
     c, t, mj = view.shape
     return np.ascontiguousarray(
@@ -90,12 +70,6 @@ def sequence_to_coords(view: np.ndarray, joints: int) -> np.ndarray:
     return view.reshape(t, NUM_ACTORS, joints, 3).copy()
 
 
-def graph_to_coords(view: GraphView) -> np.ndarray:
-    mj, t, c = view.nodes.shape
-    return np.ascontiguousarray(
-        view.nodes.transpose(1, 0, 2).reshape(t, NUM_ACTORS, mj // NUM_ACTORS, c))
-
-
 # ---------------------------------------------------------------------------
 # batched conversion used by the training loops
 # ---------------------------------------------------------------------------
@@ -103,14 +77,12 @@ def graph_to_coords(view: GraphView) -> np.ndarray:
 def batch_views(seqs: list[SkeletonSequence], representation: str) -> np.ndarray:
     """Stack per-sample views into one batch array.
 
-    IMG -> (N, 3, T, M*J);  SEQ -> (N, T, M*J*3);  STG -> (N, T, M*J, 3).
+    IMG and STG -> (N, 3, T, M*J);  SEQ -> (N, T, M*J*3).
     Graph encoders receive `graph_adjacency` separately; the bone tree is
     checked there, once, and not per batch.
     """
-    if representation == "IMG":
+    if representation in ("IMG", "STG"):
         return np.stack([to_image(s) for s in seqs])
     if representation == "SEQ":
         return np.stack([to_sequence(s) for s in seqs])
-    if representation == "STG":
-        return np.stack([s.coords.reshape(s.frames, -1, 3) for s in seqs])
     raise ValueError(f"unknown representation {representation!r}")

@@ -16,7 +16,7 @@ _SPEC = importlib.util.spec_from_file_location("benchmark_tracer", _PATH)
 tracer_module = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(tracer_module)
 
-SHAPES = {"IMG": (2, 3, 6, 10), "SEQ": (2, 6, 30), "STG": (2, 6, 10, 3)}
+SHAPES = {"IMG": (2, 3, 6, 10), "SEQ": (2, 6, 30), "STG": (2, 3, 6, 10)}
 BACKWARD_OPS = {"IMG": "nn.conv2d_backward", "SEQ": "nn.gru_backward",
                 "STG": "nn.graph_conv_backward"}
 
@@ -57,7 +57,7 @@ def test_traced_mac_counters_match_the_encoder_shapes():
     img_conv = (_conv_macs(n, c, hidden, t, v, 1)                 # conv_in
                 + _conv_macs(n, hidden, hidden, t, v, kt)         # tconv0
                 + _conv_macs(n, v, 2 * hidden, t, hidden, 1))     # cooc
-    n, t, v, c = SHAPES["STG"]
+    n, c, t, v = SHAPES["STG"]
     stg_conv = _conv_macs(n, hidden, hidden, t, v, kt)            # block0.tc
     stg_graph = _graph_macs(n, t, v, joints, c, hidden)           # block0.gc
     n, t, d = SHAPES["SEQ"]

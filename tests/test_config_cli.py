@@ -22,8 +22,7 @@ from skelcon.config import (
     write_resolved,
 )
 from skelcon.data import SYNTHETIC_MINIMUMS, generate_synthetic, save_dataset
-from skelcon.downstream import (FinetuneSchedule, ProbeSchedule, export_embeddings,
-                                summarize, write_report)
+from skelcon.downstream import FinetuneSchedule, ProbeSchedule, export_embeddings, summarize
 from skelcon.encoders import (CHECKPOINT_MAGIC, EncoderState, desk_config, init_encoder,
                               load_checkpoint, save_checkpoint)
 from skelcon.errors import ConfigError, ParseError, SchemaError
@@ -286,8 +285,8 @@ def test_json_artifact_write_that_fails_midway_keeps_the_previous_file(artifact,
         "config.json": lambda value: write_resolved(
             dataclasses.replace(config, resolved={**config.resolved, "zz": value}), tmp_path),
         "run.json": lambda value: cli._write_json(tmp_path, "run.json", {"a": 1, "zz": value}),
-        "metrics.json": lambda value: write_report(
-            dataclasses.replace(summary, seeds=(value,)), tmp_path / "metrics.json"),
+        "metrics.json": lambda value: cli._write_json(
+            tmp_path, "metrics.json", dataclasses.replace(summary, seeds=(value,)).to_record()),
     }
     writers[artifact](0)
     before = (tmp_path / artifact).read_bytes()

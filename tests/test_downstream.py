@@ -27,9 +27,9 @@ from skelcon.downstream import (
     pca2d,
     stratified_subset,
     summarize,
-    write_report,
 )
-from skelcon.encoders import desk_config, init_encoder, load_checkpoint, save_checkpoint
+from skelcon.encoders import (desk_config, init_encoder, load_checkpoint, save_checkpoint,
+                              write_json)
 from skelcon.errors import DegenerateTaskError
 
 
@@ -432,7 +432,7 @@ def test_summarize_and_report(tmp_path):
                       "seeds": [0, 1, 2], "mean": summary.mean,
                       "std": summary.std, "per_seed": [0.5, 0.6, 0.7]}
     path = tmp_path / "report.json"
-    write_report(summary, path)
+    write_json(path, record)
     assert json.loads(path.read_text()) == record
 
 
@@ -467,3 +467,24 @@ def test_finetune_modes_and_smoke():
                           mode="supervised-only", schedule=schedule,
                           seeds=(0,), crop_length=16)
     assert len(supervised.per_seed) == 1
+
+
+def test_finetune_scores_its_test_split_in_batches_of_at_most_64(monkeypatch):
+    """The test split is scored by forward-only passes over 64-sample
+    batches, so finetune's memory does not grow with the split."""
+    ds = _dataset(instances=50, frames=12)
+    train, test = _split(ds)
+    assert len(test) > 64
+    sizes, forward = [], downstream.encoder_forward
+
+    def recorded(config, params, x, a_hat=None, want_cache=False):
+        if not want_cache:
+            sizes.append(len(x))
+        return forward(config, params, x, a_hat, want_cache)
+
+    monkeypatch.setattr(downstream, "encoder_forward", recorded)
+    state = init_encoder(desk_config("STG", ds.joint_count, hidden=4), seed=0)
+    finetune(state, train, test, ds.bones, rho=0.2, schedule=FinetuneSchedule(epochs=1),
+             seeds=(0,), crop_length=8)
+    assert sum(sizes) == len(test)
+    assert max(sizes) <= 64

@@ -8,11 +8,10 @@ from skelcon.represent import (
     REPRESENTATIONS,
     batch_views,
     bone_adjacency,
-    graph_to_coords,
+    graph_adjacency,
     image_to_coords,
     normalized_adjacency,
     sequence_to_coords,
-    to_graph,
     to_image,
     to_sequence,
 )
@@ -44,21 +43,11 @@ def test_sequence_view_shape_and_round_trip():
     assert np.array_equal(back, seq.coords)
 
 
-def test_graph_view_shape_and_round_trip():
-    seq = _seq()
-    bones = chain_tree_bones(5)
-    view = to_graph(seq, bones)
-    assert view.nodes.shape == (10, 6, 3)   # (M*J, T, 3)
-    back = graph_to_coords(view)
-    assert np.array_equal(back, seq.coords)
-
-
 def test_graph_rejects_inconsistent_bones():
-    seq = _seq()
     with pytest.raises(ValueError):
-        to_graph(seq, chain_tree_bones(5)[:-1])       # too few edges
+        graph_adjacency(chain_tree_bones(5)[:-1], 5)        # too few edges
     with pytest.raises(ValueError):
-        to_graph(seq, ((0, 1), (1, 2), (2, 3), (3, 7)))  # joint out of range
+        graph_adjacency(((0, 1), (1, 2), (2, 3), (3, 7)), 5)  # joint out of range
 
 
 def test_bone_adjacency_structure():
@@ -92,17 +81,16 @@ def test_batch_views_shapes():
     seqs = [_seq(seed=i) for i in range(3)]
     assert batch_views(seqs, "IMG").shape == (3, 3, 6, 10)
     assert batch_views(seqs, "SEQ").shape == (3, 6, 30)
-    assert batch_views(seqs, "STG").shape == (3, 6, 10, 3)
+    assert batch_views(seqs, "STG").shape == (3, 3, 6, 10)
     with pytest.raises(ValueError):
         batch_views(seqs, "VID")
 
 
 def test_batch_views_match_single_views():
     seqs = [_seq(seed=i) for i in range(2)]
-    bones = chain_tree_bones(5)
     imgs = batch_views(seqs, "IMG")
     for i, s in enumerate(seqs):
         assert np.array_equal(imgs[i], to_image(s))
     stg = batch_views(seqs, "STG")
-    for i, s in enumerate(seqs):
-        assert np.array_equal(stg[i], to_graph(s, bones).nodes.transpose(1, 0, 2))
+    assert stg.flags.c_contiguous
+    assert stg.dtype == imgs.dtype and stg.tobytes() == imgs.tobytes()
