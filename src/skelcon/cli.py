@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import sys
 from dataclasses import asdict
 
@@ -26,6 +27,7 @@ from .config import (ExperimentConfig, parse_config, parse_override,
 from .data import Dataset
 from .encoders import CHECKPOINT_MAGIC, EncoderState, atomic_open, load_checkpoint, write_json
 from .errors import ConfigError, SkelconError
+from .nn import BLAS_THREAD_VARS, conv_workers, usable_cpus
 
 FORMAT_VERSIONS = {"dataset": "SKL1", "checkpoint": "CKPT1", "trainer": "TRAINER1"}
 
@@ -59,6 +61,24 @@ def _write_json(out_dir, name: str, record: dict) -> None:
     write_json(os.path.join(out_dir, name), record)
 
 
+def _environment() -> dict:
+    """The numeric environment a run's bytes depend on; no timestamps or
+    host names, so two runs on one host write the same block."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):      # numpy before 1.26 only prints its configuration
+        blas = {}
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "usable_cpus": usable_cpus(),
+        "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+        "conv_workers": conv_workers(),
+    }
+
+
 def _write_manifest(out_dir, subcommand: str, config: ExperimentConfig,
                     artifacts: list[str]) -> None:
     _write_json(out_dir, "run.json", {
@@ -67,6 +87,7 @@ def _write_manifest(out_dir, subcommand: str, config: ExperimentConfig,
         "seed": config.seed,
         "format_versions": FORMAT_VERSIONS,
         "artifacts": sorted(artifacts),
+        "environment": _environment(),
     })
 
 

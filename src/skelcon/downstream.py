@@ -99,6 +99,21 @@ def _memo_key(state: EncoderState, a_hat, samples: list[LabeledSample],
     return h.hexdigest()
 
 
+def _encode(state: EncoderState, samples: list[LabeledSample], a_hat,
+            crop_length: int, batch_size: int) -> np.ndarray:
+    """Backbone features of `samples`, one forward-only batch at a time."""
+    if not samples:
+        raise ValueError("feature extraction needs a nonempty split")
+    rep, dtype = state.config.representation, state.dtype
+    parts = []
+    for start in range(0, len(samples), batch_size):
+        seqs = [center_crop(s.sequence, crop_length) for s in samples[start:start + batch_size]]
+        f, _ = encoder_forward(state.config, state.params, batch_views(seqs, rep).astype(dtype),
+                               a_hat)
+        parts.append(f)
+    return np.concatenate(parts, axis=0)
+
+
 def extract_features(state: EncoderState, samples: list[LabeledSample], bones,
                      crop_length: int = 64, batch_size: int = 64):
     """Backbone (pre-projection) features and labels (-1 when unlabeled).
@@ -112,22 +127,13 @@ def extract_features(state: EncoderState, samples: list[LabeledSample], bones,
     the samples' coords misses the memo. A state keeps its last `_MEMO_ENTRIES` results for as
     long as it lives; `load_checkpoint` and `EncoderState.copy` start empty.
     """
-    if not samples:
-        raise ValueError("extract_features needs a nonempty split")
     rep, dtype = state.config.representation, state.dtype
     a_hat = graph_adjacency(bones, state.config.joints, dtype) if rep == "STG" else None
     memo = state.feature_memo
     key = _memo_key(state, a_hat, samples, crop_length, batch_size)
     feats = memo.pop(key, None)
     if feats is None:
-        parts = []
-        for start in range(0, len(samples), batch_size):
-            chunk = samples[start:start + batch_size]
-            seqs = [center_crop(s.sequence, crop_length) for s in chunk]
-            x = batch_views(seqs, rep).astype(dtype)
-            f, _ = encoder_forward(state.config, state.params, x, a_hat)
-            parts.append(f)
-        feats = np.concatenate(parts, axis=0)
+        feats = _encode(state, samples, a_hat, crop_length, batch_size)
     memo[key] = feats                      # the most recently used entry is last
     while len(memo) > _MEMO_ENTRIES:
         del memo[next(iter(memo))]
@@ -404,9 +410,10 @@ def _finetune_one(init_state: EncoderState, train: list[LabeledSample],
             grads.update(encoder_backward(config, state.params, cache, dfeats))
             opt.update(trained, grads, lr)
 
-    feats, test_labels = extract_features(state, test, bones, crop_length)
+    # `state` dies here, so a memo entry would never be read: no key is made
+    feats = _encode(state, test, a_hat, crop_length, batch_size=64)
     predictions = classes[np.argmax(feats @ head["cls.w"] + head["cls.b"], axis=1)]
-    return _score(predictions, test_labels, protocol)
+    return _score(predictions, _labels(test), protocol)
 
 
 def finetune(checkpoint, train: list[LabeledSample], test: list[LabeledSample],

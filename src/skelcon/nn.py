@@ -5,11 +5,97 @@ and ``*_backward(dout, cache) -> grads`` so that analytic gradients can be
 compared against central finite differences layer by layer and end to end.
 Arrays keep whatever float dtype they arrive with; trainers use float32,
 gradient-check tests use float64.
+
+The conv and graph-conv ops split their sample axis into contiguous blocks
+and run the blocks on a thread pool (`_per_sample`).  The number of blocks
+is `conv_workers()`: the usable CPUs divided by the BLAS thread count that
+``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS`` sets
+(the first positive integer among them), so pool workers only use the cores
+that BLAS leaves idle.  With none of them set BLAS already uses every core
+and each op runs as one block.  Every sample's GEMMs are the same calls
+whatever the block, and the sums over samples and graph conv's joint-mixing
+GEMM run once in the calling thread, so the bytes never depend on the
+worker count.  They do depend on the BLAS thread count: BLAS pinned to one
+thread is the configuration whose bytes do not depend on the host's core
+count.
 """
 
 from __future__ import annotations
 
+import math
+import os
+
 import numpy as np
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:              # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def conv_workers() -> int:
+    """Sample blocks per conv or graph-conv call: usable CPUs // BLAS threads,
+    at least 1, and 1 when no BLAS thread variable holds a positive integer."""
+    cpus = usable_cpus()
+    for var in BLAS_THREAD_VARS:
+        try:
+            threads = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            return max(1, cpus // threads)
+    return 1
+
+
+_pool = None        # (workers, executor or None), made on first use
+
+
+def _drop_pool():
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    # A forked child has none of the parent's pool threads.
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _per_sample(block, n):
+    """Run `block(lo, hi)` over `min(workers, n)` contiguous sample blocks:
+    the first in the calling thread, the rest on the pool.
+
+    A block writes only into arrays the calling thread allocated, through
+    ``out=`` and in-place ops, and calls nothing but numpy.  glibc gives
+    each thread its own heap arena, so array temporaries made in a worker
+    would raise the peak RSS; and a tracer's span stack stays on the
+    calling thread.
+    """
+    global _pool
+    if _pool is None:
+        # imported here: concurrent.futures loads logging, 0.8 MB of RSS in
+        # a process that never convolves
+        from concurrent.futures import ThreadPoolExecutor
+        workers = conv_workers()
+        _pool = (workers, ThreadPoolExecutor(workers - 1, thread_name_prefix="skelcon-conv")
+                  if workers > 1 else None)
+    workers, executor = _pool
+    blocks = min(workers, n)
+    if blocks <= 1:
+        block(0, n)
+        return
+    edges = [n * k // blocks for k in range(blocks + 1)]
+    futures = [executor.submit(block, lo, hi) for lo, hi in zip(edges[1:-1], edges[2:])]
+    try:
+        block(0, edges[1])
+    finally:
+        for future in futures:       # every block ends before its arrays are used
+            future.exception()
+    for future in futures:
+        future.result()
 
 
 def sigmoid(x, out=None):
@@ -86,6 +172,13 @@ def _taps(t, kt, pad, t_out):
             yield i, slice(lo, hi), slice(lo + i - pad, hi + i - pad)
 
 
+def _scratch(buf, lo, hi, *shape):
+    """A C-contiguous (hi - lo, *shape) view into rows lo:hi of the (N, size)
+    scratch `buf`: each sample block keeps to its own rows, and BLAS writes
+    a contiguous output faster than a strided one."""
+    return buf[lo:hi].reshape(-1)[:(hi - lo) * math.prod(shape)].reshape(hi - lo, *shape)
+
+
 def conv2d_forward(x, w, b, pad=(0, 0)):
     """x: (N, C, T, V), w: (F, C, kt, 1), stride 1, zero padding `pad` =
     (pad along T, 0): the kernel spans time only."""
@@ -96,37 +189,54 @@ def conv2d_forward(x, w, b, pad=(0, 0)):
                          f"pad (p, 0), got w {w.shape} and pad {tuple(pad)}")
     t_out = t + 2 * pad[0] - kt + 1
     taps = list(_taps(t, kt, pad[0], t_out))
+    out = np.empty((n, f, t_out, v), dtype=np.result_type(x, w, b))
+    # The first tap reaches every output (a 1x1 or unpadded kernel): its
+    # product becomes the output, and tap + b has the bytes of b + tap.
+    first = taps.pop(0) if taps and taps[0][1] == slice(0, t_out) else None
+    if taps:
+        scratch = np.empty((n, f * t_out * v), dtype=np.result_type(x, w))
 
-    def product(i, rows):
-        return np.matmul(w[:, :, i, 0], x[:, :, rows].reshape(n, c, -1)).reshape(n, f, -1, v)
+    def block(lo, hi):
+        o_blk = out[lo:hi]
+        if first is None:
+            o_blk[...] = b[:, None, None]
+        else:
+            i, _, rows = first
+            np.matmul(w[:, :, i, 0], x[lo:hi, :, rows].reshape(hi - lo, c, -1),
+                      out=o_blk.reshape(hi - lo, f, -1))
+            o_blk += b[:, None, None]
+        for i, o, rows in taps:
+            xs = x[lo:hi, :, rows].reshape(hi - lo, c, -1)
+            p = np.matmul(w[:, :, i, 0], xs, out=_scratch(scratch, lo, hi, f, xs.shape[2]))
+            o_blk[:, :, o] += p.reshape(hi - lo, f, -1, v)
 
-    dtype = np.result_type(x, w, b)
-    if taps and taps[0][1] == slice(0, t_out):
-        # The first tap reaches every output (a 1x1 or unpadded kernel): its
-        # product becomes the output, and tap + b has the bytes of b + tap.
-        i, _, rows = taps.pop(0)
-        out = product(i, rows).astype(dtype, copy=False)
-        out += b[:, None, None]
-    else:
-        out = np.empty((n, f, t_out, v), dtype=dtype)
-        out[...] = b[:, None, None]
-    for i, o, rows in taps:
-        out[:, :, o] += product(i, rows)
+    _per_sample(block, n)
     return out, (x, x.shape, w.shape, pad, w)
 
 
 def conv2d_backward(dout, cache):
     x, x_shape, w_shape, pad, w = cache
-    n, c, t, _ = x_shape
+    n, c, t, v = x_shape
     f, _, kt, _ = w_shape
+    taps = list(_taps(t, kt, pad[0], dout.shape[2]))
     db = dout.sum(axis=(0, 2, 3))
-    dw = np.zeros(w_shape, dtype=dout.dtype)
     dx = np.zeros(x_shape, dtype=dout.dtype)
-    for i, o, rows in _taps(t, kt, pad[0], dout.shape[2]):
-        ds = dout[:, :, o].reshape(n, f, -1)
-        xs = x[:, :, rows]
-        dw[:, :, i, 0] = np.matmul(ds, xs.reshape(n, c, -1).transpose(0, 2, 1)).sum(axis=0)
-        dx[:, :, rows] += np.matmul(w[:, :, i, 0].T, ds).reshape(xs.shape)
+    # each sample's dw product per tap, summed over samples below
+    dws = np.empty((len(taps), n, f, c), dtype=np.result_type(dout, x))
+    scratch = np.empty((n, c * t * v), dtype=np.result_type(w, dout))
+
+    def block(lo, hi):
+        for k, (i, o, rows) in enumerate(taps):
+            ds = dout[lo:hi, :, o].reshape(hi - lo, f, -1)
+            xs = x[lo:hi, :, rows].reshape(hi - lo, c, -1)
+            np.matmul(ds, xs.transpose(0, 2, 1), out=dws[k, lo:hi])
+            p = np.matmul(w[:, :, i, 0].T, ds, out=_scratch(scratch, lo, hi, c, xs.shape[2]))
+            dx[lo:hi, :, rows] += p.reshape(hi - lo, c, -1, v)
+
+    _per_sample(block, n)
+    dw = np.zeros(w_shape, dtype=dout.dtype)
+    for k, (i, _, _) in enumerate(taps):
+        dw[:, :, i, 0] = dws[k].sum(axis=0)
     return dx, dw, db
 
 
@@ -279,25 +389,40 @@ def graph_conv_forward(x, a_hat, w, b):
     w: (C, F) -> (N, F, T, V).
 
     a_hat mixes the joints inside each actor block (disjoint components),
-    then w maps the channels:  y = w^T mix(x) + b.  The cache's last slot,
-    the actor count V // J, keeps the five-slot layout that
-    `benchmarks/tracer.py` unpacks; the backward does not read it.
+    then w maps the channels:  y = w^T mix(x) + b.  The mix stays one 2-D
+    GEMM over every sample's rows: split into row blocks, float64 GEMMs
+    change bytes.  The cache's last slot, the actor count V // J, keeps the
+    five-slot layout that `benchmarks/tracer.py` unpacks; the backward does
+    not read it.
     """
     n, c, t, v = x.shape
     j = a_hat.shape[0]
     if v % j:
         raise ValueError(f"graph_conv needs V a multiple of the {j} joints, got x {x.shape}")
     mixed = (x.reshape(-1, j) @ a_hat.T).reshape(n, c, t * v)
-    y = np.matmul(w.T, mixed).astype(np.result_type(mixed, w, b), copy=False)
-    y += b[:, None]
+    y = np.empty((n, w.shape[1], t * v), dtype=np.result_type(mixed, w, b))
+
+    def block(lo, hi):
+        np.matmul(w.T, mixed[lo:hi], out=y[lo:hi])
+        y[lo:hi] += b[:, None]
+
+    _per_sample(block, n)
     return y.reshape(n, -1, t, v), (mixed, x.shape, a_hat, w, v // j)
 
 
 def graph_conv_backward(dout, cache):
     mixed, x_shape, a_hat, w, _ = cache
+    n = x_shape[0]
     d = dout.reshape(*dout.shape[:2], -1)
-    dw = np.matmul(mixed, d.transpose(0, 2, 1)).sum(axis=0)
     db = d.sum(axis=(0, 2))
+    dws = np.empty((n, *w.shape), dtype=np.result_type(mixed, d))     # per sample
+    dmixed = np.empty(mixed.shape, dtype=np.result_type(w, d))
+
+    def block(lo, hi):
+        np.matmul(mixed[lo:hi], d[lo:hi].transpose(0, 2, 1), out=dws[lo:hi])
+        np.matmul(w, d[lo:hi], out=dmixed[lo:hi])
+
+    _per_sample(block, n)
     # mixed = x a_hat^T over the joint axis  =>  dx = dmixed a_hat
-    dx = (np.matmul(w, d).reshape(-1, a_hat.shape[0]) @ a_hat).reshape(x_shape)
-    return dx, dw, db
+    dx = (dmixed.reshape(-1, a_hat.shape[0]) @ a_hat).reshape(x_shape)
+    return dx, dws.sum(axis=0), db

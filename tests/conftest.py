@@ -1,9 +1,40 @@
 """Shared fixtures and the finite-difference gradient checker."""
 
+import contextlib
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+from skelcon import nn
 from skelcon.data import chain_tree_bones, generate_synthetic
+
+
+@contextlib.contextmanager
+def sample_workers(workers):
+    """Run the conv and graph-conv ops in `workers` sample blocks, whatever
+    `nn.conv_workers()` gives on this host."""
+    executor = ThreadPoolExecutor(workers - 1) if workers > 1 else None
+    saved, nn._pool = nn._pool, (workers, executor)
+    try:
+        yield
+    finally:
+        nn._pool = saved
+        if executor is not None:
+            executor.shutdown()
+
+
+@pytest.fixture
+def with_workers():
+    return sample_workers
+
+
+@pytest.fixture(params=[1, 2], ids=["1worker", "2workers"])
+def conv_workers(request):
+    """Runs a test once with one sample block per op and once with two, so
+    the pooled path is tested on any host."""
+    with sample_workers(request.param):
+        yield request.param
 
 
 def central_difference_check(loss_fn, params, grads, rng,

@@ -6,6 +6,7 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from skelcon import encoders
 from skelcon.data import chain_tree_bones
@@ -15,6 +16,9 @@ _PATH = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
 _SPEC = importlib.util.spec_from_file_location("benchmark_tracer", _PATH)
 tracer_module = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(tracer_module)
+
+# Every test here runs at one and two sample blocks per conv op.
+pytestmark = pytest.mark.usefixtures("conv_workers")
 
 SHAPES = {"IMG": (2, 3, 6, 10), "SEQ": (2, 6, 30), "STG": (2, 3, 6, 10)}
 BACKWARD_OPS = {"IMG": "nn.conv2d_backward", "SEQ": "nn.gru_backward",

@@ -359,13 +359,19 @@ def test_cli_pretrain_writes_replayable_artifacts(tmp_path):
     assert run["format_versions"] == {"dataset": "SKL1", "checkpoint": "CKPT1",
                                       "trainer": "TRAINER1"}
     assert "loss_log.jsonl" in run["artifacts"]
+    env = run["environment"]
+    assert set(env) == {"python", "numpy", "blas", "blas_version", "usable_cpus",
+                        "blas_threads", "conv_workers"}
+    assert env["numpy"] == np.__version__ and env["conv_workers"] >= 1
+    assert set(env["blas_threads"]) == {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                                        "OMP_NUM_THREADS"}
 
 
 def test_cli_pretrain_is_bitwise_reproducible(tmp_path):
     out1, _ = _pretrain(tmp_path, "run1")
     out2, _ = _pretrain(tmp_path, "run2")
-    assert (out1 / "loss_log.jsonl").read_bytes() == (out2 / "loss_log.jsonl").read_bytes()
-    assert (out1 / "config.json").read_bytes() == (out2 / "config.json").read_bytes()
+    for name in ("loss_log.jsonl", "config.json", "run.json"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
 def test_cli_probe_retrieve_export_preview(tmp_path):

@@ -488,3 +488,20 @@ def test_finetune_scores_its_test_split_in_batches_of_at_most_64(monkeypatch):
              seeds=(0,), crop_length=8)
     assert sum(sizes) == len(test)
     assert max(sizes) <= 64
+
+
+def test_finetune_makes_no_memo_key(monkeypatch):
+    """Finetune scores its test split on a state copy that it drops, so a
+    memo entry would never be read: no sha256 key is computed for it."""
+    ds = _dataset(instances=8, frames=12)
+    train, test = _split(ds)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("finetune computed a memo key")
+
+    monkeypatch.setattr(downstream, "_memo_key", refuse)
+    state = init_encoder(desk_config("STG", ds.joint_count, hidden=4), seed=0)
+    summary = finetune(state, train, test, ds.bones, rho=0.5,
+                       schedule=FinetuneSchedule(epochs=1), seeds=(0, 1), crop_length=8)
+    assert len(summary.per_seed) == 2
+    assert state.feature_memo == {}

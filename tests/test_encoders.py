@@ -123,6 +123,7 @@ def test_degenerate_embedding_raises():
         embed_forward(config, state.params, x)
 
 
+@pytest.mark.usefixtures("conv_workers")
 @pytest.mark.parametrize("rep, pooling", [("IMG", "final"), ("SEQ", "final"), ("STG", "final"),
                                           ("SEQ", "mean")],
                          ids=["IMG", "SEQ", "STG", "SEQ-mean"])

@@ -92,6 +92,7 @@ def _conv2d_oracle(x, w, b, pad, dout):
     return out, dx, dw, dout.sum(axis=(0, 2, 3))
 
 
+@pytest.mark.usefixtures("conv_workers")
 @pytest.mark.parametrize("kernel,pad", [
     ((5, 1), (2, 0)),     # the encoders' temporal conv
     ((1, 1), (0, 0)),     # pointwise stem and co-occurrence mix
@@ -128,6 +129,7 @@ def _conv2d_bias_fill(x, w, b, pad):
     return out
 
 
+@pytest.mark.usefixtures("conv_workers")
 @pytest.mark.parametrize("rep", ["IMG", "STG"])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_conv2d_forward_equals_the_bias_fill_sum_at_every_encoder_conv(
@@ -158,6 +160,7 @@ def test_conv2d_forward_equals_the_bias_fill_sum_at_every_encoder_conv(
             assert out.tobytes() == want.tobytes()
 
 
+@pytest.mark.usefixtures("conv_workers")
 def test_temporal_conv_gradients_at_an_encoder_shape(fd_check):
     rng = np.random.default_rng(9)
     params = {"x": rng.normal(size=(2, 4, 9, 6)),
@@ -184,6 +187,7 @@ def test_conv2d_rejects_kernels_and_padding_along_the_joint_axis(kernel, pad):
                           np.zeros(4), pad=pad)
 
 
+@pytest.mark.usefixtures("conv_workers")
 def test_kernels_keep_float32():
     rng = np.random.default_rng(10)
     x = rng.normal(size=(2, 3, 7, 4)).astype(np.float32)
@@ -360,6 +364,7 @@ def test_gru_forward_rejects_widths_that_are_not_one_or_two_directions(w_cols, u
         nn.gru_forward(*args, reverse=reverse)
 
 
+@pytest.mark.usefixtures("conv_workers")
 def test_graph_conv_gradients(fd_check):
     rng = np.random.default_rng(6)
     from skelcon.data import chain_tree_bones
@@ -385,6 +390,7 @@ def test_graph_conv_gradients(fd_check):
              samples_per_array=6)
 
 
+@pytest.mark.usefixtures("conv_workers")
 def test_graph_conv_matches_einsum_oracle():
     """A non-symmetric mixing matrix, so a transposed a_hat cannot pass."""
     rng = np.random.default_rng(11)
@@ -407,6 +413,7 @@ def test_graph_conv_matches_einsum_oracle():
     assert np.allclose(db, dout.sum(axis=(0, 2, 3)), rtol=0, atol=1e-12)
 
 
+@pytest.mark.usefixtures("conv_workers")
 def test_graph_conv_mixes_actors_independently():
     """A nonzero first actor must never leak into the zero-padded second."""
     rng = np.random.default_rng(7)
