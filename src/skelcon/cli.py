@@ -126,13 +126,16 @@ def _gate(config: ExperimentConfig, mean_accuracy: float) -> int:
 
 def _resume(path, config: ExperimentConfig) -> contrast.TrainerState:
     """The trainer saved at `path`, refused if the config would train it
-    differently from how it was started; only the epoch count may change."""
+    differently from how it was started; only the epoch count may change. A
+    manifest that does not record its batch size is not checked for it."""
     trainer = contrast.load_trainer(path)
     sections = [("trainer", trainer.config, config.trainer), ("augment", trainer.aug, config.aug)]
     sections += [(f"encoders.{rep}", trainer.pairs[rep].query.config, config.encoders[rep])
                  for rep in trainer.representations]
     drift = [f"{name}.{key}" for name, saved, wanted in sections
              for key, value in asdict(saved).items() if asdict(wanted)[key] != value]
+    if trainer.batch_size not in (None, config.schedule.batch_size):
+        drift.append("trainer.batch_size")
     if trainer.seed != config.seed:
         drift.append("seed")
     if drift:

@@ -30,7 +30,7 @@ from .encoders import (EncoderConfig, EncoderState, atomic_open, embed_forward,
                        embed_backward, init_encoder, save_checkpoint,
                        load_checkpoint, write_json)
 from .errors import ContractError, ParseError, SchemaError
-from .represent import REPRESENTATIONS, batch_views, graph_adjacency
+from .represent import REPRESENTATIONS, batch_views
 
 REP_IDS = {rep: i for i, rep in enumerate(REPRESENTATIONS)}
 
@@ -316,11 +316,11 @@ class TrainerState:
     pairs: dict[str, MomentumPair]
     queues: dict[str, NegativeQueue]
     bones: tuple[tuple[int, int], ...]
-    a_hat: np.ndarray | None
     velocities: dict[str, dict[str, np.ndarray]]
     seed: int
     epoch: int = 0
     step: int = 0
+    batch_size: int | None = None      # the schedule's, once `pretrain` has run it
 
     @property
     def representations(self) -> tuple[str, ...]:
@@ -359,12 +359,8 @@ def make_trainer(config: TrainerConfig, encoder_configs: dict[str, EncoderConfig
         velocities[rep] = {name: np.zeros_like(p)
                            for name, p in pairs[rep].query.params.items()}
     bones = tuple(tuple(int(v) for v in edge) for edge in bones)
-    a_hat = None
-    if "STG" in reps:
-        a_hat = graph_adjacency(bones, encoder_configs["STG"].joints, dtype)
     return TrainerState(config=config, aug=aug, pairs=pairs, queues=queues,
-                        bones=bones, a_hat=a_hat, velocities=velocities,
-                        seed=int(seed))
+                        bones=bones, velocities=velocities, seed=int(seed))
 
 
 def _sgd_update(params: dict, grads: dict, velocity: dict,
@@ -380,8 +376,7 @@ def _sgd_update(params: dict, grads: dict, velocity: dict,
 def _embed(trainer: TrainerState, rep: str, state: EncoderState,
            seqs: list[SkeletonSequence], want_cache: bool):
     x = batch_views(seqs, rep).astype(state.dtype)
-    a_hat = trainer.a_hat if rep == "STG" else None
-    return embed_forward(state.config, state.params, x, a_hat, want_cache)
+    return embed_forward(state.config, state.params, x, trainer.bones, want_cache)
 
 
 def _cross_plan(config: TrainerConfig) -> list[tuple[str, str]]:
@@ -522,6 +517,7 @@ def save_trainer(trainer: TrainerState, out_dir, tag: str | None = None) -> str:
         "seed": trainer.seed,
         "epoch": trainer.epoch,
         "step": trainer.step,
+        "batch_size": trainer.batch_size,
         "encoders": files,
         "aux": aux_file,
     }
@@ -598,10 +594,13 @@ def load_trainer(manifest_path) -> TrainerState:
     manifest["aug"].pop("seed", None)  # written by older versions, unused
     aug = _manifest_section(manifest_path, "aug", lambda: AugmentationSpec(**manifest["aug"]))
     bones = parse_bones(manifest_path, "manifest", manifest["bones"])
+    batch_size = manifest.get("batch_size")     # absent from older manifests
+    if batch_size is not None and not (type(batch_size) is int and batch_size >= 1):
+        raise ParseError(f"{manifest_path}: manifest 'batch_size' is {batch_size!r}, "
+                         "not a positive integer")
     aux_path = os.path.join(base, manifest["aux"])
     aux = _read_aux(aux_path)
     pairs, queues, velocities = {}, {}, {}
-    a_hat = None
     for rep in config.representations:
         files = manifest["encoders"].get(rep)
         if not (isinstance(files, dict)
@@ -621,12 +620,10 @@ def load_trainer(manifest_path) -> TrainerState:
             queue[name] = aux[f"queue.{rep}.{name}"]
         queues[rep] = NegativeQueue.from_state(queue)
         velocities[rep] = _aux_velocity(aux_path, aux, rep, query.params)
-        if rep == "STG":
-            a_hat = graph_adjacency(bones, query.config.joints, query.dtype)
     return TrainerState(config=config, aug=aug, pairs=pairs, queues=queues,
-                        bones=bones, a_hat=a_hat, velocities=velocities,
+                        bones=bones, velocities=velocities,
                         seed=manifest["seed"], epoch=manifest["epoch"],
-                        step=manifest["step"])
+                        step=manifest["step"], batch_size=batch_size)
 
 
 def _open_loss_log(path, step: int):
@@ -678,6 +675,7 @@ def pretrain(trainer: TrainerState, sequences: list[SkeletonSequence],
                          f"schedule ends at {schedule.epochs}")
     if trainer.step == 0 and all(len(q) == 0 for q in trainer.queues.values()):
         warmup_queues(trainer, sequences)
+    trainer.batch_size = schedule.batch_size
 
     log_fh = None
     if out_dir is not None:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError, SchemaError, ValidationError
+from .errors import ConfigError, ParseError, SchemaError, ValidationError
 
 NUM_ACTORS = 2
 
@@ -433,7 +433,11 @@ class DatasetSpec:
 
     def load(self) -> Dataset:
         if self.source == "file":
-            return load_dataset(self.path)
+            dataset = load_dataset(self.path)
+            if dataset.joint_count != self.joints:
+                raise ConfigError(f"dataset.joints: {self.joints}, but {self.path} holds "
+                                  f"J={dataset.joint_count} joints")
+            return dataset
         return generate_synthetic(self.num_classes, self.samples_per_class,
                                   self.frames, self.joints, self.seed,
                                   self.noise)

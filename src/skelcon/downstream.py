@@ -24,7 +24,7 @@ from .data import LabeledSample
 from .encoders import (EncoderConfig, EncoderState, atomic_open, encoder_forward,
                        encoder_backward, init_encoder)
 from .errors import DegenerateTaskError
-from .represent import batch_views, graph_adjacency
+from .represent import batch_views
 
 
 # ---------------------------------------------------------------------------
@@ -77,17 +77,16 @@ def _class_targets(labels, task: str, where: str):
 _MEMO_ENTRIES = 4   # feature sets kept per EncoderState, least recently used dropped
 
 
-def _memo_key(state: EncoderState, a_hat, samples: list[LabeledSample],
+def _memo_key(state: EncoderState, bones, samples: list[LabeledSample],
               crop_length: int, batch_size: int) -> str:
-    """sha256 over all the encoder reads: its config and parameters, the STG
-    adjacency, the crop and batch sizes and each sample's crop input. A
+    """sha256 over all the encoder reads: its config and parameters, the bone
+    list, the crop and batch sizes and each sample's crop input. A
     sequence at least `crop_length` long enters as its center window cast
     to the encoder's dtype, which `batch_views` only re-indexes; a shorter
     one is resampled before the cast, so its raw coords enter."""
-    h = hashlib.sha256(repr((state.config, crop_length, batch_size)).encode())
+    bones = tuple(tuple(int(v) for v in edge) for edge in bones)
+    h = hashlib.sha256(repr((state.config, bones, crop_length, batch_size)).encode())
     arrays = [(name, state.params[name]) for name in sorted(state.params)]
-    if a_hat is not None:
-        arrays.append(("a_hat", a_hat))
     for s in samples:
         coords = s.sequence.coords
         arrays.append(("", _center_window(coords, crop_length).astype(state.dtype)
@@ -99,7 +98,7 @@ def _memo_key(state: EncoderState, a_hat, samples: list[LabeledSample],
     return h.hexdigest()
 
 
-def _encode(state: EncoderState, samples: list[LabeledSample], a_hat,
+def _encode(state: EncoderState, samples: list[LabeledSample], bones,
             crop_length: int, batch_size: int) -> np.ndarray:
     """Backbone features of `samples`, one forward-only batch at a time."""
     if not samples:
@@ -109,7 +108,7 @@ def _encode(state: EncoderState, samples: list[LabeledSample], a_hat,
     for start in range(0, len(samples), batch_size):
         seqs = [center_crop(s.sequence, crop_length) for s in samples[start:start + batch_size]]
         f, _ = encoder_forward(state.config, state.params, batch_views(seqs, rep).astype(dtype),
-                               a_hat)
+                               bones)
         parts.append(f)
     return np.concatenate(parts, axis=0)
 
@@ -121,19 +120,18 @@ def extract_features(state: EncoderState, samples: list[LabeledSample], bones,
     The features are memoized on `state.feature_memo`: a repeat call with
     the same state and inputs returns a copy of the stored features without
     running the encoder. The key is a sha256 over the encoder config, every
-    parameter's name, dtype, shape and bytes, the STG adjacency,
+    parameter's name, dtype, shape and bytes, the bone list,
     `crop_length`, `batch_size` and the frames each sample's center crop
     reads (see `_memo_key`), so an in-place edit of the parameters or of
-    the samples' coords misses the memo. A state keeps its last `_MEMO_ENTRIES` results for as
-    long as it lives; `load_checkpoint` and `EncoderState.copy` start empty.
+    the samples' coords, or another bone list, misses the memo. A state
+    keeps its last `_MEMO_ENTRIES` results for as long as it lives;
+    `load_checkpoint` and `EncoderState.copy` start empty.
     """
-    rep, dtype = state.config.representation, state.dtype
-    a_hat = graph_adjacency(bones, state.config.joints, dtype) if rep == "STG" else None
     memo = state.feature_memo
-    key = _memo_key(state, a_hat, samples, crop_length, batch_size)
+    key = _memo_key(state, bones, samples, crop_length, batch_size)
     feats = memo.pop(key, None)
     if feats is None:
-        feats = _encode(state, samples, a_hat, crop_length, batch_size)
+        feats = _encode(state, samples, bones, crop_length, batch_size)
     memo[key] = feats                      # the most recently used entry is last
     while len(memo) > _MEMO_ENTRIES:
         del memo[next(iter(memo))]
@@ -379,7 +377,6 @@ def _finetune_one(init_state: EncoderState, train: list[LabeledSample],
     state = init_state.copy()
     config = state.config
     rep, dtype = config.representation, state.dtype
-    a_hat = graph_adjacency(bones, config.joints, dtype) if rep == "STG" else None
 
     classes, y = _class_targets(_labels(train), "finetune", "labeled subset")
     x = batch_views([center_crop(s.sequence, crop_length) for s in train], rep).astype(dtype)
@@ -401,17 +398,17 @@ def _finetune_one(init_state: EncoderState, train: list[LabeledSample],
         for start in range(0, n, schedule.batch_size):
             idx = order[start:start + schedule.batch_size]
             feats, cache = encoder_forward(config, state.params, x[idx],
-                                           a_hat, want_cache=True)
+                                           bones, want_cache=True)
             logits = feats @ head["cls.w"] + head["cls.b"]
             _, dlogits = _softmax_ce(logits.astype(np.float64), y[idx])
             dlogits = dlogits.astype(dtype)
             grads = {"cls.w": feats.T @ dlogits, "cls.b": dlogits.sum(axis=0)}
             dfeats = dlogits @ head["cls.w"].T
-            grads.update(encoder_backward(config, state.params, cache, dfeats))
+            grads.update(encoder_backward(cache, dfeats))
             opt.update(trained, grads, lr)
 
     # `state` dies here, so a memo entry would never be read: no key is made
-    feats = _encode(state, test, a_hat, crop_length, batch_size=64)
+    feats = _encode(state, test, bones, crop_length, batch_size=64)
     predictions = classes[np.argmax(feats @ head["cls.w"] + head["cls.b"], axis=1)]
     return _score(predictions, _labels(test), protocol)
 

@@ -10,7 +10,8 @@
   interleaved with temporal convolutions, global pooling, dense layer.
 
 IMG and STG read the same (N, 3, T, V) batch and keep every tensor in
-(N, C, T, V) layout; STG also takes the normalized adjacency.
+(N, C, T, V) layout; STG also takes the bone list and builds its normalized
+adjacency from it on each forward pass.
 
 Each encoder ends in a two-layer projection head producing L2-normalized
 embeddings (128-d by default).  Forward passes can retain caches so that
@@ -32,7 +33,7 @@ import numpy as np
 from . import nn
 from .data import NUM_ACTORS, parse_json_object
 from .errors import DegenerateEmbeddingError, ParseError
-from .represent import REPRESENTATIONS
+from .represent import REPRESENTATIONS, graph_adjacency
 
 CHECKPOINT_MAGIC = b"CKPT1\n"
 _NORM_FLOOR = 1e-12         # smallest projected norm `head_forward` normalizes
@@ -275,9 +276,10 @@ _EXPECTED_NDIM = {"IMG": 4, "SEQ": 3, "STG": 4}
 
 
 def encoder_forward(config: EncoderConfig, params: dict, x: np.ndarray,
-                    a_hat: np.ndarray | None = None, want_cache: bool = False):
+                    bones=None, want_cache: bool = False):
     """Backbone features for a batch of views (no projection head); the
-    cache is the tape that `encoder_backward` replays."""
+    cache is the tape that `encoder_backward` replays. STG needs `bones`, a
+    tree over `config.joints` (else `ValueError`); IMG and SEQ ignore it."""
     if x.ndim != _EXPECTED_NDIM[config.representation]:
         raise ValueError(
             f"{config.representation} encoder expects a rank-"
@@ -294,13 +296,14 @@ def encoder_forward(config: EncoderConfig, params: dict, x: np.ndarray,
         if config.representation == "IMG":
             feats = _img_forward(config, params, x, tape)
         else:
-            if a_hat is None:
-                raise ValueError("STG encoder needs the normalized adjacency")
-            feats = _stg_forward(config, params, x, a_hat, tape)
+            if bones is None:
+                raise ValueError("STG encoder needs the bone list")
+            feats = _stg_forward(config, params, x,
+                                 graph_adjacency(bones, config.joints, x.dtype), tape)
     return feats, (tape if want_cache else None)
 
 
-def encoder_backward(config: EncoderConfig, params: dict, cache, dfeat: np.ndarray):
+def encoder_backward(cache, dfeat: np.ndarray):
     return cache.replay(dfeat)
 
 
@@ -330,9 +333,9 @@ def head_backward(params: dict, cache, dz: np.ndarray):
     return dfeat, {"head.w1": dw1, "head.b1": db1, "head.w2": dw2, "head.b2": db2}
 
 
-def embed_forward(config, params, x, a_hat=None, want_cache=False):
+def embed_forward(config, params, x, bones=None, want_cache=False):
     """views -> unit-norm embeddings; cache covers backbone and head."""
-    feats, enc_cache = encoder_forward(config, params, x, a_hat, want_cache)
+    feats, enc_cache = encoder_forward(config, params, x, bones, want_cache)
     z, head_cache = head_forward(params, feats, want_cache)
     return z, ((enc_cache, head_cache) if want_cache else None)
 
@@ -340,7 +343,7 @@ def embed_forward(config, params, x, a_hat=None, want_cache=False):
 def embed_backward(config, params, cache, dz):
     enc_cache, head_cache = cache
     dfeat, grads = head_backward(params, head_cache, dz)
-    grads.update(encoder_backward(config, params, enc_cache, dfeat))
+    grads.update(encoder_backward(enc_cache, dfeat))
     return grads
 
 

@@ -10,7 +10,6 @@ import pytest
 
 from skelcon import encoders
 from skelcon.data import chain_tree_bones
-from skelcon.represent import graph_adjacency
 
 _PATH = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
 _SPEC = importlib.util.spec_from_file_location("benchmark_tracer", _PATH)
@@ -29,12 +28,12 @@ def test_every_traced_name_exists_and_the_encoder_tape_calls_through_nn():
     tracer = tracer_module.Tracer().install()
     try:
         assert tracer.missing == []
-        a_hat = graph_adjacency(chain_tree_bones(5), 5, np.float32)
+        bones = chain_tree_bones(5)
         for rep, shape in SHAPES.items():
             config = encoders.desk_config(rep, 5, hidden=4, projection_dim=8)
             params = encoders.init_encoder(config, seed=0).params
             x = np.random.default_rng(0).normal(size=shape).astype(np.float32)
-            z, cache = encoders.embed_forward(config, params, x, a_hat, True)
+            z, cache = encoders.embed_forward(config, params, x, bones, True)
             encoders.embed_backward(config, params, cache, np.ones_like(z))
             names = {span[1] for span in tracer.spans}
             assert BACKWARD_OPS[rep] in names, rep
@@ -56,7 +55,7 @@ def test_traced_mac_counters_match_the_encoder_shapes():
     position; a reshuffled cache must fail here instead of skewing the
     counters."""
     hidden, kt, joints = 4, 5, 5
-    a_hat = graph_adjacency(chain_tree_bones(joints), joints, np.float32)
+    bones = chain_tree_bones(joints)
     n, c, t, v = SHAPES["IMG"]
     img_conv = (_conv_macs(n, c, hidden, t, v, 1)                 # conv_in
                 + _conv_macs(n, hidden, hidden, t, v, kt)         # tconv0
@@ -80,7 +79,7 @@ def test_traced_mac_counters_match_the_encoder_shapes():
             assert config.temporal_kernel == kt and config.depth == 1
             params = encoders.init_encoder(config, seed=0).params
             x = np.random.default_rng(0).normal(size=SHAPES[rep]).astype(np.float32)
-            z, cache = encoders.embed_forward(config, params, x, a_hat, True)
+            z, cache = encoders.embed_forward(config, params, x, bones, True)
             encoders.embed_backward(config, params, cache, np.ones_like(z))
             for op in ("conv2d_forward", "conv2d_backward", "graph_conv_forward",
                        "graph_conv_backward", "gru_forward", "gru_backward"):

@@ -684,11 +684,35 @@ def test_cli_resume_rejects_a_changed_config(tmp_path, capsys):
     out, manifest = _pretrain(tmp_path)
     before = (out / "config.json").read_bytes()
     for drift in (["trainer.tau=0.5"], ["augment.l_min=0.5"],
-                  ["encoders.SEQ.hidden=6"], ["trainer.cross_terms=cycle"]):
+                  ["encoders.SEQ.hidden=6"], ["trainer.cross_terms=cycle"],
+                  ["trainer.batch_size=2"]):
         assert main(["pretrain", "--out", str(out), "--resume", str(manifest)]
                     + _sets(["trainer.epochs=4"] + drift)) == 2
         assert drift[0].split("=")[0] in capsys.readouterr().err
     assert (out / "config.json").read_bytes() == before
+
+
+def test_cli_resume_of_a_manifest_without_a_batch_size_is_not_checked_for_it(tmp_path):
+    """Older TRAINER1 manifests do not record the batch size; they resume
+    as before."""
+    out, manifest = _pretrain(tmp_path)
+    record = json.loads(manifest.read_text())
+    assert record.pop("batch_size") == 4
+    manifest.write_text(json.dumps(record))
+    assert main(["pretrain", "--out", str(out), "--resume", str(manifest)]
+                + _sets(["trainer.epochs=3", "trainer.batch_size=2"])) == 0
+
+
+def test_cli_refuses_a_dataset_file_whose_joint_count_is_not_the_config_s(tmp_path, capsys):
+    path = tmp_path / "five_joints.skl"
+    save_dataset(generate_synthetic(3, 4, 16, 5, seed=0), path)
+    out = tmp_path / "pre"
+    assert main(["pretrain", "--out", str(out)]
+                + _sets(["dataset.source=file", f"dataset.path={path}",
+                         "dataset.joints=25"])) == 2
+    err = capsys.readouterr().err
+    assert "config error: dataset.joints" in err and str(path) in err and "J=5" in err
+    assert not (out / "loss_log.jsonl").exists()
 
 
 def _unlabeled_dataset(tmp_path):

@@ -439,12 +439,18 @@ def _make_trainer(mode="intra", reps=("SEQ",), seed=0, dtype=np.float32,
     return make_trainer(config, configs, aug, BONES, seed, dtype=dtype)
 
 
-def test_make_trainer_rejects_a_graph_that_is_not_a_tree():
+def test_an_stg_trainer_refuses_a_graph_that_is_not_a_tree_before_it_trains():
+    """The STG encoder builds its adjacency from the trainer's bones, so a
+    bone list that is not a tree fails at the first forward pass, queue
+    warm-up, before any step or queue push."""
     configs = {"STG": desk_config("STG", JOINTS, hidden=4, projection_dim=8)}
     config = TrainerConfig("intra", ("STG",), queue_size=4)
     aug = AugmentationSpec(output_length=8, jitter_joints=2)
+    trainer = make_trainer(config, configs, aug, BONES[:2], seed=0)
+    seqs = [s.sequence for s in _dataset().samples]
     with pytest.raises(ValueError, match="tree"):
-        make_trainer(config, configs, aug, BONES[:2], seed=0)
+        pretrain(trainer, seqs, Schedule(epochs=1, batch_size=4))
+    assert trainer.step == 0 and len(trainer.queues["STG"]) == 0
 
 
 def test_trainer_config_validation():

@@ -140,6 +140,8 @@ def test_combined_probe_after_extraction_equals_the_probe_on_fresh_states():
 
 @pytest.mark.parametrize("crop", [16, 32])     # a center window; a resample of all 20 frames
 def test_an_in_place_edit_of_params_or_coords_is_extracted_again(encoder_runs, crop):
+    """Each input the key hashes misses the memo when it changes: the
+    parameters, the coords and, for an STG state, the bone tree."""
     ds = _dataset()
     state = _states(ds, ("SEQ",))[0]
     first, _ = extract_features(state, ds.samples, ds.bones, crop_length=crop)
@@ -156,6 +158,14 @@ def test_an_in_place_edit_of_params_or_coords_is_extracted_again(encoder_runs, c
     assert encoder_runs == {"SEQ": 3}
     assert not np.array_equal(moved[0], edited[0])
     assert np.array_equal(moved[1:], edited[1:])
+
+    stg = _states(ds, ("STG",))[0]
+    chain, _ = extract_features(stg, ds.samples, ds.bones, crop_length=crop)
+    star = tuple((0, j) for j in range(1, ds.joint_count))
+    assert sorted(star) != sorted(ds.bones)
+    starred, _ = extract_features(stg, ds.samples, star, crop_length=crop)
+    assert encoder_runs == {"SEQ": 3, "STG": 2}
+    assert not np.array_equal(starred, chain)
 
 
 def test_loaded_and_copied_states_start_with_an_empty_memo(tmp_path, encoder_runs):
@@ -477,10 +487,10 @@ def test_finetune_scores_its_test_split_in_batches_of_at_most_64(monkeypatch):
     assert len(test) > 64
     sizes, forward = [], downstream.encoder_forward
 
-    def recorded(config, params, x, a_hat=None, want_cache=False):
+    def recorded(config, params, x, bones=None, want_cache=False):
         if not want_cache:
             sizes.append(len(x))
-        return forward(config, params, x, a_hat, want_cache)
+        return forward(config, params, x, bones, want_cache)
 
     monkeypatch.setattr(downstream, "encoder_forward", recorded)
     state = init_encoder(desk_config("STG", ds.joint_count, hidden=4), seed=0)

@@ -22,15 +22,10 @@ from skelcon.encoders import (
     save_checkpoint,
 )
 from skelcon.errors import DegenerateEmbeddingError, ParseError
-from skelcon.represent import (
-    batch_views,
-    bone_adjacency,
-    normalized_adjacency,
-)
+from skelcon.represent import batch_views
 
 JOINTS = 5
 BONES = chain_tree_bones(JOINTS)
-A_HAT = normalized_adjacency(bone_adjacency(BONES, JOINTS))
 
 
 def _sequences(n=3, t=8, seed=0):
@@ -105,12 +100,26 @@ def test_forward_shapes_and_embedding_norms(rep):
     config = desk_config(rep, JOINTS, hidden=8, projection_dim=16)
     state = init_encoder(config, seed=1)
     x = _batch(rep).astype(np.float32)
-    a_hat = A_HAT.astype(np.float32) if rep == "STG" else None
-    feats, _ = encoder_forward(config, state.params, x, a_hat)
+    feats, _ = encoder_forward(config, state.params, x, BONES)
     assert feats.shape == (3, config.feature_dim)
-    z, _ = embed_forward(config, state.params, x, a_hat)
+    z, _ = embed_forward(config, state.params, x, BONES)
     assert z.shape == (3, 16)
     assert np.allclose(np.linalg.norm(z, axis=1), 1.0, atol=1e-6)
+
+
+@pytest.mark.parametrize("bones", [None, BONES[:-1], BONES[:-1] + ((0, JOINTS),),
+                                   BONES[:-1] + ((0, 1),)],
+                         ids=["none", "too-few", "out-of-range", "repeated-edge"])
+def test_stg_forward_needs_a_bone_tree_over_the_config_joints(bones):
+    """STG builds its adjacency from the bone list on every forward pass;
+    no list, or one that is not a tree over `config.joints`, is refused."""
+    config = desk_config("STG", JOINTS, hidden=8, projection_dim=16)
+    state = init_encoder(config, seed=1)
+    x = _batch("STG").astype(np.float32)
+    with pytest.raises(ValueError, match="bone|tree"):
+        encoder_forward(config, state.params, x, bones)
+    with pytest.raises(ValueError, match="bone|tree"):
+        embed_forward(config, state.params, x, bones)
 
 
 def test_degenerate_embedding_raises():
@@ -138,7 +147,6 @@ def test_embedding_gradients(fd_check, rep, pooling):
     rng = np.random.default_rng(10)
     config = dataclasses.replace(desk_config(rep, JOINTS, hidden=4, projection_dim=6),
                                  seq_pooling=pooling)
-    a_hat = A_HAT if rep == "STG" else None
     state = init_encoder(config, seed=5, dtype=np.float64)
     for name, value in state.params.items():
         if ".b" in name:
@@ -148,11 +156,11 @@ def test_embedding_gradients(fd_check, rep, pooling):
             for i in range(2)]
     x = batch_views(seqs, rep)
 
-    z, cache = embed_forward(config, state.params, x, a_hat, want_cache=True)
+    z, cache = embed_forward(config, state.params, x, BONES, want_cache=True)
     probe = rng.normal(size=z.shape)
 
     def loss():
-        out, _ = embed_forward(config, state.params, x, a_hat)
+        out, _ = embed_forward(config, state.params, x, BONES)
         return float(np.sum(out * probe))
 
     grads = embed_backward(config, state.params, cache, probe)

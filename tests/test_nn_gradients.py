@@ -9,7 +9,6 @@ import pytest
 
 from skelcon import encoders, nn
 from skelcon.data import chain_tree_bones
-from skelcon.represent import graph_adjacency
 
 
 def _probe_like(rng, arr):
@@ -147,9 +146,8 @@ def test_conv2d_forward_equals_the_bias_fill_sum_at_every_encoder_conv(
     config = encoders.desk_config(rep, 25, hidden=32)
     params = {k: (v + rng.normal(scale=0.1, size=v.shape)).astype(dtype)
               for k, v in encoders.init_encoder(config, seed=0).params.items()}
-    a_hat = graph_adjacency(chain_tree_bones(25), 25, dtype)
     encoders.encoder_forward(config, params, rng.normal(size=(4, 3, 32, 50)).astype(dtype),
-                             a_hat)
+                             chain_tree_bones(25))
     kernels = [w.shape[2:] for _, w, _, _ in calls]
     assert kernels == ([(1, 1), (5, 1), (1, 1)] if rep == "IMG" else [(5, 1)])
     for x, w, b, pad in calls:

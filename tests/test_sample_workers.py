@@ -13,7 +13,6 @@ import pytest
 
 from skelcon import encoders, nn
 from skelcon.data import chain_tree_bones
-from skelcon.represent import graph_adjacency
 
 ONE_CPU, FOUR_CPUS = {0}, {0, 1, 2, 3}
 
@@ -67,9 +66,8 @@ def _encoder_ops(rep, n, dtype):
         config = encoders.desk_config(rep, 25, hidden=32, depth=2 if rep == "STG" else 1)
         params = {k: (v + rng.normal(scale=0.1, size=v.shape)).astype(dtype)
                   for k, v in encoders.init_encoder(config, seed=0).params.items()}
-        a_hat = graph_adjacency(chain_tree_bones(25), 25, dtype)
         x = rng.normal(size=(n, 3, 32, 50)).astype(dtype)
-        encoders.encoder_forward(config, params, x, a_hat)
+        encoders.encoder_forward(config, params, x, chain_tree_bones(25))
     return calls
 
 
