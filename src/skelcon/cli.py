@@ -27,7 +27,7 @@ from .config import (ExperimentConfig, parse_config, parse_override,
 from .data import Dataset
 from .encoders import CHECKPOINT_MAGIC, EncoderState, atomic_open, load_checkpoint, write_json
 from .errors import ConfigError, SkelconError
-from .nn import BLAS_THREAD_VARS, conv_workers, usable_cpus
+from .nn import BLAS_THREAD_VARS, blas_core, conv_workers, usable_cpus
 
 FORMAT_VERSIONS = {"dataset": "SKL1", "checkpoint": "CKPT1", "trainer": "TRAINER1"}
 
@@ -73,6 +73,7 @@ def _environment() -> dict:
         "numpy": np.__version__,
         "blas": blas.get("name"),
         "blas_version": blas.get("version"),
+        "blas_core": blas_core(),
         "usable_cpus": usable_cpus(),
         "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
         "conv_workers": conv_workers(),

@@ -375,7 +375,7 @@ def _sgd_update(params: dict, grads: dict, velocity: dict,
 
 def _embed(trainer: TrainerState, rep: str, state: EncoderState,
            seqs: list[SkeletonSequence], want_cache: bool):
-    x = batch_views(seqs, rep).astype(state.dtype)
+    x = batch_views(seqs, rep, state.dtype)
     return embed_forward(state.config, state.params, x, trainer.bones, want_cache)
 
 
@@ -700,9 +700,10 @@ def pretrain(trainer: TrainerState, sequences: list[SkeletonSequence],
             if out_dir is not None and (last or (
                     schedule.checkpoint_every
                     and trainer.epoch % schedule.checkpoint_every == 0)):
+                # the log reaches the disk before the bundle that resumes after it
+                log_fh.flush()
+                os.fsync(log_fh.fileno())
                 save_trainer(trainer, out_dir)
-                if log_fh is not None:
-                    log_fh.flush()
     finally:
         if log_fh is not None:
             log_fh.close()

@@ -107,8 +107,7 @@ def _encode(state: EncoderState, samples: list[LabeledSample], bones,
     parts = []
     for start in range(0, len(samples), batch_size):
         seqs = [center_crop(s.sequence, crop_length) for s in samples[start:start + batch_size]]
-        f, _ = encoder_forward(state.config, state.params, batch_views(seqs, rep).astype(dtype),
-                               bones)
+        f, _ = encoder_forward(state.config, state.params, batch_views(seqs, rep, dtype), bones)
         parts.append(f)
     return np.concatenate(parts, axis=0)
 
@@ -379,7 +378,7 @@ def _finetune_one(init_state: EncoderState, train: list[LabeledSample],
     rep, dtype = config.representation, state.dtype
 
     classes, y = _class_targets(_labels(train), "finetune", "labeled subset")
-    x = batch_views([center_crop(s.sequence, crop_length) for s in train], rep).astype(dtype)
+    x = batch_views([center_crop(s.sequence, crop_length) for s in train], rep, dtype)
 
     rng = np.random.default_rng((int(seed), 0xF1E7))
     s = 1.0 / np.sqrt(config.feature_dim)

@@ -182,13 +182,19 @@ class _Tape(list):
         return grads
 
     def conv(self, params, layer, x, pad=(0, 0)):
-        y, c = nn.conv2d_forward(x, params[f"{layer}.w"], params[f"{layer}.b"], pad=pad)
-        self.append(((f"{layer}.w", f"{layer}.b"), lambda d: nn.conv2d_backward(d, c)))
+        """A conv and the ReLU after it, as one op."""
+        y, c = nn.conv2d_forward(x, params[f"{layer}.w"], params[f"{layer}.b"], pad=pad,
+                                 relu=True)
+        self.append(((f"{layer}.w", f"{layer}.b"),
+                     lambda d: nn.conv2d_backward(d, c, relu_out=y)))
         return y
 
     def graph_conv(self, params, layer, x, a_hat):
-        y, c = nn.graph_conv_forward(x, a_hat, params[f"{layer}.w"], params[f"{layer}.b"])
-        self.append(((f"{layer}.w", f"{layer}.b"), lambda d: nn.graph_conv_backward(d, c)))
+        """A graph conv and the ReLU after it, as one op."""
+        y, c = nn.graph_conv_forward(x, a_hat, params[f"{layer}.w"], params[f"{layer}.b"],
+                                     relu=True)
+        self.append(((f"{layer}.w", f"{layer}.b"),
+                     lambda d: nn.graph_conv_backward(d, c, relu_out=y)))
         return y
 
     def linear(self, params, layer, x):
@@ -236,8 +242,8 @@ class _Tape(list):
 
     def transpose(self, x, axes):
         inverse = tuple(np.argsort(axes))
-        self.append(((), lambda d: (np.ascontiguousarray(d.transpose(inverse)),)))
-        return np.ascontiguousarray(x.transpose(axes))
+        self.append(((), lambda d: (nn.transpose_copy(d, inverse),)))
+        return nn.transpose_copy(x, axes)
 
 
 class _NoTape(_Tape):
@@ -256,19 +262,19 @@ def _seq_forward(config, params, x, tape):
 
 def _img_forward(config, params, x, tape):
     pad = (config.temporal_kernel // 2, 0)
-    y = tape.relu(tape.conv(params, "conv_in", x))
+    y = tape.conv(params, "conv_in", x)
     for i in range(config.depth):
-        y = tape.relu(tape.conv(params, f"tconv{i}", y, pad))
+        y = tape.conv(params, f"tconv{i}", y, pad)
     y = tape.transpose(y, (0, 3, 2, 1))  # joints become channels
-    y = tape.relu(tape.conv(params, "cooc", y))
+    y = tape.conv(params, "cooc", y)
     return tape.relu(tape.linear(params, "fc", tape.pool(y, (2, 3))))
 
 
 def _stg_forward(config, params, x, a_hat, tape):
     pad = (config.temporal_kernel // 2, 0)
     for i in range(config.depth):
-        x = tape.relu(tape.graph_conv(params, f"block{i}.gc", x, a_hat))
-        x = tape.relu(tape.conv(params, f"block{i}.tc", x, pad))
+        x = tape.graph_conv(params, f"block{i}.gc", x, a_hat)
+        x = tape.conv(params, f"block{i}.tc", x, pad)
     return tape.relu(tape.linear(params, "fc", tape.pool(x, (2, 3))))
 
 

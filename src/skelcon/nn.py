@@ -12,12 +12,16 @@ is `conv_workers()`: the usable CPUs divided by the BLAS thread count that
 ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS`` sets
 (the first positive integer among them), so pool workers only use the cores
 that BLAS leaves idle.  With none of them set BLAS already uses every core
-and each op runs as one block.  Every sample's GEMMs are the same calls
-whatever the block, and the sums over samples and graph conv's joint-mixing
-GEMM run once in the calling thread, so the bytes never depend on the
-worker count.  They do depend on the BLAS thread count: BLAS pinned to one
-thread is the configuration whose bytes do not depend on the host's core
-count.
+and each op runs as one block.  A block runs its samples' GEMMs and bias
+adds; with ``relu=True`` it also applies the ReLU that follows the op to
+the rows it has just written, and the backward masks those rows of
+``dout`` before its GEMMs read them.  `transpose_copy` copies a transpose
+that keeps the sample axis first in the same blocks.  Every sample's GEMMs
+are the same calls whatever the block, and the sums over samples and graph
+conv's joint-mixing GEMM run once in the calling thread, so the bytes never
+depend on the worker count.  They do depend on the BLAS thread count: BLAS
+pinned to one thread is the configuration whose bytes do not depend on the
+host's core count.
 """
 
 from __future__ import annotations
@@ -35,6 +39,24 @@ def usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:              # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+def blas_core() -> str | None:
+    """The kernel set the loaded OpenBLAS picked at run time (``SkylakeX``,
+    ``Haswell``, ...), which numpy's build string does not tell; None when
+    numpy's BLAS has no ``scipy_openblas_get_corename64_``."""
+    import ctypes
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:                 # numpy before 2.0
+        from numpy.core import _multiarray_umath as umath
+    try:
+        # dlsym on numpy's extension also searches the libraries it links
+        get = ctypes.CDLL(umath.__file__).scipy_openblas_get_corename64_
+    except (OSError, AttributeError):
+        return None
+    get.restype = ctypes.c_char_p
+    return get().decode("ascii")
 
 
 def conv_workers() -> int:
@@ -96,6 +118,39 @@ def _per_sample(block, n):
             future.exception()
     for future in futures:
         future.result()
+
+
+def _relu_mask(dout, relu_out):
+    """Allocate ``dout * (relu_out > 0)``, the gradient through a ReLU whose
+    output is `relu_out`, and return it with ``mask(lo, hi)``, which fills
+    its sample rows lo:hi: the bytes of `relu_backward`, made in a sample
+    block.  Without a ReLU (`relu_out` None) that is `dout` and a no-op."""
+    if relu_out is None:
+        return dout, lambda lo, hi: None
+    relu_out = relu_out.reshape(dout.shape)
+    positive = np.empty(dout.shape, dtype=bool)
+    masked = np.empty(dout.shape, dtype=np.result_type(dout, positive))
+
+    def mask(lo, hi):
+        np.greater(relu_out[lo:hi], 0.0, out=positive[lo:hi])
+        np.multiply(dout[lo:hi], positive[lo:hi], out=masked[lo:hi])
+
+    return masked, mask
+
+
+def transpose_copy(x, axes):
+    """``np.ascontiguousarray(x.transpose(axes))`` for axes that keep the
+    sample axis first, copied in sample blocks."""
+    if axes[0] != 0:
+        raise ValueError(f"transpose_copy keeps the sample axis first, got axes {tuple(axes)}")
+    view = x.transpose(axes)
+    out = np.empty(view.shape, dtype=x.dtype)
+
+    def block(lo, hi):
+        out[lo:hi] = view[lo:hi]
+
+    _per_sample(block, x.shape[0])
+    return out
 
 
 def sigmoid(x, out=None):
@@ -179,9 +234,10 @@ def _scratch(buf, lo, hi, *shape):
     return buf[lo:hi].reshape(-1)[:(hi - lo) * math.prod(shape)].reshape(hi - lo, *shape)
 
 
-def conv2d_forward(x, w, b, pad=(0, 0)):
+def conv2d_forward(x, w, b, pad=(0, 0), relu=False):
     """x: (N, C, T, V), w: (F, C, kt, 1), stride 1, zero padding `pad` =
-    (pad along T, 0): the kernel spans time only."""
+    (pad along T, 0): the kernel spans time only.  `relu` applies a ReLU to
+    the output; its backward then takes the output as ``relu_out``."""
     n, c, t, v = x.shape
     f, _, kt, kw = w.shape
     if kw != 1 or pad[1] != 0:
@@ -209,23 +265,28 @@ def conv2d_forward(x, w, b, pad=(0, 0)):
             xs = x[lo:hi, :, rows].reshape(hi - lo, c, -1)
             p = np.matmul(w[:, :, i, 0], xs, out=_scratch(scratch, lo, hi, f, xs.shape[2]))
             o_blk[:, :, o] += p.reshape(hi - lo, f, -1, v)
+        if relu:
+            np.maximum(o_blk, 0.0, out=o_blk)
 
     _per_sample(block, n)
     return out, (x, x.shape, w.shape, pad, w)
 
 
-def conv2d_backward(dout, cache):
+def conv2d_backward(dout, cache, relu_out=None):
+    """Gradients (dx, dw, db) of `conv2d_forward`; pass its output as
+    `relu_out` when it ran with ``relu=True``."""
     x, x_shape, w_shape, pad, w = cache
     n, c, t, v = x_shape
     f, _, kt, _ = w_shape
     taps = list(_taps(t, kt, pad[0], dout.shape[2]))
-    db = dout.sum(axis=(0, 2, 3))
+    dout, mask = _relu_mask(dout, relu_out)
     dx = np.zeros(x_shape, dtype=dout.dtype)
     # each sample's dw product per tap, summed over samples below
     dws = np.empty((len(taps), n, f, c), dtype=np.result_type(dout, x))
     scratch = np.empty((n, c * t * v), dtype=np.result_type(w, dout))
 
     def block(lo, hi):
+        mask(lo, hi)
         for k, (i, o, rows) in enumerate(taps):
             ds = dout[lo:hi, :, o].reshape(hi - lo, f, -1)
             xs = x[lo:hi, :, rows].reshape(hi - lo, c, -1)
@@ -234,6 +295,7 @@ def conv2d_backward(dout, cache):
             dx[lo:hi, :, rows] += p.reshape(hi - lo, c, -1, v)
 
     _per_sample(block, n)
+    db = dout.sum(axis=(0, 2, 3))
     dw = np.zeros(w_shape, dtype=dout.dtype)
     for k, (i, _, _) in enumerate(taps):
         dw[:, :, i, 0] = dws[k].sum(axis=0)
@@ -384,12 +446,13 @@ def gru_backward(doutputs, dh_final, cache):
 # graph convolution over a fixed per-actor adjacency
 # ---------------------------------------------------------------------------
 
-def graph_conv_forward(x, a_hat, w, b):
+def graph_conv_forward(x, a_hat, w, b, relu=False):
     """x: (N, C, T, V) with V = actors * J; a_hat: normalized (J, J);
     w: (C, F) -> (N, F, T, V).
 
     a_hat mixes the joints inside each actor block (disjoint components),
-    then w maps the channels:  y = w^T mix(x) + b.  The mix stays one 2-D
+    then w maps the channels:  y = w^T mix(x) + b, followed by a ReLU when
+    `relu` is set (the backward then takes y as ``relu_out``).  The mix stays one 2-D
     GEMM over every sample's rows: split into row blocks, float64 GEMMs
     change bytes.  The cache's last slot, the actor count V // J, keeps the
     five-slot layout that `benchmarks/tracer.py` unpacks; the backward does
@@ -405,24 +468,30 @@ def graph_conv_forward(x, a_hat, w, b):
     def block(lo, hi):
         np.matmul(w.T, mixed[lo:hi], out=y[lo:hi])
         y[lo:hi] += b[:, None]
+        if relu:
+            np.maximum(y[lo:hi], 0.0, out=y[lo:hi])
 
     _per_sample(block, n)
     return y.reshape(n, -1, t, v), (mixed, x.shape, a_hat, w, v // j)
 
 
-def graph_conv_backward(dout, cache):
+def graph_conv_backward(dout, cache, relu_out=None):
+    """Gradients (dx, dw, db) of `graph_conv_forward`; pass its output as
+    `relu_out` when it ran with ``relu=True``."""
     mixed, x_shape, a_hat, w, _ = cache
     n = x_shape[0]
     d = dout.reshape(*dout.shape[:2], -1)
-    db = d.sum(axis=(0, 2))
+    d, mask = _relu_mask(d, relu_out)
     dws = np.empty((n, *w.shape), dtype=np.result_type(mixed, d))     # per sample
     dmixed = np.empty(mixed.shape, dtype=np.result_type(w, d))
 
     def block(lo, hi):
+        mask(lo, hi)
         np.matmul(mixed[lo:hi], d[lo:hi].transpose(0, 2, 1), out=dws[lo:hi])
         np.matmul(w, d[lo:hi], out=dmixed[lo:hi])
 
     _per_sample(block, n)
+    db = d.sum(axis=(0, 2))
     # mixed = x a_hat^T over the joint axis  =>  dx = dmixed a_hat
     dx = (dmixed.reshape(-1, a_hat.shape[0]) @ a_hat).reshape(x_shape)
     return dx, dws.sum(axis=0), db

@@ -47,10 +47,14 @@ def graph_adjacency(bones, joints: int, dtype=np.float64) -> np.ndarray:
     return normalized_adjacency(adjacency).astype(dtype)
 
 
+def _image_view(coords: np.ndarray) -> np.ndarray:
+    t, m, j, _ = coords.shape
+    return coords.reshape(t, m * j, 3).transpose(2, 0, 1)
+
+
 def to_image(seq: SkeletonSequence) -> np.ndarray:
     """(T, M, J, 3) -> (3, T, M*J): coordinate channels first."""
-    t, m, j, _ = seq.coords.shape
-    return np.ascontiguousarray(seq.coords.reshape(t, m * j, 3).transpose(2, 0, 1))
+    return np.ascontiguousarray(_image_view(seq.coords))
 
 
 def to_sequence(seq: SkeletonSequence) -> np.ndarray:
@@ -74,15 +78,27 @@ def sequence_to_coords(view: np.ndarray, joints: int) -> np.ndarray:
 # batched conversion used by the training loops
 # ---------------------------------------------------------------------------
 
-def batch_views(seqs: list[SkeletonSequence], representation: str) -> np.ndarray:
-    """Stack per-sample views into one batch array.
+def batch_views(seqs: list[SkeletonSequence], representation: str,
+                dtype=None) -> np.ndarray:
+    """Per-sample views written straight into one C-contiguous batch array
+    of `dtype` (by default the first sequence's coordinate dtype).
 
     IMG and STG -> (N, 3, T, M*J);  SEQ -> (N, T, M*J*3).
     Graph encoders receive `graph_adjacency` separately; the bone tree is
     checked there, once, and not per batch.
     """
-    if representation in ("IMG", "STG"):
-        return np.stack([to_image(s) for s in seqs])
+    if representation not in REPRESENTATIONS:
+        raise ValueError(f"unknown representation {representation!r}")
+    if not seqs:
+        raise ValueError("batch_views needs at least one sequence")
+    t, m, j, c = seqs[0].coords.shape
+    dtype = seqs[0].coords.dtype if dtype is None else dtype
     if representation == "SEQ":
-        return np.stack([to_sequence(s) for s in seqs])
-    raise ValueError(f"unknown representation {representation!r}")
+        out = np.empty((len(seqs), t, m * j * c), dtype=dtype)
+        for row, s in zip(out, seqs):
+            row[...] = s.coords.reshape(t, -1)
+    else:
+        out = np.empty((len(seqs), c, t, m * j), dtype=dtype)
+        for row, s in zip(out, seqs):
+            row[...] = _image_view(s.coords)
+    return out

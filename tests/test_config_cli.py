@@ -4,9 +4,13 @@ import contextlib
 import dataclasses
 import itertools
 import json
+import os
 import shutil
 import struct
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +30,7 @@ from skelcon.downstream import FinetuneSchedule, ProbeSchedule, export_embedding
 from skelcon.encoders import (CHECKPOINT_MAGIC, EncoderState, desk_config, init_encoder,
                               load_checkpoint, save_checkpoint)
 from skelcon.errors import ConfigError, ParseError, SchemaError
+from skelcon.nn import blas_core
 
 # Overrides that shrink every knob so CLI runs finish in well under a second.
 TINY = [
@@ -360,9 +365,10 @@ def test_cli_pretrain_writes_replayable_artifacts(tmp_path):
                                       "trainer": "TRAINER1"}
     assert "loss_log.jsonl" in run["artifacts"]
     env = run["environment"]
-    assert set(env) == {"python", "numpy", "blas", "blas_version", "usable_cpus",
-                        "blas_threads", "conv_workers"}
+    assert set(env) == {"python", "numpy", "blas", "blas_version", "blas_core",
+                        "usable_cpus", "blas_threads", "conv_workers"}
     assert env["numpy"] == np.__version__ and env["conv_workers"] >= 1
+    assert env["blas_core"] == blas_core()
     assert set(env["blas_threads"]) == {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
                                         "OMP_NUM_THREADS"}
 
@@ -593,6 +599,39 @@ def test_cli_resume_continues_from_manifest(tmp_path):
     resumed = [json.loads(l) for l
                in (tmp_path / "steps" / "loss_log.jsonl").read_text().splitlines()]
     assert resumed == straight
+
+
+# `pretrain` whose process dies (exit 9, no clean-up) as soon as the epoch-2
+# bundle is written, as SIGKILL or the OOM killer would end it.
+_DIE_AFTER_EPOCH_2 = """
+import os, sys
+from skelcon import cli, contrast
+save = contrast.save_trainer
+def save_then_die(trainer, out_dir, tag=None):
+    path = save(trainer, out_dir, tag)
+    if trainer.epoch == 2:
+        os._exit(9)
+    return path
+contrast.save_trainer = save_then_die
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_cli_resume_from_the_bundle_written_just_before_a_crash(tmp_path):
+    every = ["trainer.epochs=3", "trainer.checkpoint_every=1"]
+    straight, _ = _pretrain(tmp_path, "straight", every)
+    crashed = tmp_path / "crashed"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", _DIE_AFTER_EPOCH_2, "pretrain",
+                           "--out", str(crashed)] + _sets(every),
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 9, done.stderr[-2000:]
+    assert main(["pretrain", "--out", str(crashed), "--resume",
+                 str(crashed / "epoch0002.trainer.json")] + _sets(every)) == 0
+    assert (crashed / "loss_log.jsonl").read_bytes() == \
+        (straight / "loss_log.jsonl").read_bytes()
 
 
 def _resume_tiny_bundle(tmp_path, tiny_bundle, edit_log):

@@ -137,9 +137,9 @@ def test_conv2d_forward_equals_the_bias_fill_sum_at_every_encoder_conv(
     conv an encoder runs must still give the bytes of the reference sum."""
     calls, forward = [], nn.conv2d_forward
 
-    def record(x, w, b, pad=(0, 0)):
+    def record(x, w, b, pad=(0, 0), relu=False):
         calls.append((x, w, b, pad))
-        return forward(x, w, b, pad)
+        return forward(x, w, b, pad, relu)
 
     monkeypatch.setattr(nn, "conv2d_forward", record)
     rng = np.random.default_rng(12)
@@ -175,6 +175,30 @@ def test_temporal_conv_gradients_at_an_encoder_shape(fd_check):
     dx, dw, db = nn.conv2d_backward(probe, cache)
     fd_check(loss, params, {"x": dx, "w": dw, "b": db}, rng,
              samples_per_array=8)
+
+
+@pytest.mark.usefixtures("conv_workers")
+@pytest.mark.parametrize("kernel,pad", [((5, 1), (2, 0)), ((1, 1), (0, 0))])
+def test_conv2d_with_relu_gradients_away_from_kink(fd_check, kernel, pad):
+    rng = np.random.default_rng(13)
+    params = {"x": rng.normal(size=(2, 3, 6, 4)),
+              "w": rng.normal(size=(4, 3, *kernel)) * 0.5,
+              "b": rng.normal(size=4) * 0.5}
+    pre, _ = nn.conv2d_forward(params["x"], params["w"], params["b"], pad=pad)
+    # no 1e-6 step crosses the kink, and both of its sides are probed
+    assert np.abs(pre).min() > 1e-3 and (pre < 0).any() and (pre > 0).any()
+    out, cache = nn.conv2d_forward(params["x"], params["w"], params["b"], pad=pad, relu=True)
+    assert out.tobytes() == nn.relu_forward(pre)[0].tobytes()
+    probe = rng.normal(size=out.shape)
+
+    def loss():
+        o, _ = nn.conv2d_forward(params["x"], params["w"], params["b"], pad=pad, relu=True)
+        return float(np.sum(o * probe))
+
+    dx, dw, db = nn.conv2d_backward(probe, cache, relu_out=out)
+    unfused = nn.conv2d_backward(nn.relu_backward(probe, out), cache)
+    assert [a.tobytes() for a in (dx, dw, db)] == [a.tobytes() for a in unfused]
+    fd_check(loss, params, {"x": dx, "w": dw, "b": db}, rng, samples_per_array=8)
 
 
 @pytest.mark.parametrize("kernel,pad", [((3, 3), (1, 1)), ((1, 1), (0, 1)), ((5, 2), (2, 0))])
@@ -386,6 +410,32 @@ def test_graph_conv_gradients(fd_check):
     dx, dw, db = nn.graph_conv_backward(probe, cache)
     fd_check(loss, params, {"x": dx, "w": dw, "b": db}, rng,
              samples_per_array=6)
+
+
+@pytest.mark.usefixtures("conv_workers")
+def test_graph_conv_with_relu_gradients_away_from_kink(fd_check):
+    rng = np.random.default_rng(14)
+    from skelcon.represent import graph_adjacency
+    j = 4
+    a_hat = graph_adjacency(chain_tree_bones(j), j)
+    params = {"x": rng.normal(size=(2, 3, 3, 2 * j)),
+              "w": rng.normal(size=(3, 5)) * 0.5,
+              "b": rng.normal(size=5) * 0.5}
+    pre, _ = nn.graph_conv_forward(params["x"], a_hat, params["w"], params["b"])
+    # no 1e-6 step crosses the kink, and both of its sides are probed
+    assert np.abs(pre).min() > 1e-3 and (pre < 0).any() and (pre > 0).any()
+    out, cache = nn.graph_conv_forward(params["x"], a_hat, params["w"], params["b"], relu=True)
+    assert out.tobytes() == nn.relu_forward(pre)[0].tobytes()
+    probe = rng.normal(size=out.shape)
+
+    def loss():
+        o, _ = nn.graph_conv_forward(params["x"], a_hat, params["w"], params["b"], relu=True)
+        return float(np.sum(o * probe))
+
+    dx, dw, db = nn.graph_conv_backward(probe, cache, relu_out=out)
+    unfused = nn.graph_conv_backward(nn.relu_backward(probe, out), cache)
+    assert [a.tobytes() for a in (dx, dw, db)] == [a.tobytes() for a in unfused]
+    fd_check(loss, params, {"x": dx, "w": dw, "b": db}, rng, samples_per_array=8)
 
 
 @pytest.mark.usefixtures("conv_workers")

@@ -94,3 +94,21 @@ def test_batch_views_match_single_views():
     stg = batch_views(seqs, "STG")
     assert stg.flags.c_contiguous
     assert stg.dtype == imgs.dtype and stg.tobytes() == imgs.tobytes()
+
+
+@pytest.mark.parametrize("rep, single", [("IMG", to_image), ("STG", to_image),
+                                         ("SEQ", to_sequence)])
+@pytest.mark.parametrize("dtype", [None, np.float32, np.float64])
+def test_batch_views_write_the_bytes_of_stacked_cast_views(rep, single, dtype):
+    seqs = [_seq(seed=i) for i in range(3)]
+    want = np.stack([single(s) for s in seqs])
+    if dtype is not None:
+        want = want.astype(dtype)
+    got = batch_views(seqs, rep, dtype)
+    assert got.flags.c_contiguous
+    assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+def test_batch_views_refuses_an_empty_batch():
+    with pytest.raises(ValueError, match="at least one"):
+        batch_views([], "IMG")

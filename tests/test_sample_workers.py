@@ -49,17 +49,24 @@ def test_conv_workers_counts_all_cpus_without_an_affinity_call(monkeypatch):
     assert nn.conv_workers() == 3
 
 
+def test_blas_core_is_none_where_the_blas_has_no_corename_symbol(monkeypatch):
+    import ctypes
+    assert nn.blas_core() is None or isinstance(nn.blas_core(), str)
+    monkeypatch.setattr(ctypes, "CDLL", lambda path: object())
+    assert nn.blas_core() is None
+
+
 def _encoder_ops(rep, n, dtype):
-    """(forward, backward, args) of every conv and graph-conv call that the
-    encoder runs on a batch of n at the benchmark's sizes (25 joints, crop
-    32, hidden 32; STG two blocks deep, so its graph conv runs at 3 and 32
-    input channels)."""
+    """(forward, backward, args, kwargs) of every conv and graph-conv call
+    that the encoder runs on a batch of n at the benchmark's sizes (25
+    joints, crop 32, hidden 32; STG two blocks deep, so its graph conv runs
+    at 3 and 32 input channels)."""
     calls = []
     ops = {"conv2d_forward": nn.conv2d_backward, "graph_conv_forward": nn.graph_conv_backward}
     with pytest.MonkeyPatch.context() as mp:
         for name, backward in ops.items():
             def record(*args, _forward=getattr(nn, name), _backward=backward, **kwargs):
-                calls.append((_forward, _backward, (*args, *kwargs.values())))
+                calls.append((_forward, _backward, args, kwargs))
                 return _forward(*args, **kwargs)
             mp.setattr(nn, name, record)
         rng = np.random.default_rng(17)
@@ -78,14 +85,32 @@ def test_every_encoder_op_gives_the_same_bytes_at_one_two_and_three_workers(
         with_workers, rep, n, dtype):
     calls = _encoder_ops(rep, n, dtype)
     assert len(calls) == (3 if rep == "IMG" else 4)
-    for forward, backward, args in calls:
+    for forward, backward, args, kwargs in calls:
+        assert kwargs["relu"] is True              # every encoder conv is followed by a ReLU
         outputs = []
         for workers in (1, 2, 3):
             with with_workers(workers):
-                y, cache = forward(*args)
-                grads = backward(np.cos(y), cache)
+                y, cache = forward(*args, **kwargs)
+                grads = backward(np.cos(y), cache, relu_out=y)
             outputs.append([(a.dtype.str, a.shape, a.tobytes()) for a in (y, *grads)])
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0], forward.__name__
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape, axes", [((16, 32, 32, 50), (0, 3, 2, 1)),
+                                         ((3, 4, 5, 6), (0, 2, 3, 1)),
+                                         ((1, 2, 3), (0, 2, 1))])
+def test_transpose_copy_gives_the_contiguous_transpose_at_one_two_and_three_workers(
+        with_workers, shape, axes, dtype):
+    x = np.random.default_rng(5).normal(size=shape).astype(dtype)
+    want = np.ascontiguousarray(x.transpose(axes))
+    for workers in (1, 2, 3):
+        with with_workers(workers):
+            got = nn.transpose_copy(x, axes)
+        assert got.flags.c_contiguous
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    with pytest.raises(ValueError, match="sample axis first"):
+        nn.transpose_copy(x, axes[::-1])
 
 
 def test_a_seq_encoder_makes_no_pool(monkeypatch):
@@ -125,19 +150,25 @@ INTER3 = ["dataset.num_classes=3", "dataset.samples_per_class=8", "dataset.frame
           "augment.output_length=32", "trainer.mode=inter3",
           'trainer.representations=["IMG","SEQ","STG"]', "trainer.queue_size=64",
           "trainer.batch_size=8", "trainer.epochs=2", "trainer.checkpoint_every=1"]
-_PRETRAIN = "import sys; from skelcon.cli import main; sys.exit(main(sys.argv[1:]))"
+_CLI = "import sys; from skelcon.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
-def _pretrain_in_subprocess(out, cpus=None):
+def _cli_in_subprocess(subcommand, out, extra=(), cpus=None):
+    """`skelcon <subcommand> --out out` over the INTER3 config at one BLAS
+    thread; returns the run's `environment` block."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
-    args = ["pretrain", "--out", str(out)] + [a for s in INTER3 for a in ("--set", s)]
+    args = [subcommand, "--out", str(out), *(a for s in INTER3 for a in ("--set", s)), *extra]
     pin = None if cpus is None else (lambda: os.sched_setaffinity(0, cpus))
-    done = subprocess.run([sys.executable, "-c", _PRETRAIN, *args], env=env,
+    done = subprocess.run([sys.executable, "-c", _CLI, *args], env=env,
                           preexec_fn=pin, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr[-2000:]
     return json.loads((out / "run.json").read_text())["environment"]
+
+
+def _pretrain_in_subprocess(out, cpus=None):
+    return _cli_in_subprocess("pretrain", out, cpus=cpus)
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
