@@ -5,13 +5,14 @@ export.  Every run writes a resolved-config snapshot plus a deterministic
 run manifest into ``--out``, so a run can be replayed bit-identically from
 its artifact directory alone.
 
-Exit codes: 0 success; 2 config error; 3 runtime failure; 4 metrics below a
-configured acceptance threshold.
+Exit codes: 0 success; 2 config error; 3 runtime failure, out of memory
+included; 4 metrics below a configured acceptance threshold.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -47,14 +48,18 @@ def _build_config(args) -> ExperimentConfig:
     return resolve_config({}, overrides)
 
 
+def _load(config: ExperimentConfig):
+    """Load and split the data: (dataset, split, train, test)."""
+    dataset = config.dataset.load()
+    split = config.dataset.split(dataset)
+    return (dataset, split, dataset.subset(list(split.train_ids)),
+            dataset.subset(list(split.test_ids)))
+
+
 def _prepare(config: ExperimentConfig, out_dir):
     """Snapshot the resolved config into `out_dir`, then load and split the data."""
     write_resolved(config, out_dir)
-    dataset = config.dataset.load()
-    split = config.dataset.split(dataset)
-    train = dataset.subset(list(split.train_ids))
-    test = dataset.subset(list(split.test_ids))
-    return dataset, split, train, test
+    return _load(config)
 
 
 def _write_json(out_dir, name: str, record: dict) -> None:
@@ -144,14 +149,33 @@ def _resume(path, config: ExperimentConfig) -> contrast.TrainerState:
     return trainer
 
 
+def _dataset_sha256(sequences) -> str:
+    """sha256 over each sequence's coords (dtype, shape and bytes), in order."""
+    digest = hashlib.sha256()
+    for seq in sequences:
+        coords = np.ascontiguousarray(seq.coords)
+        digest.update(f"{coords.dtype.str}{coords.shape}".encode())
+        digest.update(coords.tobytes())
+    return digest.hexdigest()
+
+
 def _cmd_pretrain(args, config: ExperimentConfig) -> int:
+    """Pretrain, or resume a bundle. A resumed bundle that records its
+    training data must see the same data again; the config is written only
+    after that check passes."""
     trainer = _resume(args.resume, config) if args.resume else None
-    dataset, split, train, _ = _prepare(config, args.out)
+    dataset, split, train, _ = _load(config)
+    sequences = [s.sequence for s in train]
+    fingerprint = _dataset_sha256(sequences)
+    if trainer is not None and trainer.dataset_sha256 not in (None, fingerprint):
+        raise ConfigError(f"dataset: the training sequences differ from those of the "
+                          f"run resumed from {args.resume}")
+    write_resolved(config, args.out)
     if trainer is None:
         trainer = contrast.make_trainer(config.trainer, config.encoders,
                                         config.aug, dataset.bones, config.seed)
-    records = contrast.pretrain(trainer, [s.sequence for s in train],
-                                config.schedule, out_dir=args.out)
+    trainer.dataset_sha256 = fingerprint
+    records = contrast.pretrain(trainer, sequences, config.schedule, out_dir=args.out)
     manifest = f"epoch{trainer.epoch:04d}.trainer.json"
     _write_manifest(args.out, "pretrain", config,
                     ["config.json", "loss_log.jsonl", manifest])
@@ -187,7 +211,7 @@ def _cmd_probe(args, config: ExperimentConfig) -> int:
     dataset, split, train, test = _prepare(config, args.out)
     state = _load_encoder(config, "probe")
     metrics = ds.linear_probe(*_features(config, state, dataset, train, test),
-                              config.downstream.probe, split.protocol)
+                              config.downstream.probe)
     return _report(args, config, "probe", split.protocol, metrics)
 
 
@@ -195,8 +219,7 @@ def _cmd_retrieve(args, config: ExperimentConfig) -> int:
     dataset, split, train, test = _prepare(config, args.out)
     state = _load_encoder(config, "retrieve")
     f_train, y_train, f_test, y_test = _features(config, state, dataset, train, test)
-    _, metrics = ds.knn_retrieve(ds.build_index(f_train, y_train), f_test, y_test,
-                                 split.protocol)
+    _, metrics = ds.knn_retrieve(ds.build_index(f_train, y_train), f_test, y_test)
     return _report(args, config, "retrieve/knn-1", split.protocol, metrics)
 
 
@@ -287,7 +310,7 @@ def _cmd_sweep(args, config: ExperimentConfig) -> int:
                        or cell_config.trainer.representations[0])
                 metrics = ds.linear_probe(
                     *_features(cell_config, trainer.pairs[rep].query, dataset, train, test),
-                    cell_config.downstream.probe, split.protocol)
+                    cell_config.downstream.probe)
                 record.update(status="ok", task="pretrain+probe",
                               accuracy=metrics.accuracy,
                               correct=metrics.correct, total=metrics.total)
@@ -354,7 +377,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (SkelconError, OSError, ValueError) as exc:
+    except (SkelconError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

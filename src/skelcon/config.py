@@ -4,15 +4,17 @@ Config files are JSON documents mirroring the ``DEFAULTS`` tree below.  An
 empty document is a valid config: every value falls back to the reference
 hyperparameters (temperature 0.07, 15 jittered joints, minimum crop ratio
 0.1, crop length 64, queue 16384, SGD lr 0.01 / weight decay 1e-4, 450
-epochs).  Unknown keys are rejected by full dotted path; type and range
-violations name the offending key.  Each rule lives in one place: a field's
-type is its annotation in the dataclass its section builds, which `_build`
+epochs).  Each section's defaults are the field defaults of the dataclass
+it builds, so each is written once; only the run ``seed``, the trainer's
+``mode`` and ``representations`` and the ``sweep`` section, which no
+dataclass holds, are written here.  Unknown keys are rejected by full
+dotted path; type and range violations name the offending key.  Each rule
+lives in one place: a field's type is its annotation, which `_build`
 converts each value to; its range is checked by that dataclass, whose
 ValueError is raised again on the dotted key.  This module keeps only the
-defaults, the rules that span fields (``jitter_joints`` below the joint
-count, a temporal kernel no longer than the crop, a null ``feature_dim``
-meaning 2 * hidden) and the sweep.  Command-line overrides use the same
-dotted paths (``trainer.tau=0.05``).
+rules that span sections (``jitter_joints`` below the joint count, a
+temporal kernel no longer than the crop) and the sweep.  Command-line
+overrides use the same dotted paths (``trainer.tau=0.05``).
 """
 
 from __future__ import annotations
@@ -33,64 +35,29 @@ from .data import DatasetSpec
 from .downstream import DownstreamSpec
 from .encoders import EncoderConfig, write_json
 from .errors import ConfigError
+from .represent import REPRESENTATIONS
+
+
+def _section(cls, skip=()) -> dict:
+    """The config section of `cls`: each field with a default, tuples as the
+    lists JSON reads back and a dataclass default as a section of its own."""
+    def plain(value):
+        if dataclasses.is_dataclass(value):
+            return {f.name: plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
+        return list(value) if isinstance(value, tuple) else value
+    return {f.name: plain(f.default) for f in dataclasses.fields(cls)
+            if f.default is not dataclasses.MISSING and f.name not in skip}
+
 
 DEFAULTS: dict = {
     "seed": 0,
-    "dataset": {
-        "source": "synthetic",          # synthetic | file
-        "path": None,                   # SKL1 file for source=file
-        "num_classes": 5,
-        "samples_per_class": 100,
-        "frames": 96,
-        "joints": 25,
-        "noise": 0.01,
-        "seed": 0,                      # dataset generation seed (not the run seed)
-        "protocol": "random",
-        "train_fraction": 0.5,
-    },
-    "augment": {
-        "spatial_mode": "randomized",   # pose | jitter | randomized | none
-        "temporal": True,
-        "l_min": 0.1,
-        "jitter_joints": 15,
-        "output_length": 64,
-    },
-    "encoders": {
-        "IMG": {"depth": 1, "hidden": 32, "feature_dim": None,
-                "projection_dim": 128, "temporal_kernel": 5},
-        "SEQ": {"depth": 1, "hidden": 32, "feature_dim": None,
-                "projection_dim": 128, "temporal_kernel": 5,
-                "seq_pooling": "final"},
-        "STG": {"depth": 1, "hidden": 32, "feature_dim": None,
-                "projection_dim": 128, "temporal_kernel": 5},
-    },
-    "trainer": {
-        "mode": "intra",                # intra | inter | inter3
-        "representations": ["SEQ"],
-        "tau": 0.07,
-        "momentum": 0.999,
-        "queue_size": 16384,
-        "lr": 0.01,
-        "weight_decay": 0.0001,
-        "opt_momentum": 0.9,
-        "cross_terms": "full",          # inter3 only: full | cycle
-        "epochs": 450,
-        "batch_size": 16,
-        "checkpoint_every": 0,
-    },
-    "downstream": {
-        "checkpoint": None,             # CKPT1 file or TRAINER1 manifest
-        "representation": None,         # which encoder of a trainer manifest
-        "rho": 0.1,
-        "finetune_mode": "semi-supervised",
-        "seeds": [0, 1, 2, 3, 4],
-        "projector": "none",            # embedding export: none | pca2d
-        "min_accuracy": None,           # threshold for CI gating (exit 4)
-        "probe": {"epochs": 80, "lr": 0.1, "momentum": 0.9,
-                  "decay_epochs": [50, 70], "decay_factor": 0.1},
-        "finetune": {"epochs": 50, "lr": 0.0001, "decay_epochs": [30, 40],
-                     "decay_factor": 0.1, "batch_size": 16},
-    },
+    "dataset": _section(DatasetSpec),
+    "augment": _section(AugmentationSpec),
+    "encoders": {rep: _section(EncoderConfig, () if rep == "SEQ" else ("seq_pooling",))
+                 for rep in REPRESENTATIONS},
+    "trainer": {"mode": "intra", "representations": ["SEQ"],
+                **_section(TrainerConfig), **_section(Schedule)},
+    "downstream": _section(DownstreamSpec),
     "sweep": {
         "key": None,                    # dotted config path varied over cells
         "values": None,
@@ -165,17 +132,6 @@ def _build(cls, section: str, values: dict, **given):
         raise ConfigError(f"{key}: {exc}") from exc
 
 
-def set_by_path(tree: dict, dotted: str, value) -> None:
-    """Apply one ``a.b.c=value`` override to a plain config tree."""
-    parts = dotted.split(".")
-    node = tree
-    for i, part in enumerate(parts[:-1]):
-        if not isinstance(node.get(part), dict):
-            node[part] = {}
-        node = node[part]
-    node[parts[-1]] = value
-
-
 def parse_override(text: str) -> tuple[str, object]:
     """``key=value`` with the value parsed as JSON, falling back to a string."""
     if "=" not in text:
@@ -216,17 +172,12 @@ class ExperimentConfig:
 
 def _build_encoders(tree: dict, joints: int, output_length: int) -> dict[str, EncoderConfig]:
     """One EncoderConfig per `encoders` section, with the rules that need
-    more than that section: the joint count, a `feature_dim` of null meaning
-    2 * hidden, and a temporal kernel no longer than the crop."""
+    more than that section: the joint count, and a temporal kernel no
+    longer than the crop."""
     out = {}
     for rep, values in tree["encoders"].items():
         path = f"encoders.{rep}"
-        derived = {}
-        if values["feature_dim"] is None:
-            hidden = _field(EncoderConfig, "hidden", values["hidden"], f"{path}.hidden")
-            derived["feature_dim"] = 2 * hidden
-        config = _build(EncoderConfig, path, values, representation=rep, joints=joints,
-                        **derived)
+        config = _build(EncoderConfig, path, values, representation=rep, joints=joints)
         _require(config.temporal_kernel <= output_length, f"{path}.temporal_kernel",
                  f"kernel {config.temporal_kernel} exceeds crop length {output_length}")
         out[rep] = config
@@ -252,18 +203,18 @@ def _build_sweep(tree: dict) -> SweepSpec | None:
 
 
 def resolve_config(user_tree: dict, overrides=()) -> ExperimentConfig:
-    """Merge a user tree and dotted overrides onto the defaults, validate,
-    and build the typed experiment description."""
+    """Merge a user tree and dotted ``(key, value)`` overrides onto the
+    defaults, validate, and build the typed experiment description."""
     if not isinstance(user_tree, dict):
         raise ConfigError(f"config root must be an object, got {type(user_tree).__name__}")
     tree = _merge(DEFAULTS, user_tree)
-    for item in overrides:
-        key, value = item if isinstance(item, tuple) else parse_override(item)
-        probe_tree: dict = {}
-        set_by_path(probe_tree, key, value)
-        tree = _merge(tree, probe_tree)
+    for key, value in overrides:
+        for part in reversed(key.split(".")):
+            value = {part: value}
+        tree = _merge(tree, value)
 
     seed = _field(ExperimentConfig, "seed", tree["seed"], "seed")
+    _require(seed >= 0, "seed", f"must be >= 0, got {seed}")
     dataset = _build(DatasetSpec, "dataset", tree["dataset"])
     aug = _build(AugmentationSpec, "augment", tree["augment"])
     _require(aug.jitter_joints < dataset.joints, "augment.jitter_joints",

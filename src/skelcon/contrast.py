@@ -321,6 +321,7 @@ class TrainerState:
     epoch: int = 0
     step: int = 0
     batch_size: int | None = None      # the schedule's, once `pretrain` has run it
+    dataset_sha256: str | None = None  # of the training coords, where the caller records it
 
     @property
     def representations(self) -> tuple[str, ...]:
@@ -518,6 +519,7 @@ def save_trainer(trainer: TrainerState, out_dir, tag: str | None = None) -> str:
         "epoch": trainer.epoch,
         "step": trainer.step,
         "batch_size": trainer.batch_size,
+        "dataset_sha256": trainer.dataset_sha256,
         "encoders": files,
         "aux": aux_file,
     }
@@ -598,6 +600,10 @@ def load_trainer(manifest_path) -> TrainerState:
     if batch_size is not None and not (type(batch_size) is int and batch_size >= 1):
         raise ParseError(f"{manifest_path}: manifest 'batch_size' is {batch_size!r}, "
                          "not a positive integer")
+    dataset_sha256 = manifest.get("dataset_sha256")     # absent from older manifests
+    if dataset_sha256 is not None and not isinstance(dataset_sha256, str):
+        raise ParseError(f"{manifest_path}: manifest 'dataset_sha256' is "
+                         f"{dataset_sha256!r}, not a string")
     aux_path = os.path.join(base, manifest["aux"])
     aux = _read_aux(aux_path)
     pairs, queues, velocities = {}, {}, {}
@@ -623,7 +629,8 @@ def load_trainer(manifest_path) -> TrainerState:
     return TrainerState(config=config, aug=aug, pairs=pairs, queues=queues,
                         bones=bones, velocities=velocities,
                         seed=manifest["seed"], epoch=manifest["epoch"],
-                        step=manifest["step"], batch_size=batch_size)
+                        step=manifest["step"], batch_size=batch_size,
+                        dataset_sha256=dataset_sha256)
 
 
 def _open_loss_log(path, step: int):

@@ -407,16 +407,16 @@ def make_split(dataset: Dataset, protocol: str = "random",
 
 @dataclass(frozen=True)
 class DatasetSpec:
-    source: str                     # synthetic | file
-    path: str | None                # the SKL1 file of source "file"
-    num_classes: int
-    samples_per_class: int
-    frames: int
-    joints: int
-    noise: float
-    seed: int
-    protocol: str
-    train_fraction: float
+    source: str = "synthetic"       # synthetic | file
+    path: str | None = None         # the SKL1 file of source "file"
+    num_classes: int = 5
+    samples_per_class: int = 100
+    frames: int = 96
+    joints: int = 25
+    noise: float = 0.01
+    seed: int = 0                   # generation and split seed, not the run seed
+    protocol: str = "random"
+    train_fraction: float = 0.5
 
     def __post_init__(self):
         if self.source not in ("synthetic", "file"):
@@ -426,6 +426,8 @@ class DatasetSpec:
         _check_synthetic_sizes(**{name: getattr(self, name) for name in SYNTHETIC_MINIMUMS})
         if not self.noise >= 0.0:
             raise ValueError(f"noise must be >= 0, got {self.noise}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.protocol not in PROTOCOLS:
             raise ValueError(f"protocol must be one of {PROTOCOLS}, got {self.protocol!r}")
         if not 0.05 <= self.train_fraction <= 0.95:

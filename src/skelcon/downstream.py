@@ -147,21 +147,20 @@ class Metrics:
     correct: int
     total: int
     per_class: dict[int, float]
-    protocol: str = ""
 
     def __post_init__(self):
         if self.total and self.correct != round(self.accuracy * self.total):
             raise ValueError("accuracy * total must equal the correct count")
 
 
-def _score(predictions: np.ndarray, labels: np.ndarray, protocol: str) -> Metrics:
+def _score(predictions: np.ndarray, labels: np.ndarray) -> Metrics:
     correct = int(np.sum(predictions == labels))
     per_class = {}
     for c in np.unique(labels):
         mask = labels == c
         per_class[int(c)] = float(np.sum(predictions[mask] == c) / np.sum(mask))
     return Metrics(accuracy=correct / len(labels), correct=correct,
-                   total=int(len(labels)), per_class=per_class, protocol=protocol)
+                   total=int(len(labels)), per_class=per_class)
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +208,7 @@ def _softmax_ce(logits: np.ndarray, y_index: np.ndarray):
 
 def linear_probe(features_train: np.ndarray, labels_train: np.ndarray,
                  features_test: np.ndarray, labels_test: np.ndarray,
-                 schedule: ProbeSchedule = ProbeSchedule(),
-                 protocol: str = "") -> Metrics:
+                 schedule: ProbeSchedule = ProbeSchedule()) -> Metrics:
     """Full-batch gradient descent with momentum on a softmax classifier over
     frozen features; returns top-1 accuracy on the test split.
 
@@ -240,7 +238,7 @@ def linear_probe(features_train: np.ndarray, labels_train: np.ndarray,
         b -= lr * vb
     x_test = (np.asarray(features_test, dtype=np.float64) - mean) / scale
     predictions = classes[np.argmax(x_test @ w + b, axis=1)]
-    return _score(predictions, _scorable(labels_test, "linear probe"), protocol)
+    return _score(predictions, _scorable(labels_test, "linear probe"))
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +267,7 @@ def build_index(features: np.ndarray, labels: np.ndarray) -> RetrievalIndex:
 
 
 def knn_retrieve(index: RetrievalIndex, query_features: np.ndarray,
-                 query_labels=None, protocol: str = ""):
+                 query_labels=None):
     """k=1 cosine-similarity retrieval; ties go to the lowest gallery index.
 
     Returns predicted labels, plus Metrics when query labels are given.
@@ -283,7 +281,7 @@ def knn_retrieve(index: RetrievalIndex, query_features: np.ndarray,
     predictions = index.labels[nearest]
     if query_labels is None:
         return predictions, None
-    return predictions, _score(predictions, _scorable(query_labels, "retrieval"), protocol)
+    return predictions, _score(predictions, _scorable(query_labels, "retrieval"))
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +370,7 @@ FINETUNE_MODES = ("semi-supervised", "transfer", "supervised-only")
 def _finetune_one(init_state: EncoderState, train: list[LabeledSample],
                   test: list[LabeledSample], bones,
                   schedule: FinetuneSchedule, seed: int,
-                  crop_length: int, protocol: str) -> Metrics:
+                  crop_length: int) -> Metrics:
     state = init_state.copy()
     config = state.config
     rep, dtype = config.representation, state.dtype
@@ -409,7 +407,7 @@ def _finetune_one(init_state: EncoderState, train: list[LabeledSample],
     # `state` dies here, so a memo entry would never be read: no key is made
     feats = _encode(state, test, bones, crop_length, batch_size=64)
     predictions = classes[np.argmax(feats @ head["cls.w"] + head["cls.b"], axis=1)]
-    return _score(predictions, _labels(test), protocol)
+    return _score(predictions, _labels(test))
 
 
 def finetune(checkpoint, train: list[LabeledSample], test: list[LabeledSample],
@@ -440,7 +438,7 @@ def finetune(checkpoint, train: list[LabeledSample], test: list[LabeledSample],
         else:
             init = checkpoint
         accuracies.append(_finetune_one(init, labeled, test, bones, schedule,
-                                        int(seed), crop_length, protocol).accuracy)
+                                        int(seed), crop_length).accuracy)
     return summarize(f"finetune/{mode}/rho={rho}", protocol, seeds, accuracies)
 
 
@@ -451,7 +449,7 @@ def finetune(checkpoint, train: list[LabeledSample], test: list[LabeledSample],
 def combined_probe(states: list[EncoderState], train: list[LabeledSample],
                    test: list[LabeledSample], bones,
                    schedule: ProbeSchedule = ProbeSchedule(),
-                   crop_length: int = 64, protocol: str = "") -> Metrics:
+                   crop_length: int = 64) -> Metrics:
     """Concatenate backbone features from several encoders, then probe.
 
     A state that has just extracted these splits with the same crop and
@@ -467,7 +465,7 @@ def combined_probe(states: list[EncoderState], train: list[LabeledSample],
         test_parts.append(f_test)
     return linear_probe(np.concatenate(train_parts, axis=1), labels_train,
                         np.concatenate(test_parts, axis=1), labels_test,
-                        schedule, protocol)
+                        schedule)
 
 
 def pca2d(features: np.ndarray):
@@ -507,15 +505,15 @@ def export_embeddings(state: EncoderState, samples: list[LabeledSample],
 
 @dataclass(frozen=True)
 class DownstreamSpec:
-    checkpoint: str | None              # CKPT1 file or TRAINER1 manifest
-    representation: str | None          # which encoder of a trainer manifest
-    rho: float
-    finetune_mode: str
-    seeds: tuple[int, ...]
-    projector: str
-    min_accuracy: float | None          # floor for CI gating (exit 4)
-    probe: ProbeSchedule
-    finetune: FinetuneSchedule
+    checkpoint: str | None = None       # CKPT1 file or TRAINER1 manifest
+    representation: str | None = None   # which encoder of a trainer manifest
+    rho: float = 0.1
+    finetune_mode: str = "semi-supervised"
+    seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
+    projector: str = "none"             # embedding export: none | pca2d
+    min_accuracy: float | None = None   # floor for CI gating (exit 4)
+    probe: ProbeSchedule = ProbeSchedule()
+    finetune: FinetuneSchedule = FinetuneSchedule()
 
     def __post_init__(self):
         if not 0.0 < self.rho <= 1.0:
@@ -525,6 +523,8 @@ class DownstreamSpec:
                              f"got {self.finetune_mode!r}")
         if not self.seeds:
             raise ValueError("seeds must hold at least one seed")
+        if any(seed < 0 for seed in self.seeds):
+            raise ValueError(f"seeds must be >= 0, got {list(self.seeds)}")
         if self.projector not in PROJECTORS:
             raise ValueError(f"projector must be one of {PROJECTORS}, got {self.projector!r}")
         if self.min_accuracy is not None and not 0.0 <= self.min_accuracy <= 1.0:

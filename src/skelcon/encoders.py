@@ -45,7 +45,7 @@ class EncoderConfig:
     joints: int
     depth: int = 1
     hidden: int = 32
-    feature_dim: int = 64
+    feature_dim: int | None = None      # null: 2 * hidden, the width SEQ requires
     projection_dim: int = 128
     temporal_kernel: int = 5
     seq_pooling: str = "final"
@@ -53,7 +53,9 @@ class EncoderConfig:
     def __post_init__(self):
         if self.representation not in REPRESENTATIONS:
             raise ValueError(f"representation must be one of {REPRESENTATIONS}")
-        # hidden before feature_dim: the config derives feature_dim from hidden
+        if self.feature_dim is None:
+            object.__setattr__(self, "feature_dim", 2 * self.hidden)
+        # hidden before feature_dim, which a null derives from hidden
         for name, low in (("depth", 1), ("hidden", 1), ("joints", 2), ("feature_dim", 2),
                           ("projection_dim", 2), ("temporal_kernel", 1)):
             if getattr(self, name) < low:
@@ -75,8 +77,7 @@ class EncoderConfig:
 def desk_config(representation: str, joints: int, hidden: int = 32,
                 depth: int = 1, projection_dim: int = 128) -> EncoderConfig:
     return EncoderConfig(representation=representation, joints=joints,
-                         depth=depth, hidden=hidden, feature_dim=2 * hidden,
-                         projection_dim=projection_dim)
+                         depth=depth, hidden=hidden, projection_dim=projection_dim)
 
 
 @dataclass

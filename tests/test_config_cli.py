@@ -126,6 +126,9 @@ def test_unknown_keys_are_rejected_by_dotted_path():
     ("sweep.key", [1]),
     ("trainer.epochs", float("nan")),
     ("trainer.epochs", float("inf")),
+    ("seed", -1),
+    ("dataset.seed", -1),
+    ("downstream.seeds", [-1]),
 ])
 def test_range_violations_name_the_key(key, value, tmp_path):
     with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
@@ -729,6 +732,47 @@ def test_cli_resume_rejects_a_changed_config(tmp_path, capsys):
                     + _sets(["trainer.epochs=4"] + drift)) == 2
         assert drift[0].split("=")[0] in capsys.readouterr().err
     assert (out / "config.json").read_bytes() == before
+
+
+def test_cli_refuses_a_negative_seed_flag_before_writing_anything(tmp_path, capsys):
+    out = tmp_path / "pre"
+    assert main(["pretrain", "--out", str(out), "--seed", "-1"] + _sets()) == 2
+    assert "config error: seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_resume_refuses_other_training_data(tmp_path, capsys):
+    out, _ = _pretrain(tmp_path, extra=["trainer.epochs=1"])
+    manifest = out / "epoch0001.trainer.json"
+    before = (out / "config.json").read_bytes()
+    for drift in (["dataset.noise=0.5"], ["dataset.seed=7"], ["dataset.train_fraction=0.6"]):
+        assert main(["pretrain", "--out", str(out), "--resume", str(manifest)]
+                    + _sets(["trainer.epochs=2"] + drift)) == 2
+        assert "config error: dataset" in capsys.readouterr().err
+    assert (out / "config.json").read_bytes() == before
+    assert not (out / "epoch0002.trainer.json").exists()
+
+
+def test_cli_resume_of_a_manifest_without_a_dataset_hash_is_not_checked_for_it(tmp_path):
+    """Older TRAINER1 manifests do not record the training data; they resume
+    as before, and the bundles written after the resume record it."""
+    out, _ = _pretrain(tmp_path, extra=["trainer.epochs=1"])
+    manifest = out / "epoch0001.trainer.json"
+    record = json.loads(manifest.read_text())
+    recorded = record.pop("dataset_sha256")
+    manifest.write_text(json.dumps(record))
+    assert main(["pretrain", "--out", str(out), "--resume", str(manifest)]
+                + _sets(["trainer.epochs=2", "dataset.noise=0.5"])) == 0
+    resumed = json.loads((out / "epoch0002.trainer.json").read_text())["dataset_sha256"]
+    assert len(recorded) == len(resumed) == 64 and resumed != recorded
+
+
+def test_cli_reports_running_out_of_memory_as_a_runtime_failure(tmp_path, capsys, monkeypatch):
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 466. TiB for an array")
+    monkeypatch.setattr(cli.contrast, "make_trainer", no_memory)
+    assert main(["pretrain", "--out", str(tmp_path / "pre")] + _sets()) == 3
+    assert "error: MemoryError: Unable to allocate" in capsys.readouterr().err
 
 
 def test_cli_resume_of_a_manifest_without_a_batch_size_is_not_checked_for_it(tmp_path):

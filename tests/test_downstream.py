@@ -246,11 +246,9 @@ def _separable(n_per_class=20, classes=3, dim=8, noise=0.05, seed=0):
 def test_probe_is_perfect_on_separable_features():
     x_train, y_train = _separable(seed=0)
     x_test, y_test = _separable(seed=1)
-    metrics = linear_probe(x_train, y_train, x_test, y_test,
-                           protocol="separable")
+    metrics = linear_probe(x_train, y_train, x_test, y_test)
     assert metrics.accuracy == 1.0
     assert metrics.correct == metrics.total == len(y_test)
-    assert metrics.protocol == "separable"
     assert all(v == 1.0 for v in metrics.per_class.values())
 
 
@@ -427,7 +425,7 @@ def test_combined_probe_validates_and_runs():
         combined_probe(states[:1], train, test, ds.bones)
     metrics = combined_probe(states, train, test, ds.bones,
                              schedule=ProbeSchedule(epochs=10),
-                             crop_length=16, protocol="combined")
+                             crop_length=16)
     assert metrics.total == len(test)
     assert 0.0 <= metrics.accuracy <= 1.0
 

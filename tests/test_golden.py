@@ -34,15 +34,16 @@ def environment() -> dict:
 
 
 def artifact_digests(tmp: Path) -> dict:
-    """sha256 of the loss log, every CKPT1, aux blob and TRAINER1 manifest
-    of the run, and of the probe's metrics.json."""
+    """sha256 of the resolved config, loss log, every CKPT1, aux blob and
+    TRAINER1 manifest of the run, and of the probe's metrics.json. The
+    probe's config.json names a temporary path, so it is left out."""
     run, probe = tmp / "run", tmp / "probe"
     _pretrain_in_subprocess(run)
     _cli_in_subprocess("probe", probe, ["--checkpoint", str(run / "epoch0002.trainer.json"),
                                         "--set", "downstream.representation=STG"])
     files = [p for p in run.iterdir()
              if p.suffix in (".jsonl", ".ckpt", ".npz") or p.name.endswith(".trainer.json")]
-    files.append(probe / "metrics.json")
+    files += [run / "config.json", probe / "metrics.json"]
     return {str(p.relative_to(tmp)): hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(files)}
 
