@@ -97,6 +97,17 @@ def _write_manifest(out_dir, subcommand: str, config: ExperimentConfig,
     })
 
 
+def _representation(config: ExperimentConfig, offered, source: str) -> str:
+    """The encoder a downstream task reads: `downstream.representation`, or
+    when that is null the first of `offered`, the representations `source`
+    holds. A representation that `source` does not hold is a ConfigError."""
+    rep = config.downstream.representation or offered[0]
+    if rep not in offered:
+        raise ConfigError(f"downstream.representation: {source} has representations "
+                          f"{tuple(offered)}, not {rep!r}")
+    return rep
+
+
 def _load_encoder(config: ExperimentConfig, need: str = "checkpoint") -> EncoderState:
     path = config.downstream.checkpoint
     if not path:
@@ -108,13 +119,12 @@ def _load_encoder(config: ExperimentConfig, need: str = "checkpoint") -> Encoder
         raise ConfigError(f"downstream.checkpoint: no such file: {path}")
     with open(path, "rb") as fh:
         if fh.read(len(CHECKPOINT_MAGIC)) == CHECKPOINT_MAGIC:
-            return load_checkpoint(path)
+            state = load_checkpoint(path)
+            _representation(config, (state.config.representation,), f"checkpoint {path}")
+            return state
     trainer = contrast.load_trainer(path)
-    rep = config.downstream.representation or trainer.representations[0]
-    if rep not in trainer.pairs:
-        raise ConfigError(f"downstream.representation: trainer at {path} has "
-                          f"representations {trainer.representations}, not {rep!r}")
-    return trainer.pairs[rep].query
+    return trainer.pairs[_representation(config, trainer.representations,
+                                         f"trainer at {path}")].query
 
 
 def _gate(config: ExperimentConfig, mean_accuracy: float) -> int:
@@ -159,23 +169,29 @@ def _dataset_sha256(sequences) -> str:
     return digest.hexdigest()
 
 
-def _cmd_pretrain(args, config: ExperimentConfig) -> int:
-    """Pretrain, or resume a bundle. A resumed bundle that records its
-    training data must see the same data again; the config is written only
-    after that check passes."""
-    trainer = _resume(args.resume, config) if args.resume else None
-    dataset, split, train, _ = _load(config)
-    sequences = [s.sequence for s in train]
+def _pretrain(config: ExperimentConfig, out_dir, resume=None):
+    """Pretrain into `out_dir`, or continue the bundle at `resume`, and
+    return the trainer, this call's loss records and `_load`'s data. A
+    resumed bundle that records its training data must see the same data
+    again; the config is written only after that check passes."""
+    trainer = _resume(resume, config) if resume else None
+    data = _load(config)
+    sequences = [s.sequence for s in data[2]]
     fingerprint = _dataset_sha256(sequences)
     if trainer is not None and trainer.dataset_sha256 not in (None, fingerprint):
         raise ConfigError(f"dataset: the training sequences differ from those of the "
-                          f"run resumed from {args.resume}")
-    write_resolved(config, args.out)
+                          f"run resumed from {resume}")
+    write_resolved(config, out_dir)
     if trainer is None:
         trainer = contrast.make_trainer(config.trainer, config.encoders,
-                                        config.aug, dataset.bones, config.seed)
+                                        config.aug, data[0].bones, config.seed)
     trainer.dataset_sha256 = fingerprint
-    records = contrast.pretrain(trainer, sequences, config.schedule, out_dir=args.out)
+    records = contrast.pretrain(trainer, sequences, config.schedule, out_dir=out_dir)
+    return trainer, records, data
+
+
+def _cmd_pretrain(args, config: ExperimentConfig) -> int:
+    trainer, records, _ = _pretrain(config, args.out, args.resume)
     manifest = f"epoch{trainer.epoch:04d}.trainer.json"
     _write_manifest(args.out, "pretrain", config,
                     ["config.json", "loss_log.jsonl", manifest])
@@ -226,10 +242,9 @@ def _cmd_retrieve(args, config: ExperimentConfig) -> int:
 def _cmd_finetune(args, config: ExperimentConfig) -> int:
     dataset, split, train, test = _prepare(config, args.out)
     mode = config.downstream.finetune_mode
-    if mode == "supervised-only":
-        rep = (config.downstream.representation
-               or config.trainer.representations[0])
-        checkpoint = config.encoders[rep]
+    if mode == "supervised-only":     # a fresh encoder, by default of the first trained
+        checkpoint = config.encoders[_representation(
+            config, (*config.trainer.representations, *config.encoders), "the config")]
     else:
         checkpoint = _load_encoder(config, "finetune")
     summary = ds.finetune(checkpoint, train, test, dataset.bones,
@@ -300,14 +315,8 @@ def _cmd_sweep(args, config: ExperimentConfig) -> int:
             record = {"cell": cell, "index": i}
             try:
                 cell_config = resolve_config(config.resolved, list(cell.items()))
-                dataset, split, train, test = _prepare(cell_config, cell_dir)
-                trainer = contrast.make_trainer(
-                    cell_config.trainer, cell_config.encoders, cell_config.aug,
-                    dataset.bones, cell_config.seed)
-                contrast.pretrain(trainer, [s.sequence for s in train],
-                                  cell_config.schedule, out_dir=cell_dir)
-                rep = (cell_config.downstream.representation
-                       or cell_config.trainer.representations[0])
+                trainer, _, (dataset, _, train, test) = _pretrain(cell_config, cell_dir)
+                rep = _representation(cell_config, trainer.representations, "the cell's trainer")
                 metrics = ds.linear_probe(
                     *_features(cell_config, trainer.pairs[rep].query, dataset, train, test),
                     cell_config.downstream.probe)

@@ -13,8 +13,9 @@ lives in one place: a field's type is its annotation, which `_build`
 converts each value to; its range is checked by that dataclass, whose
 ValueError is raised again on the dotted key.  This module keeps only the
 rules that span sections (``jitter_joints`` below the joint count, a
-temporal kernel no longer than the crop) and the sweep.  Command-line
-overrides use the same dotted paths (``trainer.tau=0.05``).
+trained conv encoder's temporal kernel no longer than the crop) and the
+sweep.  Command-line overrides use the same dotted paths
+(``trainer.tau=0.05``).
 """
 
 from __future__ import annotations
@@ -170,15 +171,17 @@ class ExperimentConfig:
         return digest.hexdigest()[:16]
 
 
-def _build_encoders(tree: dict, joints: int, output_length: int) -> dict[str, EncoderConfig]:
+def _build_encoders(tree: dict, joints: int, output_length: int,
+                    trained: tuple[str, ...]) -> dict[str, EncoderConfig]:
     """One EncoderConfig per `encoders` section, with the rules that need
     more than that section: the joint count, and a temporal kernel no
-    longer than the crop."""
+    longer than the crop for each conv encoder (IMG, STG) in `trained`."""
     out = {}
     for rep, values in tree["encoders"].items():
         path = f"encoders.{rep}"
         config = _build(EncoderConfig, path, values, representation=rep, joints=joints)
-        _require(config.temporal_kernel <= output_length, f"{path}.temporal_kernel",
+        _require(rep == "SEQ" or rep not in trained or config.temporal_kernel <= output_length,
+                 f"{path}.temporal_kernel",
                  f"kernel {config.temporal_kernel} exceeds crop length {output_length}")
         out[rep] = config
     return out
@@ -219,10 +222,10 @@ def resolve_config(user_tree: dict, overrides=()) -> ExperimentConfig:
     aug = _build(AugmentationSpec, "augment", tree["augment"])
     _require(aug.jitter_joints < dataset.joints, "augment.jitter_joints",
              f"must be smaller than the joint count {dataset.joints}")
-    encoders = _build_encoders(tree, dataset.joints, aug.output_length)
+    trainer = _build(TrainerConfig, "trainer", tree["trainer"])
+    encoders = _build_encoders(tree, dataset.joints, aug.output_length, trainer.representations)
     return ExperimentConfig(resolved=tree, seed=seed, dataset=dataset, aug=aug,
-                            encoders=encoders,
-                            trainer=_build(TrainerConfig, "trainer", tree["trainer"]),
+                            encoders=encoders, trainer=trainer,
                             schedule=_build(Schedule, "trainer", tree["trainer"]),
                             downstream=_build(DownstreamSpec, "downstream", tree["downstream"]),
                             sweep=_build_sweep(tree))

@@ -26,8 +26,8 @@ import numpy as np
 
 from .augment import AugmentationSpec, apply_view, draw_view, make_query_key_pair
 from .data import SkeletonSequence, parse_bones, parse_json_object
-from .encoders import (EncoderConfig, EncoderState, atomic_open, embed_forward,
-                       embed_backward, init_encoder, save_checkpoint,
+from .encoders import (EncoderConfig, EncoderState, _param_shapes, atomic_open,
+                       embed_forward, embed_backward, init_encoder, save_checkpoint,
                        load_checkpoint, write_json)
 from .errors import ContractError, ParseError, SchemaError
 from .represent import REPRESENTATIONS, batch_views
@@ -490,6 +490,20 @@ class Schedule:
             raise ValueError("checkpoint_every must be >= 0")
 
 
+def _aux_layout(config: TrainerConfig, pairs: dict[str, MomentumPair]) -> dict[str, tuple]:
+    """Name -> shape of each array of a trainer's aux blob, in the order
+    `save_trainer` writes them: per representation its queue's buffer, size
+    and head, then one velocity per query parameter."""
+    layout = {}
+    for rep in config.representations:
+        encoder = pairs[rep].query.config
+        layout.update({f"queue.{rep}.buffer": (config.queue_size, encoder.projection_dim),
+                       f"queue.{rep}.size": (), f"queue.{rep}.head": ()})
+        layout.update({f"velocity.{rep}.{name}": shape
+                       for name, shape in _param_shapes(encoder).items()})
+    return layout
+
+
 def save_trainer(trainer: TrainerState, out_dir, tag: str | None = None) -> str:
     """Write one CKPT1 per encoder plus an aux blob and a trainer manifest.
 
@@ -497,19 +511,19 @@ def save_trainer(trainer: TrainerState, out_dir, tag: str | None = None) -> str:
     """
     os.makedirs(out_dir, exist_ok=True)
     tag = tag or f"epoch{trainer.epoch:04d}"
-    files, aux = {}, {}
+    files, arrays = {}, {}
     for rep in trainer.representations:
         qf, kf = f"{tag}.{rep}.query.ckpt", f"{tag}.{rep}.key.ckpt"
         save_checkpoint(trainer.pairs[rep].query, os.path.join(out_dir, qf))
         save_checkpoint(trainer.pairs[rep].key, os.path.join(out_dir, kf))
         files[rep] = {"query": qf, "key": kf}
-        for name, arr in trainer.queues[rep].state_arrays().items():
-            aux[f"queue.{rep}.{name}"] = arr
-        for name, arr in trainer.velocities[rep].items():
-            aux[f"velocity.{rep}.{name}"] = arr
+        arrays.update({f"queue.{rep}.{name}": arr
+                       for name, arr in trainer.queues[rep].state_arrays().items()})
+        arrays.update({f"velocity.{rep}.{name}": arr
+                       for name, arr in trainer.velocities[rep].items()})
     aux_file = f"{tag}.aux.npz"
     with atomic_open(os.path.join(out_dir, aux_file), "wb") as fh:
-        np.savez(fh, **aux)
+        np.savez(fh, **{name: arrays[name] for name in _aux_layout(trainer.config, trainer.pairs)})
     manifest = {
         "format": "TRAINER1",
         "trainer": asdict(trainer.config),
@@ -530,13 +544,8 @@ def save_trainer(trainer: TrainerState, out_dir, tag: str | None = None) -> str:
 
 _MANIFEST_KEYS = (("trainer", dict), ("aug", dict), ("bones", list), ("seed", int),
                   ("epoch", int), ("step", int), ("encoders", dict), ("aux", str))
-
-
-def _read_manifest(path) -> dict:
-    """The TRAINER1 manifest at `path`, after checking its type and the type
-    of every key; a violation raises `ParseError` naming the file and key."""
-    with open(path, "rb") as fh:
-        return parse_json_object(path, fh.read(), "manifest", "TRAINER1", _MANIFEST_KEYS)
+# absent from older manifests, null where a trainer has not recorded them
+_MANIFEST_OPTIONAL = (("batch_size", int), ("dataset_sha256", str))
 
 
 def _manifest_section(path, key: str, build):
@@ -558,37 +567,16 @@ def _read_aux(path) -> dict[str, np.ndarray]:
         raise ParseError(f"{path}: aux blob is not a readable npz archive: {exc}") from None
 
 
-def _aux_velocity(path, aux: dict, rep: str, params: dict) -> dict[str, np.ndarray]:
-    """The velocity of `rep` in the aux blob, checked against the query
-    parameters: the same names, and for each a finite float array of the
-    same shape. A violation raises `SchemaError`. The stored dtype is kept:
-    `load_checkpoint` reads parameters as float32 whatever the trainer's
-    dtype, so a float64 trainer's velocities come back wider than its
-    parameters."""
-    prefix = f"velocity.{rep}."
-    velocity = {name[len(prefix):]: arr for name, arr in aux.items()
-                if name.startswith(prefix)}
-    if velocity.keys() != params.keys():
-        raise SchemaError(
-            f"{path}: {prefix}* names differ from the query parameters': missing "
-            f"{sorted(params.keys() - velocity.keys())}, unexpected "
-            f"{sorted(velocity.keys() - params.keys())}")
-    for name, arr in velocity.items():
-        want = params[name]
-        if arr.shape != want.shape or arr.dtype.kind != "f":
-            raise SchemaError(f"{path}: '{prefix}{name}' is {arr.dtype}{list(arr.shape)}, "
-                              f"the query parameter is {want.dtype}{list(want.shape)}")
-        if not np.all(np.isfinite(arr)):
-            raise SchemaError(f"{path}: '{prefix}{name}' is not finite")
-    return {name: arr.copy() for name, arr in velocity.items()}
-
-
 def load_trainer(manifest_path) -> TrainerState:
     """Read a `save_trainer` bundle. A manifest or aux blob that cannot be
     read raises `ParseError`, and one whose parts disagree `SchemaError`,
-    naming the file and the key; a malformed CKPT1 raises `ParseError`
-    (`load_checkpoint`) and a bad queue `ContractError`."""
-    manifest = _read_manifest(manifest_path)
+    naming the file and the key; the aux blob must hold the arrays and
+    shapes `_aux_layout` states for the trainer, with finite float
+    velocities. A malformed CKPT1 raises `ParseError` (`load_checkpoint`)
+    and a bad queue `ContractError`."""
+    with open(manifest_path, "rb") as fh:
+        manifest = parse_json_object(manifest_path, fh.read(), "manifest", "TRAINER1",
+                                     _MANIFEST_KEYS, _MANIFEST_OPTIONAL)
     base = os.path.dirname(manifest_path)
 
     config = _manifest_section(manifest_path, "trainer",
@@ -596,17 +584,11 @@ def load_trainer(manifest_path) -> TrainerState:
     manifest["aug"].pop("seed", None)  # written by older versions, unused
     aug = _manifest_section(manifest_path, "aug", lambda: AugmentationSpec(**manifest["aug"]))
     bones = parse_bones(manifest_path, "manifest", manifest["bones"])
-    batch_size = manifest.get("batch_size")     # absent from older manifests
-    if batch_size is not None and not (type(batch_size) is int and batch_size >= 1):
+    batch_size = manifest.get("batch_size")
+    if batch_size is not None and batch_size < 1:
         raise ParseError(f"{manifest_path}: manifest 'batch_size' is {batch_size!r}, "
                          "not a positive integer")
-    dataset_sha256 = manifest.get("dataset_sha256")     # absent from older manifests
-    if dataset_sha256 is not None and not isinstance(dataset_sha256, str):
-        raise ParseError(f"{manifest_path}: manifest 'dataset_sha256' is "
-                         f"{dataset_sha256!r}, not a string")
-    aux_path = os.path.join(base, manifest["aux"])
-    aux = _read_aux(aux_path)
-    pairs, queues, velocities = {}, {}, {}
+    pairs = {}
     for rep in config.representations:
         files = manifest["encoders"].get(rep)
         if not (isinstance(files, dict)
@@ -619,18 +601,27 @@ def load_trainer(manifest_path) -> TrainerState:
             raise SchemaError(f"{manifest_path}: manifest 'encoders.{rep}': the key "
                               "checkpoint's config differs from the query's")
         pairs[rep] = MomentumPair(query=query, key=key, momentum=config.momentum)
-        queue = {}
-        for name in ("buffer", "size", "head"):
-            if f"queue.{rep}.{name}" not in aux:
-                raise SchemaError(f"{aux_path}: no 'queue.{rep}.{name}'")
-            queue[name] = aux[f"queue.{rep}.{name}"]
-        queues[rep] = NegativeQueue.from_state(queue)
-        velocities[rep] = _aux_velocity(aux_path, aux, rep, query.params)
-    return TrainerState(config=config, aug=aug, pairs=pairs, queues=queues,
-                        bones=bones, velocities=velocities,
-                        seed=manifest["seed"], epoch=manifest["epoch"],
-                        step=manifest["step"], batch_size=batch_size,
-                        dataset_sha256=dataset_sha256)
+    aux_path = os.path.join(base, manifest["aux"])
+    aux = _read_aux(aux_path)
+    layout = _aux_layout(config, pairs)
+    for name in sorted(layout.keys() | aux.keys()):
+        arr, shape = aux.get(name), layout.get(name)
+        if arr is None or arr.shape != shape:
+            got = "missing" if arr is None else f"of shape {list(arr.shape)}"
+            want = "no such array" if shape is None else f"shape {list(shape)}"
+            raise SchemaError(f"{aux_path}: '{name}' is {got}, the trainer's layout has {want}")
+        if name.startswith("velocity.") and not (arr.dtype.kind == "f" and np.isfinite(arr).all()):
+            raise SchemaError(f"{aux_path}: '{name}' is {arr.dtype}, not finite floats")
+    return TrainerState(
+        config=config, aug=aug, pairs=pairs, bones=bones,
+        queues={rep: NegativeQueue.from_state({name: aux[f"queue.{rep}.{name}"]
+                                               for name in ("buffer", "size", "head")})
+                for rep in config.representations},
+        # stored dtype kept: a float64 trainer's velocities stay wider than its parameters
+        velocities={rep: {name: aux[f"velocity.{rep}.{name}"] for name in pairs[rep].query.params}
+                    for rep in config.representations},
+        seed=manifest["seed"], epoch=manifest["epoch"], step=manifest["step"],
+        batch_size=batch_size, dataset_sha256=manifest.get("dataset_sha256"))
 
 
 def _open_loss_log(path, step: int):

@@ -159,11 +159,13 @@ def validate_sequence(seq: SkeletonSequence) -> ValidationReport:
 # canonical SKL1 file format
 # ---------------------------------------------------------------------------
 
-def parse_json_object(source: str, text, what: str, fmt: str | None, keys) -> dict:
+def parse_json_object(source: str, text, what: str, fmt: str | None, keys,
+                      optional=()) -> dict:
     """`text` as a JSON object, after checking that its ``"format"`` is `fmt`
-    (unless None) and that each ``(key, type)`` of `keys` is present with that
-    type. A violation raises `ParseError` naming `source`, `what` the object
-    is, and the key."""
+    (unless None), that each ``(key, type)`` of `keys` is present with that
+    type, and that each of `optional` is absent, null or of its type; a bool
+    is never an int. A violation raises `ParseError` naming `source`, `what`
+    the object is, and the key."""
     try:
         obj = json.loads(text)
     except ValueError as exc:
@@ -172,7 +174,7 @@ def parse_json_object(source: str, text, what: str, fmt: str | None, keys) -> di
         raise ParseError(f"{source}: {what} is a JSON {type(obj).__name__}, not an object")
     if fmt is not None and obj.get("format") != fmt:
         raise ParseError(f"{source}: not a {fmt} {what}")
-    for key, kind in keys:
+    for key, kind in (*keys, *((k, t) for k, t in optional if obj.get(k) is not None)):
         if key not in obj:
             raise ParseError(f"{source}: {what} has no {key!r}")
         if not isinstance(obj[key], kind) or isinstance(obj[key], bool):
@@ -251,10 +253,8 @@ def load_dataset(path) -> Dataset:
         record_index = len(samples) + 1
         source = f"{path}: line {lineno} (record {record_index})"
         rec = parse_json_object(source, line, "record", None,
-                                (("T", int), ("M", int), ("J", int)))
-        for key in ("label", "subject", "view"):
-            if rec.get(key) is not None and type(rec[key]) is not int:
-                raise ParseError(f"{source}: record {key!r} is not a JSON int")
+                                (("T", int), ("M", int), ("J", int)),
+                                (("label", int), ("subject", int), ("view", int)))
         try:
             coords = np.asarray(rec["coords"], dtype=np.float64)
             sample_id = str(rec["id"])

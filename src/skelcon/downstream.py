@@ -24,7 +24,7 @@ from .data import LabeledSample
 from .encoders import (EncoderConfig, EncoderState, atomic_open, encoder_forward,
                        encoder_backward, init_encoder)
 from .errors import DegenerateTaskError
-from .represent import batch_views
+from .represent import REPRESENTATIONS, batch_views
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +506,7 @@ def export_embeddings(state: EncoderState, samples: list[LabeledSample],
 @dataclass(frozen=True)
 class DownstreamSpec:
     checkpoint: str | None = None       # CKPT1 file or TRAINER1 manifest
-    representation: str | None = None   # which encoder of a trainer manifest
+    representation: str | None = None   # the encoder a task reads; null: the first trained
     rho: float = 0.1
     finetune_mode: str = "semi-supervised"
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
@@ -516,6 +516,9 @@ class DownstreamSpec:
     finetune: FinetuneSchedule = FinetuneSchedule()
 
     def __post_init__(self):
+        if self.representation not in (None, *REPRESENTATIONS):
+            raise ValueError(f"representation must be one of {REPRESENTATIONS}, "
+                             f"got {self.representation!r}")
         if not 0.0 < self.rho <= 1.0:
             raise ValueError(f"rho {self.rho} outside (0, 1]")
         if self.finetune_mode not in FINETUNE_MODES:

@@ -21,7 +21,6 @@ exact analytic parameter gradients flow back through the whole stack.
 from __future__ import annotations
 
 import contextlib
-import io
 import json
 import math
 import os
@@ -381,17 +380,24 @@ def write_json(path, record: dict) -> None:
         fh.write("\n")
 
 
+def _json(value) -> str:
+    return json.dumps(value, sort_keys=True)
+
+
+def _param_index(shapes: dict[str, tuple[int, ...]]) -> dict[str, dict]:
+    """The CKPT1 parameter index of `shapes`: the names in sorted order, each
+    at the float32 offset where the one before it ends."""
+    index, offset = {}, 0
+    for name in sorted(shapes):
+        index[name] = {"offset": offset, "shape": list(shapes[name])}
+        offset += math.prod(shapes[name])
+    return index
+
+
 def save_checkpoint(state: EncoderState, path) -> None:
-    """Single-file container: magic, manifest length, JSON manifest, f32 blob."""
-    names = sorted(state.params)
-    index = {}
-    offset = 0
-    blob = io.BytesIO()
-    for name in names:
-        arr = np.ascontiguousarray(state.params[name], dtype="<f4")
-        index[name] = {"offset": offset, "shape": list(arr.shape)}
-        blob.write(arr.tobytes())
-        offset += arr.size
+    """Single-file container: magic, manifest length, JSON manifest, f32 blob
+    laid out as `_param_index` states."""
+    index = _param_index({name: arr.shape for name, arr in state.params.items()})
     manifest = {
         "format": "CKPT1",
         "config": asdict(state.config),
@@ -403,14 +409,16 @@ def save_checkpoint(state: EncoderState, path) -> None:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", len(payload)))
         fh.write(payload)
-        fh.write(blob.getvalue())
+        for name in index:
+            fh.write(np.ascontiguousarray(state.params[name], dtype="<f4").tobytes())
 
 
 def load_checkpoint(path) -> EncoderState:
-    """Read a `save_checkpoint` file. A file that is not CKPT1, whose header,
-    manifest or parameter index is malformed, or whose parameters are not all
-    finite or not the names and shapes its config builds, raises `ParseError`
-    naming the file and, where one is at fault, the manifest key."""
+    """Read a `save_checkpoint` file. A file that is not CKPT1, whose header
+    or manifest is malformed, whose parameter index is not the one
+    `_param_index` states for its config, or whose parameters are not all
+    finite raises `ParseError` naming the file and, where one is at fault,
+    the manifest key."""
     header = len(CHECKPOINT_MAGIC) + 4
     with open(path, "rb") as fh:
         head = fh.read(header)
@@ -434,42 +442,28 @@ def load_checkpoint(path) -> EncoderState:
         config = EncoderConfig(**fields)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: manifest 'config': {exc}") from None
-    index = manifest["params"]
-    sizes = {name: _param_size(path, name, meta) for name, meta in index.items()}
-    if len(blob) != 4 * sum(sizes.values()):
+    shapes = _param_shapes(config)
+    wanted, index = _param_index(shapes), manifest["params"]
+    for name in sorted(wanted.keys() | index.keys()):
+        got, want = index.get(name), wanted.get(name)
+        if _json(got) != _json(want):      # as JSON text: `true` is not 1, `4.0` is not 4
+            key = f"'params.{name}'"
+            if isinstance(got, dict) and want and got.keys() == want.keys():
+                field = next(k for k in want if _json(got[k]) != _json(want[k]))
+                key, got, want = f"{key}.{field}", got[field], want[field]
+            raise ParseError(f"{path}: manifest {key} is {_json(got)}, the config's "
+                             f"{config.representation} encoder wants {_json(want)}")
+    size = sum(math.prod(shape) for shape in shapes.values())
+    if len(blob) != 4 * size:
         raise ParseError(f"{path}: parameter blob has {len(blob)} bytes, "
-                         f"manifest needs {4 * sum(sizes.values())}")
+                         f"manifest needs {4 * size}")
     flat = np.frombuffer(blob, dtype="<f4")
-    params, end = {}, 0
-    for name in sorted(index, key=lambda k: index[k]["offset"]):   # must tile the blob
-        offset = index[name]["offset"]
-        if offset != end:
-            raise ParseError(f"{path}: manifest 'params.{name}.offset' is {offset}, "
-                             f"the parameters before it end at {end}")
-        end += sizes[name]
+    params = {}
+    for name, entry in wanted.items():
+        offset = entry["offset"]
         # a copy: a view of the read-only buffer could not be trained on resume
-        params[name] = flat[offset:end].reshape(index[name]["shape"]).astype(np.float32)
+        params[name] = flat[offset:offset + math.prod(shapes[name])].reshape(
+            shapes[name]).astype(np.float32)
         if not np.isfinite(params[name]).all():
             raise ParseError(f"{path}: 'params.{name}' holds NaN or infinite values")
-    wanted = _param_shapes(config)
-    for name in sorted(wanted.keys() | params.keys()):
-        got, want = params[name].shape if name in params else "missing", wanted.get(name, "none")
-        if got != want:
-            raise ParseError(f"{path}: manifest 'params.{name}': shape {got}, the config's "
-                             f"{config.representation} encoder wants {want}")
     return EncoderState(config=config, params=params, step=manifest["step"])
-
-
-def _param_size(path, name, meta) -> int:
-    """Element count of one parameter index entry, after checking that it is
-    ``{"offset": int >= 0, "shape": [int >= 0, ...]}``."""
-    def count(value):
-        return isinstance(value, int) and not isinstance(value, bool) and value >= 0
-
-    if not isinstance(meta, dict) or not count(meta.get("offset")):
-        raise ParseError(f"{path}: manifest 'params.{name}' needs a non-negative integer offset")
-    shape = meta.get("shape")
-    if not isinstance(shape, list) or not all(count(d) for d in shape):
-        raise ParseError(f"{path}: manifest 'params.{name}.shape' is not a list of "
-                         "non-negative integers")
-    return math.prod(shape)

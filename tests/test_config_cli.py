@@ -122,6 +122,7 @@ def test_unknown_keys_are_rejected_by_dotted_path():
     ("downstream.probe.decay_epochs", 5),
     ("downstream.finetune.decay_epochs", 5),
     ("downstream.representation", [1]),
+    ("downstream.representation", "FOO"),
     ("downstream.checkpoint", 1),
     ("sweep.key", [1]),
     ("trainer.epochs", float("nan")),
@@ -219,11 +220,21 @@ def test_cross_field_validation():
         resolve_config({}, [("augment.jitter_joints", 25)])   # joints=25 default
     with pytest.raises(ConfigError, match="feature_dim"):
         resolve_config({"encoders": {"SEQ": {"hidden": 8, "feature_dim": 20}}})
-    with pytest.raises(ConfigError, match="temporal_kernel"):
-        resolve_config({}, [("augment.output_length", 3)])    # kernel 5 > 3
+    with pytest.raises(ConfigError, match="encoders.IMG.temporal_kernel"):
+        resolve_config({}, [("augment.output_length", 3), ("trainer.mode", "inter"),
+                            ("trainer.representations", ["IMG", "SEQ"])])   # kernel 5 > 3
     with pytest.raises(ConfigError, match="representations"):
         resolve_config({"trainer": {"mode": "inter",
                                     "representations": ["SEQ", "STG", "IMG"]}})
+
+
+def test_temporal_kernel_rule_skips_encoders_the_run_does_not_train(tmp_path):
+    """SEQ has no temporal conv, and an IMG or STG section that the trainer
+    does not name is never built into a convolution."""
+    config = resolve_config({}, [("augment.output_length", 4)])     # intra SEQ
+    assert config.aug.output_length == 4
+    assert config.encoders["IMG"].temporal_kernel == config.encoders["STG"].temporal_kernel == 5
+    assert main(["pretrain", "--out", str(tmp_path)] + _sets(["augment.output_length=4"])) == 0
 
 
 def test_parse_override_values_are_json_with_string_fallback():
@@ -440,6 +451,17 @@ def test_cli_finetune_both_modes(tmp_path):
         "finetune/supervised-only")
 
 
+def test_cli_refuses_a_representation_the_checkpoint_does_not_hold(tmp_path, capsys):
+    out, manifest = _pretrain(tmp_path)
+    ckpt = out / "epoch0002.SEQ.query.ckpt"
+    for path in (manifest, ckpt):
+        assert main(["probe", "--out", str(tmp_path / "img"), "--checkpoint", str(path)]
+                    + _sets(["downstream.representation=IMG"])) == 2
+        assert "config error: downstream.representation" in capsys.readouterr().err
+    assert main(["probe", "--out", str(tmp_path / "seq"), "--checkpoint", str(ckpt)]
+                + _sets(["downstream.representation=SEQ"])) == 0
+
+
 def test_cli_exit_codes(tmp_path):
     # 2: configuration errors, before any work happens
     assert main(["pretrain", "--out", str(tmp_path / "a"),
@@ -542,6 +564,15 @@ def _drop(key):
 
 
 _VELOCITY = "velocity.SEQ.gru0.fwd.w"
+_BUFFER = "queue.SEQ.buffer"
+
+
+def _queue_of_32_rows(arrays):
+    """A full, valid queue four times the `trainer.queue_size` of 8."""
+    arrays[_BUFFER] = np.concatenate([arrays[_BUFFER]] * 4)
+    arrays["queue.SEQ.size"], arrays["queue.SEQ.head"] = np.array(32), np.array(0)
+
+
 # (id, mutation, error, file the message names, key the message names)
 _TRAINER_MUTATIONS = [
     ("manifest-list", _edit_manifest(lambda record: [record]), ParseError,
@@ -559,13 +590,16 @@ _TRAINER_MUTATIONS = [
     ("velocity-missing", _edit_aux(lambda a: a.pop(_VELOCITY)), SchemaError,
      "aux", "gru0.fwd.w"),
     ("velocity-extra", _edit_aux(lambda a: a.update({"velocity.SEQ.extra": a[_VELOCITY]})),
-     SchemaError, "aux", "'extra'"),
+     SchemaError, "aux", "'velocity.SEQ.extra'"),
     ("velocity-shape", _edit_aux(lambda a: a.update({_VELOCITY: a[_VELOCITY][:-1]})),
      SchemaError, "aux", _VELOCITY),
     ("velocity-nan", _edit_aux(lambda a: a[_VELOCITY].fill(np.nan)), SchemaError,
      "aux", _VELOCITY),
     ("velocity-int", _edit_aux(lambda a: a.update({_VELOCITY: a[_VELOCITY].astype(np.int32)})),
      SchemaError, "aux", _VELOCITY),
+    ("queue-rows", _edit_aux(_queue_of_32_rows), SchemaError, "aux", _BUFFER),
+    ("queue-width", _edit_aux(lambda a: a.update({_BUFFER: np.pad(a[_BUFFER], ((0, 0), (0, 8)))})),
+     SchemaError, "aux", _BUFFER),
 ]
 
 
@@ -720,6 +754,18 @@ def test_cli_sweep_grid_and_cell_isolation(tmp_path):
     with pytest.raises(SystemExit):                # sweep needs a grid definition
         main(["sweep"])                            # argparse: missing --out
     assert main(["sweep", "--out", str(tmp_path / "nogrid")] + _sets()) == 2
+
+
+def test_cli_sweep_cell_bundles_record_their_training_data(tmp_path):
+    """A sweep cell pretrains as `pretrain` does, so its bundle records the
+    same dataset hash and can be resumed with the data check."""
+    _, manifest = _pretrain(tmp_path)
+    sweep = tmp_path / "sweep"
+    assert main(["sweep", "--out", str(sweep)]
+                + _sets(["sweep.key=trainer.tau", "sweep.values=[0.07]"])) == 0
+    cell = json.loads((sweep / "cells" / "cell00" / "epoch0002.trainer.json").read_text())
+    assert cell["dataset_sha256"] == json.loads(manifest.read_text())["dataset_sha256"]
+    assert len(cell["dataset_sha256"]) == 64
 
 
 def test_cli_resume_rejects_a_changed_config(tmp_path, capsys):

@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import math
+import re
 import struct
 import weakref
 
@@ -199,18 +201,26 @@ def test_checkpoint_rejects_a_truncated_blob(tmp_path):
         load_checkpoint(path)
 
 
+def _checkpoint_parts(path):
+    """The JSON manifest and the parameter blob of a CKPT1 file."""
+    raw = path.read_bytes()
+    start = len(CHECKPOINT_MAGIC)
+    (mlen,) = struct.unpack("<I", raw[start:start + 4])
+    return json.loads(raw[start + 4:start + 4 + mlen]), raw[start + 4 + mlen:]
+
+
+def _write_checkpoint_parts(path, manifest, blob):
+    payload = json.dumps(manifest, sort_keys=True).encode()
+    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(payload)) + payload + blob)
+
+
 def _write_checkpoint_with(path, edit, state=None):
     """Save `state` (by default a small STG encoder), then rewrite its
     manifest through `edit` (which returns the new manifest) and keep the
     parameter blob."""
     save_checkpoint(state or init_encoder(desk_config("STG", JOINTS, hidden=4), seed=0), path)
-    raw = path.read_bytes()
-    start = len(CHECKPOINT_MAGIC)
-    (mlen,) = struct.unpack("<I", raw[start:start + 4])
-    manifest = edit(json.loads(raw[start + 4:start + 4 + mlen]))
-    payload = json.dumps(manifest, sort_keys=True).encode()
-    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(payload)) + payload
-                     + raw[start + 4 + mlen:])
+    manifest, blob = _checkpoint_parts(path)
+    _write_checkpoint_parts(path, edit(manifest), blob)
 
 
 def test_checkpoint_cut_inside_its_header_is_a_parse_error(tmp_path):
@@ -258,7 +268,7 @@ def _float_shape(manifest):
 
 @pytest.mark.parametrize("edit, key", [
     (_shift_first_offset, r"params\..*\.offset"),    # a gap, same blob length
-    (_swap_two_shapes, r"params\..*\.offset"),       # offsets no longer follow the sizes
+    (_swap_two_shapes, r"params\..*\.shape"),        # offsets match the config, shapes do not
     (_float_shape, r"params\..*\.shape"),
 ], ids=["shifted-offset", "swapped-shapes", "float-shape"])
 def test_checkpoint_params_that_do_not_tile_the_blob_are_a_parse_error(tmp_path, edit, key):
@@ -266,6 +276,54 @@ def test_checkpoint_params_that_do_not_tile_the_blob_are_a_parse_error(tmp_path,
     _write_checkpoint_with(path, edit)
     with pytest.raises(ParseError, match=f"enc.ckpt.*{key}"):
         load_checkpoint(path)
+
+
+def _index_entry_edits(entry):
+    """(label, edited entry) for each edit of one CKPT1 index entry that a
+    reader must refuse: the offset one off either way, and the offset or one
+    shape entry as `true`, as the same number written as a float, or as a
+    string. A shape entry of 1 as `true`, or any entry as a float, compares
+    equal in Python, so only a type-exact reader refuses it."""
+    yield "offset+1", {**entry, "offset": entry["offset"] + 1}
+    yield "offset-1", {**entry, "offset": entry["offset"] - 1}
+    for label, bad in (("true", lambda v: True), ("float", float), ("string", str)):
+        yield f"offset={label}", {**entry, "offset": bad(entry["offset"])}
+        for i in range(len(entry["shape"])):
+            shape = list(entry["shape"])
+            shape[i] = bad(shape[i])
+            yield f"shape[{i}]={label}", {**entry, "shape": shape}
+
+
+def test_every_edit_of_every_checkpoint_index_entry_is_a_parse_error(tmp_path):
+    """Each entry of a tiny SEQ checkpoint's index (hidden 1, so the GRU's
+    `u` has a shape entry of 1) edited as `_index_entry_edits` lists, dropped
+    together with its bytes (so the rest still tiles the blob), or joined by
+    an empty extra entry at its offset, raises `ParseError` naming the file
+    and that entry."""
+    path = tmp_path / "enc.ckpt"
+    save_checkpoint(init_encoder(desk_config("SEQ", JOINTS, hidden=1, projection_dim=2),
+                                 seed=0), path)
+    manifest, blob = _checkpoint_parts(path)
+    index = manifest["params"]
+    cases = []
+    for name, entry in index.items():
+        cases += [(name, label, {**index, name: edited}, blob)
+                  for label, edited in _index_entry_edits(entry)]
+        size, start = math.prod(entry["shape"]), entry["offset"]
+        rest = {other: {**e, "offset": e["offset"] - size * (e["offset"] > start)}
+                for other, e in index.items() if other != name}
+        cases.append((name, "dropped", rest, blob[:4 * start] + blob[4 * (start + size):]))
+        cases.append((f"{name}.extra", "extra",
+                      {**index, f"{name}.extra": {"offset": start, "shape": [0]}}, blob))
+    assert len(cases) > 100
+    for name, label, params, data in cases:
+        _write_checkpoint_parts(path, {**manifest, "params": params}, data)
+        with pytest.raises(ParseError) as caught:
+            load_checkpoint(path)
+        message = str(caught.value)
+        assert str(path) in message, (name, label, message)
+        assert re.search(rf"'params\.{re.escape(name)}(\.(offset|shape))?'", message), \
+            (name, label, message)
 
 
 @pytest.mark.parametrize("edit, key", [
