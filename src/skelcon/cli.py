@@ -25,12 +25,13 @@ from . import contrast, downstream as ds
 from .augment import draw_view, apply_view
 from .config import (ExperimentConfig, parse_config, parse_override,
                      resolve_config, write_resolved)
-from .data import Dataset
-from .encoders import CHECKPOINT_MAGIC, EncoderState, atomic_open, load_checkpoint, write_json
+from .data import atomic_open
+from .encoders import CHECKPOINT_MAGIC, EncoderConfig, EncoderState, load_checkpoint, write_json
 from .errors import ConfigError, SkelconError
 from .nn import BLAS_THREAD_VARS, blas_core, conv_workers, usable_cpus
 
 FORMAT_VERSIONS = {"dataset": "SKL1", "checkpoint": "CKPT1", "trainer": "TRAINER1"}
+_ENCODER_TASKS = ("probe", "retrieve", "finetune", "export")
 
 
 # ---------------------------------------------------------------------------
@@ -56,12 +57,6 @@ def _load(config: ExperimentConfig):
             dataset.subset(list(split.test_ids)))
 
 
-def _prepare(config: ExperimentConfig, out_dir):
-    """Snapshot the resolved config into `out_dir`, then load and split the data."""
-    write_resolved(config, out_dir)
-    return _load(config)
-
-
 def _write_json(out_dir, name: str, record: dict) -> None:
     write_json(os.path.join(out_dir, name), record)
 
@@ -85,18 +80,6 @@ def _environment() -> dict:
     }
 
 
-def _write_manifest(out_dir, subcommand: str, config: ExperimentConfig,
-                    artifacts: list[str]) -> None:
-    _write_json(out_dir, "run.json", {
-        "run_id": config.run_id(subcommand),
-        "subcommand": subcommand,
-        "seed": config.seed,
-        "format_versions": FORMAT_VERSIONS,
-        "artifacts": sorted(artifacts),
-        "environment": _environment(),
-    })
-
-
 def _representation(config: ExperimentConfig, offered, source: str) -> str:
     """The encoder a downstream task reads: `downstream.representation`, or
     when that is null the first of `offered`, the representations `source`
@@ -108,14 +91,25 @@ def _representation(config: ExperimentConfig, offered, source: str) -> str:
     return rep
 
 
-def _load_encoder(config: ExperimentConfig, need: str = "checkpoint") -> EncoderState:
+def _encoder(config: ExperimentConfig, task: str) -> EncoderState | EncoderConfig:
+    """The encoder `task` starts from, and the one reader of
+    `downstream.checkpoint`: the query encoder that the CKPT1 file or trainer
+    manifest there holds, or, for supervised-only finetuning, which trains a
+    fresh encoder and so refuses a checkpoint, the config of the first
+    trained representation."""
     path = config.downstream.checkpoint
+    if task == "finetune" and config.downstream.finetune_mode == "supervised-only":
+        if path:
+            raise ConfigError(f"downstream.checkpoint: supervised-only finetuning trains "
+                              f"a fresh encoder, so it takes no checkpoint, got {path}")
+        return config.encoders[_representation(
+            config, (*config.trainer.representations, *config.encoders), "the config")]
     if not path:
         raise ConfigError(
-            f"downstream.checkpoint: {need} requires a pretrained encoder; "
+            f"downstream.checkpoint: {task} requires a pretrained encoder; "
             "pass --checkpoint PATH (a .ckpt file or a trainer manifest) "
             "or set downstream.checkpoint")
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
         raise ConfigError(f"downstream.checkpoint: no such file: {path}")
     with open(path, "rb") as fh:
         if fh.read(len(CHECKPOINT_MAGIC)) == CHECKPOINT_MAGIC:
@@ -136,147 +130,138 @@ def _gate(config: ExperimentConfig, mean_accuracy: float) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# subcommands
-# ---------------------------------------------------------------------------
-
-def _resume(path, config: ExperimentConfig) -> contrast.TrainerState:
-    """The trainer saved at `path`, refused if the config would train it
-    differently from how it was started; only the epoch count may change. A
-    manifest that does not record its batch size is not checked for it."""
-    trainer = contrast.load_trainer(path)
-    sections = [("trainer", trainer.config, config.trainer), ("augment", trainer.aug, config.aug)]
-    sections += [(f"encoders.{rep}", trainer.pairs[rep].query.config, config.encoders[rep])
-                 for rep in trainer.representations]
-    drift = [f"{name}.{key}" for name, saved, wanted in sections
-             for key, value in asdict(saved).items() if asdict(wanted)[key] != value]
-    if trainer.batch_size not in (None, config.schedule.batch_size):
-        drift.append("trainer.batch_size")
-    if trainer.seed != config.seed:
-        drift.append("seed")
-    if drift:
-        raise ConfigError(f"{', '.join(drift)}: differ from the run resumed from {path}")
+def _trainer(config: ExperimentConfig, out_dir, resume, data) -> contrast.TrainerState:
+    """The trainer that pretrains into `out_dir` on `data`'s training split,
+    recording the sha256 over its sequences' coords (dtype, shape, bytes):
+    a fresh one, or the bundle at `resume`, refused if the config would train
+    it differently (only the epoch count may change, and must leave epochs to
+    train), if it saw other data, or if `out_dir`'s loss log lacks its steps
+    (`contrast.kept_loss_log`). An unrecorded batch size or hash is not checked."""
+    digest = hashlib.sha256()
+    for sample in data[2]:
+        coords = np.ascontiguousarray(sample.sequence.coords)
+        digest.update(f"{coords.dtype.str}{coords.shape}".encode())
+        digest.update(coords.tobytes())
+    if not resume:
+        trainer = contrast.make_trainer(config.trainer, config.encoders,
+                                        config.aug, data[0].bones, config.seed)
+    else:
+        trainer = contrast.load_trainer(resume)
+        sections = [("trainer", trainer.config, config.trainer),
+                    ("augment", trainer.aug, config.aug)]
+        sections += [(f"encoders.{rep}", trainer.pairs[rep].query.config, config.encoders[rep])
+                     for rep in trainer.representations]
+        drift = [f"{name}.{key}" for name, saved, wanted in sections
+                 for key, value in asdict(saved).items() if asdict(wanted)[key] != value]
+        if trainer.batch_size not in (None, config.schedule.batch_size):
+            drift.append("trainer.batch_size")
+        if trainer.seed != config.seed:
+            drift.append("seed")
+        if drift:
+            raise ConfigError(f"{', '.join(drift)}: differ from the run resumed from {resume}")
+        if trainer.dataset_sha256 not in (None, digest.hexdigest()):
+            raise ConfigError(f"dataset: the training sequences differ from those of the "
+                              f"run resumed from {resume}")
+        try:
+            contrast.check_epochs_left(trainer, config.schedule)
+        except ValueError as exc:
+            raise ConfigError(f"trainer.epochs: {exc}") from None
+        contrast.kept_loss_log(out_dir, trainer.step)
+    trainer.dataset_sha256 = digest.hexdigest()
     return trainer
 
 
-def _dataset_sha256(sequences) -> str:
-    """sha256 over each sequence's coords (dtype, shape and bytes), in order."""
-    digest = hashlib.sha256()
-    for seq in sequences:
-        coords = np.ascontiguousarray(seq.coords)
-        digest.update(f"{coords.dtype.str}{coords.shape}".encode())
-        digest.update(coords.tobytes())
-    return digest.hexdigest()
-
-
-def _pretrain(config: ExperimentConfig, out_dir, resume=None):
-    """Pretrain into `out_dir`, or continue the bundle at `resume`, and
-    return the trainer, this call's loss records and `_load`'s data. A
-    resumed bundle that records its training data must see the same data
-    again; the config is written only after that check passes."""
-    trainer = _resume(resume, config) if resume else None
+def _inputs(args, config: ExperimentConfig) -> tuple:
+    """Resolve and check everything `args.subcommand` reads, before anything
+    is written: (what the run starts from, `_load`'s data). That is the
+    encoder of a downstream task (`_encoder`), the trainer of `pretrain`
+    (`_trainer`), the grid of `sweep` (each cell loads its own data), or None."""
+    if args.subcommand == "sweep":
+        if config.sweep is None:
+            raise ConfigError("sweep.key: the sweep subcommand needs sweep.key+values "
+                              "or sweep.cells in the config")
+        return config.sweep, None
     data = _load(config)
-    sequences = [s.sequence for s in data[2]]
-    fingerprint = _dataset_sha256(sequences)
-    if trainer is not None and trainer.dataset_sha256 not in (None, fingerprint):
-        raise ConfigError(f"dataset: the training sequences differ from those of the "
-                          f"run resumed from {resume}")
-    write_resolved(config, out_dir)
-    if trainer is None:
-        trainer = contrast.make_trainer(config.trainer, config.encoders,
-                                        config.aug, data[0].bones, config.seed)
-    trainer.dataset_sha256 = fingerprint
-    records = contrast.pretrain(trainer, sequences, config.schedule, out_dir=out_dir)
-    return trainer, records, data
+    if args.subcommand == "pretrain":
+        return _trainer(config, args.out, args.resume, data), data
+    return (_encoder(config, args.subcommand) if args.subcommand in _ENCODER_TASKS
+            else None), data
 
 
-def _cmd_pretrain(args, config: ExperimentConfig) -> int:
-    trainer, records, _ = _pretrain(config, args.out, args.resume)
+# ---------------------------------------------------------------------------
+# subcommands: each returns its exit code and the artifacts it wrote
+# ---------------------------------------------------------------------------
+
+def _cmd_pretrain(args, config: ExperimentConfig, trainer, data):
+    records = contrast.pretrain(trainer, [s.sequence for s in data[2]], config.schedule,
+                                out_dir=args.out)
     manifest = f"epoch{trainer.epoch:04d}.trainer.json"
-    _write_manifest(args.out, "pretrain", config,
-                    ["config.json", "loss_log.jsonl", manifest])
     first, last = records[0]["total"], records[-1]["total"]
     print(f"pretrained {config.trainer.mode}({','.join(config.trainer.representations)}) "
           f"for {trainer.epoch} epochs, {trainer.step} steps: "
           f"loss {first:.4f} -> {last:.4f}")
     print(f"trainer manifest: {os.path.join(args.out, manifest)}")
-    return 0
+    return 0, ["loss_log.jsonl", manifest]
 
 
-def _features(config: ExperimentConfig, state: EncoderState, dataset: Dataset,
-              train, test) -> tuple:
+def _features(config: ExperimentConfig, state: EncoderState, data) -> tuple:
     """(train features, train labels, test features, test labels)."""
+    dataset, _, train, test = data
     crop = config.aug.output_length
     return (*ds.extract_features(state, train, dataset.bones, crop),
             *ds.extract_features(state, test, dataset.bones, crop))
 
 
-def _report(args, config: ExperimentConfig, task: str, protocol: str, metrics) -> int:
-    """Write one scored task's metrics and run manifest, then gate on it."""
+def _report(args, config: ExperimentConfig, task: str, protocol: str, metrics):
+    """Write one scored task's metrics, then gate on it."""
     record = ds.summarize(task, protocol, [config.seed], [metrics.accuracy]).to_record()
     record.update(correct=metrics.correct, total=metrics.total,
                   per_class={str(k): v for k, v in metrics.per_class.items()})
     _write_json(args.out, "metrics.json", record)
-    _write_manifest(args.out, args.subcommand, config, ["config.json", "metrics.json"])
     print(f"{task.rsplit('/', 1)[-1]} accuracy {metrics.accuracy:.4f} "
           f"({metrics.correct}/{metrics.total})")
-    return _gate(config, metrics.accuracy)
+    return _gate(config, metrics.accuracy), ["metrics.json"]
 
 
-def _cmd_probe(args, config: ExperimentConfig) -> int:
-    dataset, split, train, test = _prepare(config, args.out)
-    state = _load_encoder(config, "probe")
-    metrics = ds.linear_probe(*_features(config, state, dataset, train, test),
-                              config.downstream.probe)
-    return _report(args, config, "probe", split.protocol, metrics)
+def _cmd_probe(args, config: ExperimentConfig, state, data):
+    metrics = ds.linear_probe(*_features(config, state, data), config.downstream.probe)
+    return _report(args, config, "probe", data[1].protocol, metrics)
 
 
-def _cmd_retrieve(args, config: ExperimentConfig) -> int:
-    dataset, split, train, test = _prepare(config, args.out)
-    state = _load_encoder(config, "retrieve")
-    f_train, y_train, f_test, y_test = _features(config, state, dataset, train, test)
+def _cmd_retrieve(args, config: ExperimentConfig, state, data):
+    f_train, y_train, f_test, y_test = _features(config, state, data)
     _, metrics = ds.knn_retrieve(ds.build_index(f_train, y_train), f_test, y_test)
-    return _report(args, config, "retrieve/knn-1", split.protocol, metrics)
+    return _report(args, config, "retrieve/knn-1", data[1].protocol, metrics)
 
 
-def _cmd_finetune(args, config: ExperimentConfig) -> int:
-    dataset, split, train, test = _prepare(config, args.out)
-    mode = config.downstream.finetune_mode
-    if mode == "supervised-only":     # a fresh encoder, by default of the first trained
-        checkpoint = config.encoders[_representation(
-            config, (*config.trainer.representations, *config.encoders), "the config")]
-    else:
-        checkpoint = _load_encoder(config, "finetune")
-    summary = ds.finetune(checkpoint, train, test, dataset.bones,
-                          rho=config.downstream.rho, mode=mode,
+def _cmd_finetune(args, config: ExperimentConfig, start, data):
+    dataset, split, train, test = data
+    summary = ds.finetune(start, train, test, dataset.bones,
+                          rho=config.downstream.rho, mode=config.downstream.finetune_mode,
                           schedule=config.downstream.finetune,
                           seeds=config.downstream.seeds,
                           crop_length=config.aug.output_length,
                           protocol=split.protocol)
     _write_json(args.out, "metrics.json", summary.to_record())
-    _write_manifest(args.out, "finetune", config, ["config.json", "metrics.json"])
     print(f"{summary.task}: mean accuracy {summary.mean:.4f} +/- {summary.std:.4f} "
           f"over seeds {list(summary.seeds)}")
-    return _gate(config, summary.mean)
+    return _gate(config, summary.mean), ["metrics.json"]
 
 
-def _cmd_export(args, config: ExperimentConfig) -> int:
-    dataset, split, _, test = _prepare(config, args.out)
-    state = _load_encoder(config, "export")
+def _cmd_export(args, config: ExperimentConfig, state, data):
+    dataset, _, _, test = data
     path = os.path.join(args.out, "embeddings.jsonl")
     count = ds.export_embeddings(state, test, dataset.bones, path,
                                  projector=config.downstream.projector,
                                  crop_length=config.aug.output_length)
-    _write_manifest(args.out, "export", config, ["config.json", "embeddings.jsonl"])
     print(f"exported {count} embeddings ({config.downstream.projector}) to {path}")
-    return 0
+    return 0, ["embeddings.jsonl"]
 
 
-def _cmd_augment_preview(args, config: ExperimentConfig, count: int = 4) -> int:
-    dataset, split, train, _ = _prepare(config, args.out)
+def _cmd_augment_preview(args, config: ExperimentConfig, _, data, count: int = 4):
     rng = np.random.default_rng((config.seed, 0xA96))
     path = os.path.join(args.out, "preview.jsonl")
-    picked = train[:count]
+    picked = data[2][:count]
     with atomic_open(path, "w", encoding="utf-8") as fh:
         for sample in picked:
             seq = sample.sequence
@@ -296,29 +281,29 @@ def _cmd_augment_preview(args, config: ExperimentConfig, count: int = 4) -> int:
                     "coords": view.coords.tolist(),
                 })
             fh.write(json.dumps(record, sort_keys=True) + "\n")
-    _write_manifest(args.out, "augment-preview", config,
-                    ["config.json", "preview.jsonl"])
     print(f"wrote {len(picked)} augmented previews to {path}")
-    return 0
+    return 0, ["preview.jsonl"]
 
 
-def _cmd_sweep(args, config: ExperimentConfig) -> int:
-    write_resolved(config, args.out)
-    if config.sweep is None:
-        raise ConfigError("sweep.key: the sweep subcommand needs sweep.key+values "
-                          "or sweep.cells in the config")
+def _cmd_sweep(args, config: ExperimentConfig, sweep, _):
+    """Pretrain and probe each cell in `main`'s order (check, `config.json`,
+    train); a failed cell is recorded and the grid goes on."""
     sweep_path = os.path.join(args.out, "sweep.jsonl")
     failures = 0
     with open(sweep_path, "w", encoding="utf-8") as fh:
-        for i, cell in enumerate(config.sweep.cells):
+        for i, cell in enumerate(sweep.cells):
             cell_dir = os.path.join(args.out, "cells", f"cell{i:02d}")
             record = {"cell": cell, "index": i}
             try:
                 cell_config = resolve_config(config.resolved, list(cell.items()))
-                trainer, _, (dataset, _, train, test) = _pretrain(cell_config, cell_dir)
+                data = _load(cell_config)
+                trainer = _trainer(cell_config, cell_dir, None, data)
+                write_resolved(cell_config, cell_dir)
+                contrast.pretrain(trainer, [s.sequence for s in data[2]],
+                                  cell_config.schedule, out_dir=cell_dir)
                 rep = _representation(cell_config, trainer.representations, "the cell's trainer")
                 metrics = ds.linear_probe(
-                    *_features(cell_config, trainer.pairs[rep].query, dataset, train, test),
+                    *_features(cell_config, trainer.pairs[rep].query, data),
                     cell_config.downstream.probe)
                 record.update(status="ok", task="pretrain+probe",
                               accuracy=metrics.accuracy,
@@ -332,12 +317,9 @@ def _cmd_sweep(args, config: ExperimentConfig) -> int:
             shown = record.get("accuracy")
             print(f"cell {i:02d} {cell}: {record['status']}"
                   + (f" accuracy {shown:.4f}" if shown is not None else ""))
-    _write_manifest(args.out, "sweep", config, ["config.json", "sweep.jsonl"])
     if failures:
-        print(f"{failures}/{len(config.sweep.cells)} sweep cells failed",
-              file=sys.stderr)
-        return 3
-    return 0
+        print(f"{failures}/{len(sweep.cells)} sweep cells failed", file=sys.stderr)
+    return (3 if failures else 0), ["sweep.jsonl"]
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="artifact output directory")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
-        if name in ("probe", "retrieve", "finetune", "export"):
+        if name in _ENCODER_TASKS:
             p.add_argument("--checkpoint", default=None,
                            help="CKPT1 encoder file or TRAINER1 manifest")
         if name == "pretrain":
@@ -379,10 +361,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand: check everything it reads (`_inputs`), then
+    write `config.json`, run it, and last write `run.json` naming the
+    artifacts it returns."""
     args = build_parser().parse_args(argv)
     try:
         config = _build_config(args)
-        return _COMMANDS[args.subcommand](args, config)
+        start, data = _inputs(args, config)
+        write_resolved(config, args.out)
+        code, artifacts = _COMMANDS[args.subcommand](args, config, start, data)
+        _write_json(args.out, "run.json", {
+            "run_id": config.run_id(args.subcommand),
+            "subcommand": args.subcommand,
+            "seed": config.seed,
+            "format_versions": FORMAT_VERSIONS,
+            "artifacts": sorted(["config.json", *artifacts]),
+            "environment": _environment(),
+        })
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

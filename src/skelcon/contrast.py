@@ -25,10 +25,10 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .augment import AugmentationSpec, apply_view, draw_view, make_query_key_pair
-from .data import SkeletonSequence, parse_bones, parse_json_object
-from .encoders import (EncoderConfig, EncoderState, _param_shapes, atomic_open,
-                       embed_forward, embed_backward, init_encoder, save_checkpoint,
-                       load_checkpoint, write_json)
+from .data import SkeletonSequence, atomic_open, parse_bones, parse_json_object
+from .encoders import (EncoderConfig, EncoderState, _param_shapes, embed_forward,
+                       embed_backward, init_encoder, save_checkpoint, load_checkpoint,
+                       write_json)
 from .errors import ContractError, ParseError, SchemaError
 from .represent import REPRESENTATIONS, batch_views
 
@@ -624,15 +624,21 @@ def load_trainer(manifest_path) -> TrainerState:
         batch_size=batch_size, dataset_sha256=manifest.get("dataset_sha256"))
 
 
-def _open_loss_log(path, step: int):
-    """Open the loss log for writing from `step` on. The file's first `step`
-    lines are kept and must be the records of steps 0..step-1, in order;
-    lines after them (steps logged after the last checkpoint, before a
-    crash) go, and so does a torn last line. A full line read before the cut
-    that is not a JSON object with an integer ``step``, a record of another
-    step, or too few records (another run rewrote the file) raise
-    `ParseError` naming the file; the file is left as it was. A missing file
-    starts empty."""
+def check_epochs_left(trainer: TrainerState, schedule: Schedule) -> None:
+    """`ValueError` unless `trainer` has epochs left to train under `schedule`."""
+    if trainer.epoch >= schedule.epochs:
+        raise ValueError(f"trainer already at epoch {trainer.epoch}, "
+                         f"schedule ends at {schedule.epochs}")
+
+
+def kept_loss_log(out_dir, step: int) -> list[str]:
+    """The first `step` lines of ``out_dir/loss_log.jsonl``, which a run
+    continuing from `step` keeps; they must be the records of steps 0..step-1.
+    Later lines (logged after the last checkpoint, before a crash) and a torn
+    last line go. A full line before the cut that is not a JSON object with an
+    integer ``step``, a record of another step, or too few records (another
+    run rewrote the file) raise `ParseError` naming it; a missing file keeps none."""
+    path = os.path.join(out_dir, "loss_log.jsonl")
     kept = []
     if os.path.exists(path):
         with open(path, "r", encoding="utf-8") as fh:
@@ -648,9 +654,7 @@ def _open_loss_log(path, step: int):
         if len(kept) < step:
             raise ParseError(f"{path}: {len(kept)} full records, but the run resumes "
                              f"at step {step}")
-    fh = open(path, "w", encoding="utf-8")
-    fh.writelines(kept)
-    return fh
+    return kept
 
 
 def pretrain(trainer: TrainerState, sequences: list[SkeletonSequence],
@@ -668,9 +672,8 @@ def pretrain(trainer: TrainerState, sequences: list[SkeletonSequence],
     """
     if not sequences:
         raise ValueError("pretrain needs a nonempty dataset")
-    if trainer.epoch >= schedule.epochs:
-        raise ValueError(f"trainer already at epoch {trainer.epoch}, "
-                         f"schedule ends at {schedule.epochs}")
+    check_epochs_left(trainer, schedule)
+    kept = [] if out_dir is None else kept_loss_log(out_dir, trainer.step)
     if trainer.step == 0 and all(len(q) == 0 for q in trainer.queues.values()):
         warmup_queues(trainer, sequences)
     trainer.batch_size = schedule.batch_size
@@ -678,7 +681,8 @@ def pretrain(trainer: TrainerState, sequences: list[SkeletonSequence],
     log_fh = None
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        log_fh = _open_loss_log(os.path.join(out_dir, "loss_log.jsonl"), trainer.step)
+        log_fh = open(os.path.join(out_dir, "loss_log.jsonl"), "w", encoding="utf-8")
+        log_fh.writelines(kept)
     records = []
     try:
         n = len(sequences)

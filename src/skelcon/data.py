@@ -13,7 +13,9 @@ shortest round-trip repr.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,6 +161,21 @@ def validate_sequence(seq: SkeletonSequence) -> ValidationReport:
 # canonical SKL1 file format
 # ---------------------------------------------------------------------------
 
+@contextlib.contextmanager
+def atomic_open(path, mode="wb", **kwargs):
+    """Write to ``<path>.tmp`` and move it over ``path`` only when the block
+    completes, so a failed or interrupted write leaves the previous file."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def parse_json_object(source: str, text, what: str, fmt: str | None, keys,
                       optional=()) -> dict:
     """`text` as a JSON object, after checking that its ``"format"`` is `fmt`
@@ -192,8 +209,8 @@ def parse_bones(source: str, what: str, edges: list) -> tuple[tuple[int, int], .
 
 
 def save_dataset(dataset: Dataset, path) -> None:
-    """Write a dataset in the canonical line-delimited format."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write a dataset in the canonical line-delimited format (`atomic_open`)."""
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         header = {
             "format": "SKL1",
             "J": dataset.joint_count,
@@ -435,6 +452,8 @@ class DatasetSpec:
 
     def load(self) -> Dataset:
         if self.source == "file":
+            if not os.path.isfile(self.path):
+                raise ConfigError(f"dataset.path: no such file: {self.path}")
             dataset = load_dataset(self.path)
             if dataset.joint_count != self.joints:
                 raise ConfigError(f"dataset.joints: {self.joints}, but {self.path} holds "

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .augment import CropResizeParams, temporal_crop_resize
-from .data import LabeledSample
-from .encoders import (EncoderConfig, EncoderState, atomic_open, encoder_forward,
-                       encoder_backward, init_encoder)
+from .data import LabeledSample, atomic_open
+from .encoders import (EncoderConfig, EncoderState, encoder_forward, encoder_backward,
+                       init_encoder)
 from .errors import DegenerateTaskError
 from .represent import REPRESENTATIONS, batch_views
 

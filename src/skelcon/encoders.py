@@ -20,17 +20,15 @@ exact analytic parameter gradients flow back through the whole stack.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
-import os
 import struct
 from dataclasses import dataclass, asdict, field, replace
 
 import numpy as np
 
 from . import nn
-from .data import NUM_ACTORS, parse_json_object
+from .data import NUM_ACTORS, atomic_open, parse_json_object
 from .errors import DegenerateEmbeddingError, ParseError
 from .represent import REPRESENTATIONS, graph_adjacency
 
@@ -356,21 +354,6 @@ def embed_backward(config, params, cache, dz):
 # ---------------------------------------------------------------------------
 # checkpoint container
 # ---------------------------------------------------------------------------
-
-@contextlib.contextmanager
-def atomic_open(path, mode="wb", **kwargs):
-    """Write to ``<path>.tmp`` and move it over ``path`` only when the block
-    completes, so a failed or interrupted write leaves the previous file."""
-    tmp = f"{os.fspath(path)}.tmp"
-    try:
-        with open(tmp, mode, **kwargs) as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
-
 
 def write_json(path, record: dict) -> None:
     """A JSON artifact (sorted keys, one-space indent, trailing newline),

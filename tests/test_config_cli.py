@@ -9,15 +9,18 @@ import shutil
 import struct
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skelcon import cli
 from skelcon.cli import main
-from skelcon.contrast import TrainerConfig, load_trainer
+from skelcon.contrast import Schedule, TrainerConfig, load_trainer, pretrain
 from skelcon.config import (
     DEFAULTS,
     parse_config,
@@ -339,9 +342,20 @@ def _write_preview(tmp_path, monkeypatch, fail):
     assert main(["augment-preview", "--out", str(tmp_path)] + _sets()) == (3 if fail else 0)
 
 
+def _write_dataset(tmp_path, monkeypatch, fail):
+    """`save_dataset`; with `fail`, the last sample's label cannot be written."""
+    ds = generate_synthetic(2, 3, 16, 5, seed=1)
+    if fail:
+        ds.samples[-1] = dataclasses.replace(ds.samples[-1], label=object())
+    with pytest.raises(TypeError, match="not JSON serializable") if fail \
+            else contextlib.nullcontext():
+        save_dataset(ds, tmp_path / "dataset.skl")
+
+
 @pytest.mark.parametrize("artifact,write", [("embeddings.jsonl", _write_embeddings),
-                                            ("preview.jsonl", _write_preview)],
-                         ids=["embeddings.jsonl", "preview.jsonl"])
+                                            ("preview.jsonl", _write_preview),
+                                            ("dataset.skl", _write_dataset)],
+                         ids=["embeddings.jsonl", "preview.jsonl", "dataset"])
 def test_jsonl_artifact_write_that_fails_midway_keeps_the_previous_file(
         artifact, write, tmp_path, monkeypatch):
     """The last record fails after the records before it were written; the
@@ -428,7 +442,7 @@ def test_cli_probe_retrieve_export_preview(tmp_path):
             assert v["kind"] in ("pose", "jitter", "none")
 
 
-def test_cli_finetune_both_modes(tmp_path):
+def test_cli_finetune_both_modes(tmp_path, capsys):
     _, manifest = _pretrain(tmp_path)
     extra = ["downstream.rho=0.5", "downstream.seeds=[0,1]",
              "downstream.finetune.epochs=2", "downstream.finetune.batch_size=4"]
@@ -450,6 +464,13 @@ def test_cli_finetune_both_modes(tmp_path):
     assert json.loads((solo / "metrics.json").read_text())["task"].startswith(
         "finetune/supervised-only")
 
+    # supervised-only trains a fresh encoder: a checkpoint is a config error
+    refused = tmp_path / "solo_with_checkpoint"
+    assert main(["finetune", "--out", str(refused), "--checkpoint", str(manifest)]
+                + _sets(extra + ["downstream.finetune_mode=supervised-only"])) == 2
+    assert "config error: downstream.checkpoint" in capsys.readouterr().err
+    assert not refused.exists()
+
 
 def test_cli_refuses_a_representation_the_checkpoint_does_not_hold(tmp_path, capsys):
     out, manifest = _pretrain(tmp_path)
@@ -462,21 +483,34 @@ def test_cli_refuses_a_representation_the_checkpoint_does_not_hold(tmp_path, cap
                 + _sets(["downstream.representation=SEQ"])) == 0
 
 
-def test_cli_exit_codes(tmp_path):
-    # 2: configuration errors, before any work happens
-    assert main(["pretrain", "--out", str(tmp_path / "a"),
-                 "--set", "trainer.bogus=1"]) == 2
-    assert main(["probe", "--out", str(tmp_path / "b")] + _sets()) == 2   # no checkpoint
-    assert main(["probe", "--out", str(tmp_path / "c"),
-                 "--checkpoint", str(tmp_path / "missing.ckpt")] + _sets()) == 2
-    assert main(["probe", "--config", str(tmp_path / "nope.json"),
-                 "--out", str(tmp_path / "d")] + _sets()) == 2
+def test_cli_exit_codes(tmp_path, capsys):
+    # 2: configuration errors, before any work happens; --out is never created
+    outs = (tmp_path / f"refused{i}" for i in itertools.count())
 
-    # 3: runtime failure (corrupt checkpoint payload)
+    def refused(argv, message):
+        out = next(outs)
+        assert main([argv[0], "--out", str(out)] + argv[1:]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    refused(["pretrain", "--set", "trainer.bogus=1"], "unknown config key 'trainer.bogus'")
+    refused(["probe"] + _sets(), "downstream.checkpoint")                  # no checkpoint
+    refused(["probe", "--checkpoint", str(tmp_path / "missing.ckpt")] + _sets(),
+            "downstream.checkpoint")
+    refused(["probe", "--checkpoint", str(tmp_path)] + _sets(),           # a directory
+            "downstream.checkpoint")
+    refused(["probe", "--config", str(tmp_path / "nope.json")] + _sets(),
+            "config file not found")
+    refused(["pretrain"] + _sets(["dataset.source=file",
+                                  f"dataset.path={tmp_path / 'missing.skl'}"]),
+            "dataset.path")
+
+    # 3: runtime failure (corrupt checkpoint payload), still before --out is made
     corrupt = tmp_path / "corrupt.ckpt"
     corrupt.write_bytes(b"not a checkpoint at all")
     assert main(["probe", "--out", str(tmp_path / "e"),
                  "--checkpoint", str(corrupt)] + _sets()) == 3
+    assert not (tmp_path / "e").exists()
 
     # 4: metrics below the configured acceptance floor (observed accuracy 0.5)
     _, manifest = _pretrain(tmp_path)
@@ -729,6 +763,95 @@ def test_cli_resume_refuses_a_loss_log_that_another_run_rewrote(tmp_path, capsys
     err = capsys.readouterr().err
     assert "error: ParseError" in err and str(out / "loss_log.jsonl") in err
     assert (out / "loss_log.jsonl").read_bytes() == b_log
+
+
+def _tree(path) -> dict:
+    """Every file under `path`, by relative path, with its bytes."""
+    return {str(p.relative_to(path)): p.read_bytes()
+            for p in sorted(path.rglob("*")) if p.is_file()}
+
+
+# One run per subcommand that is refused for what it reads, given the
+# directory of a TINY pretraining run: (arguments after --out, exit code).
+_REFUSALS = {
+    "pretrain": (lambda run: ["--resume", str(run / "epoch0002.trainer.json")]
+                 + _sets(), 2),                                  # no epochs left
+    "probe": (lambda run: ["--checkpoint", str(run / "nope.ckpt")] + _sets(), 2),
+    "retrieve": (lambda run: ["--checkpoint", str(run)] + _sets(), 2),      # a directory
+    "finetune": (lambda run: ["--checkpoint", str(run / "loss_log.jsonl")]
+                 + _sets(), 3),                                  # no checkpoint format
+    "export": (lambda run: ["--checkpoint", str(run / "epoch0002.trainer.json")]
+               + _sets(["downstream.representation=IMG"]), 2),
+    "sweep": (lambda run: _sets(), 2),                           # no grid
+    "augment-preview": (lambda run: _sets(["dataset.source=file",
+                                           f"dataset.path={run / 'nope.skl'}"]), 2),
+}
+
+
+@pytest.mark.parametrize("into", ["fresh", "pretrain-run"])
+@pytest.mark.parametrize("subcommand", sorted(_REFUSALS))
+def test_a_refused_run_leaves_out_as_it_found_it(tmp_path, tiny_bundle, subcommand, into):
+    """A refused run creates no absent --out, and a directory that holds an
+    earlier run keeps every file's bytes."""
+    run = tmp_path / "run"
+    shutil.copytree(tiny_bundle, run)
+    before = _tree(run)
+    out = run if into == "pretrain-run" else tmp_path / "fresh"
+    arguments, code = _REFUSALS[subcommand]
+    assert main([subcommand, "--out", str(out)] + arguments(run)) == code
+    assert _tree(run) == before
+    assert out == run or not out.exists()
+
+
+@pytest.mark.parametrize("epochs", [1, 2])
+def test_resuming_a_finished_run_is_a_config_error_naming_trainer_epochs(
+        tmp_path, capsys, tiny_bundle, epochs):
+    run = tmp_path / "run"
+    shutil.copytree(tiny_bundle, run)
+    before = _tree(run)
+    manifest = run / "epoch0002.trainer.json"
+    assert main(["pretrain", "--out", str(run), "--resume", str(manifest)]
+                + _sets([f"trainer.epochs={epochs}"])) == 2
+    assert "config error: trainer.epochs" in capsys.readouterr().err
+    assert _tree(run) == before
+    sequences = [s.sequence for s in generate_synthetic(3, 4, 16, 5, seed=0).samples]
+    with pytest.raises(ValueError, match="already at epoch 2"):   # the library's rule
+        pretrain(load_trainer(manifest), sequences, Schedule(epochs=epochs, batch_size=4))
+
+
+_BUNDLE_FILES = ("epoch0002.trainer.json", "epoch0002.SEQ.query.ckpt",
+                 "epoch0002.SEQ.key.ckpt", "epoch0002.aux.npz")
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_a_damaged_bundle_is_refused_without_writing_out(tiny_bundle, data):
+    """A bundle file cut at a drawn byte, or with a drawn bit flipped: a probe
+    from it and a resume of it end in exit 0, 2 or 3, never in an exception,
+    and a refused one leaves its --out as it was."""
+    name = data.draw(st.sampled_from(_BUNDLE_FILES), label="file")
+    raw = bytearray((tiny_bundle / name).read_bytes())
+    if data.draw(st.booleans(), label="cut"):
+        raw = raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
+    else:
+        bit = data.draw(st.integers(0, 8 * len(raw) - 1), label="bit")
+        raw[bit // 8] ^= 1 << (bit % 8)
+    with tempfile.TemporaryDirectory() as tmp:
+        run, fresh = Path(tmp) / "run", Path(tmp) / "probe"
+        shutil.copytree(tiny_bundle, run)
+        (run / name).write_bytes(bytes(raw))
+        before = _tree(run)
+        manifest = str(run / "epoch0002.trainer.json")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main(["probe", "--out", str(fresh), "--checkpoint", manifest] + _sets())
+        assert code in (0, 2, 3)
+        assert code == 0 or not fresh.exists()
+        assert _tree(run) == before
+        code = main(["pretrain", "--out", str(run), "--resume", manifest]
+                    + _sets(["trainer.epochs=4"]))
+        assert code in (0, 2, 3)
+        assert code == 0 or _tree(run) == before
 
 
 def test_cli_sweep_grid_and_cell_isolation(tmp_path):
