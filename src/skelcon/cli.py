@@ -32,6 +32,7 @@ from .nn import BLAS_THREAD_VARS, blas_core, conv_workers, usable_cpus
 
 FORMAT_VERSIONS = {"dataset": "SKL1", "checkpoint": "CKPT1", "trainer": "TRAINER1"}
 _ENCODER_TASKS = ("probe", "retrieve", "finetune", "export")
+_SCORED_TASKS = ("probe", "retrieve", "finetune")         # each refuses unlabeled samples
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +147,8 @@ def _trainer(config: ExperimentConfig, out_dir, resume, data) -> contrast.Traine
         trainer = contrast.make_trainer(config.trainer, config.encoders,
                                         config.aug, data[0].bones, config.seed)
     else:
+        if not os.path.isfile(resume):
+            raise ConfigError(f"--resume: no such file: {resume}")
         trainer = contrast.load_trainer(resume)
         sections = [("trainer", trainer.config, config.trainer),
                     ("augment", trainer.aug, config.aug)]
@@ -175,13 +178,16 @@ def _inputs(args, config: ExperimentConfig) -> tuple:
     """Resolve and check everything `args.subcommand` reads, before anything
     is written: (what the run starts from, `_load`'s data). That is the
     encoder of a downstream task (`_encoder`), the trainer of `pretrain`
-    (`_trainer`), the grid of `sweep` (each cell loads its own data), or None."""
+    (`_trainer`), the grid of `sweep` (each cell loads its own data), or None.
+    A scored task's data must be labeled throughout (`downstream._scorable`)."""
     if args.subcommand == "sweep":
         if config.sweep is None:
             raise ConfigError("sweep.key: the sweep subcommand needs sweep.key+values "
                               "or sweep.cells in the config")
         return config.sweep, None
     data = _load(config)
+    if args.subcommand in _SCORED_TASKS:
+        ds._scorable(ds._labels(data[0].samples), args.subcommand)
     if args.subcommand == "pretrain":
         return _trainer(config, args.out, args.resume, data), data
     return (_encoder(config, args.subcommand) if args.subcommand in _ENCODER_TASKS

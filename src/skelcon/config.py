@@ -9,9 +9,10 @@ it builds, so each is written once; only the run ``seed``, the trainer's
 ``mode`` and ``representations`` and the ``sweep`` section, which no
 dataclass holds, are written here.  Unknown keys are rejected by full
 dotted path; type and range violations name the offending key.  Each rule
-lives in one place: a field's type is its annotation, which `_build`
-converts each value to; its range is checked by that dataclass, whose
-ValueError is raised again on the dotted key.  This module keeps only the
+lives in one place: a field's type is its annotation, which
+`build_dataclass` (shared with the CKPT1 and TRAINER1 readers) converts
+each value to; its range is checked by that dataclass, whose ValueError is
+raised again on the dotted key.  This module keeps only the
 rules that span sections (``jitter_joints`` below the joint count, a
 trained conv encoder's temporal kernel no longer than the crop) and the
 sweep.  Command-line overrides use the same dotted paths
@@ -22,17 +23,15 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import functools
 import hashlib
 import json
 import os
-import re
-import types
-import typing
 from dataclasses import dataclass
 
 from .augment import AugmentationSpec
 from .contrast import Schedule, TrainerConfig
-from .data import DatasetSpec
+from .data import DatasetSpec, build_dataclass, convert_json, require
 from .downstream import DownstreamSpec
 from .encoders import EncoderConfig, write_json
 from .errors import ConfigError
@@ -82,55 +81,12 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
     return out
 
 
-def _require(cond: bool, path: str, message: str) -> None:
-    if not cond:
-        raise ConfigError(f"{path}: {message}")
+def _config_error(key: str, message: str) -> ConfigError:
+    return ConfigError(f"{key}: {message}")
 
 
-def _convert(kind, raw, key: str):
-    """`raw` as the field type `kind`, or a ConfigError on `key`. A whole
-    float counts as an int, and a bool is not a number."""
-    if typing.get_origin(kind) in (types.UnionType, typing.Union):   # X | None
-        inner = next(k for k in typing.get_args(kind) if k is not type(None))
-        return None if raw is None else _convert(inner, raw, key)
-    if typing.get_origin(kind) is tuple:                    # tuple[X, ...]
-        _require(isinstance(raw, (list, tuple)), key, f"expected a list, got {raw!r}")
-        return tuple(_convert(typing.get_args(kind)[0], item, key) for item in raw)
-    if dataclasses.is_dataclass(kind):
-        return _build(kind, key, raw)
-    if kind is bool or kind is str:
-        wanted = "true or false" if kind is bool else "a string"
-        _require(isinstance(raw, kind), key, f"expected {wanted}, got {raw!r}")
-        return raw
-    _require(isinstance(raw, (int, float)) and not isinstance(raw, bool), key,
-             f"expected a number, got {raw!r}")
-    if kind is int:
-        _require(isinstance(raw, int) or raw.is_integer(), key,
-                 f"expected an integer, got {raw!r}")
-        return int(raw)
-    return float(raw)
-
-
-def _field(cls, name: str, raw, key: str):
-    """`raw` converted to the type of `cls`'s field `name` (see `_convert`)."""
-    return _convert(typing.get_type_hints(cls)[name], raw, key)
-
-
-def _build(cls, section: str, values: dict, **given):
-    """`cls` from its config section `values`: every field that `given` does
-    not set and `values` holds is converted to its annotated type, and
-    `cls`'s own ValueError is raised again as a ConfigError on the dotted
-    key; the dataclasses open each message with the field's name."""
-    fields = dict(given)
-    for f in dataclasses.fields(cls):
-        if f.name not in fields and f.name in values:
-            fields[f.name] = _field(cls, f.name, values[f.name], f"{section}.{f.name}")
-    try:
-        return cls(**fields)
-    except ValueError as exc:
-        name = re.match(r"\w*", str(exc)).group()
-        key = f"{section}.{name}" if name in fields else section
-        raise ConfigError(f"{key}: {exc}") from exc
+_require = functools.partial(require, _config_error)
+_build = functools.partial(build_dataclass, _config_error)
 
 
 def parse_override(text: str) -> tuple[str, object]:
@@ -216,17 +172,19 @@ def resolve_config(user_tree: dict, overrides=()) -> ExperimentConfig:
             value = {part: value}
         tree = _merge(tree, value)
 
-    seed = _field(ExperimentConfig, "seed", tree["seed"], "seed")
+    seed = convert_json(_config_error, int, tree["seed"], "seed")
     _require(seed >= 0, "seed", f"must be >= 0, got {seed}")
     dataset = _build(DatasetSpec, "dataset", tree["dataset"])
     aug = _build(AugmentationSpec, "augment", tree["augment"])
     _require(aug.jitter_joints < dataset.joints, "augment.jitter_joints",
              f"must be smaller than the joint count {dataset.joints}")
-    trainer = _build(TrainerConfig, "trainer", tree["trainer"])
+    schedule = {key: tree["trainer"][key] for key in _section(Schedule)}
+    trainer = _build(TrainerConfig, "trainer",
+                     {k: v for k, v in tree["trainer"].items() if k not in schedule})
     encoders = _build_encoders(tree, dataset.joints, aug.output_length, trainer.representations)
     return ExperimentConfig(resolved=tree, seed=seed, dataset=dataset, aug=aug,
                             encoders=encoders, trainer=trainer,
-                            schedule=_build(Schedule, "trainer", tree["trainer"]),
+                            schedule=_build(Schedule, "trainer", schedule),
                             downstream=_build(DownstreamSpec, "downstream", tree["downstream"]),
                             sweep=_build_sweep(tree))
 

@@ -25,7 +25,8 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .augment import AugmentationSpec, apply_view, draw_view, make_query_key_pair
-from .data import SkeletonSequence, atomic_open, parse_bones, parse_json_object
+from .data import (SkeletonSequence, atomic_open, build_dataclass, manifest_error,
+                   parse_bones, parse_json_object, require)
 from .encoders import (EncoderConfig, EncoderState, _param_shapes, embed_forward,
                        embed_backward, init_encoder, save_checkpoint, load_checkpoint,
                        write_json)
@@ -548,14 +549,6 @@ _MANIFEST_KEYS = (("trainer", dict), ("aug", dict), ("bones", list), ("seed", in
 _MANIFEST_OPTIONAL = (("batch_size", int), ("dataset_sha256", str))
 
 
-def _manifest_section(path, key: str, build):
-    """`build()`, with a malformed section raising `ParseError` naming `key`."""
-    try:
-        return build()
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: manifest {key!r}: {exc}") from None
-
-
 def _read_aux(path) -> dict[str, np.ndarray]:
     try:
         loaded = np.load(path)
@@ -579,15 +572,14 @@ def load_trainer(manifest_path) -> TrainerState:
                                      _MANIFEST_KEYS, _MANIFEST_OPTIONAL)
     base = os.path.dirname(manifest_path)
 
-    config = _manifest_section(manifest_path, "trainer",
-                               lambda: TrainerConfig(**manifest["trainer"]))
+    error = manifest_error(manifest_path)
+    config = build_dataclass(error, TrainerConfig, "trainer", manifest["trainer"])
     manifest["aug"].pop("seed", None)  # written by older versions, unused
-    aug = _manifest_section(manifest_path, "aug", lambda: AugmentationSpec(**manifest["aug"]))
+    aug = build_dataclass(error, AugmentationSpec, "aug", manifest["aug"])
     bones = parse_bones(manifest_path, "manifest", manifest["bones"])
-    batch_size = manifest.get("batch_size")
-    if batch_size is not None and batch_size < 1:
-        raise ParseError(f"{manifest_path}: manifest 'batch_size' is {batch_size!r}, "
-                         "not a positive integer")
+    for key, low in (("seed", 0), ("epoch", 0), ("step", 0), ("batch_size", 1)):
+        value = manifest.get(key)
+        require(error, value is None or value >= low, key, f"must be >= {low}, got {value}")
     pairs = {}
     for rep in config.representations:
         files = manifest["encoders"].get(rep)
@@ -621,7 +613,7 @@ def load_trainer(manifest_path) -> TrainerState:
         velocities={rep: {name: aux[f"velocity.{rep}.{name}"] for name in pairs[rep].query.params}
                     for rep in config.representations},
         seed=manifest["seed"], epoch=manifest["epoch"], step=manifest["step"],
-        batch_size=batch_size, dataset_sha256=manifest.get("dataset_sha256"))
+        batch_size=manifest.get("batch_size"), dataset_sha256=manifest.get("dataset_sha256"))
 
 
 def check_epochs_left(trainer: TrainerState, schedule: Schedule) -> None:

@@ -1,5 +1,6 @@
 """Skeleton sequence data types, canonical file I/O, splits, a synthetic
-generator, and `DatasetSpec`, which builds a run's dataset from its config.
+generator, `DatasetSpec`, which builds a run's dataset from its config, and
+`build_dataclass`, which makes each config and artifact section a dataclass.
 
 A skeleton sequence is a rank-4 float array of shape (T, M, J, 3): T frames,
 M actors (always 2, a missing second actor is an all-zeros slab), J joints,
@@ -16,7 +17,10 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-from dataclasses import dataclass
+import re
+import types
+import typing
+from dataclasses import dataclass, is_dataclass
 
 import numpy as np
 
@@ -197,6 +201,55 @@ def parse_json_object(source: str, text, what: str, fmt: str | None, keys,
         if not isinstance(obj[key], kind) or isinstance(obj[key], bool):
             raise ParseError(f"{source}: {what} {key!r} is not a JSON {kind.__name__}")
     return obj
+
+
+def require(error, cond: bool, key: str, message: str) -> None:
+    """Raise `error(key, message)` unless `cond`."""
+    if not cond:
+        raise error(key, message)
+
+
+def manifest_error(source: str):
+    """`build_dataclass`'s `error` for a section of the manifest in `source`."""
+    return lambda key, message: ParseError(f"{source}: manifest {key!r}: {message}")
+
+
+def convert_json(error, kind, raw, key: str):
+    """JSON value `raw` as the field type `kind`, or `error(key, message)`.
+    A whole float counts as an int, and a bool is not a number."""
+    if typing.get_origin(kind) in (types.UnionType, typing.Union):   # X | None
+        inner = next(k for k in typing.get_args(kind) if k is not type(None))
+        return None if raw is None else convert_json(error, inner, raw, key)
+    if typing.get_origin(kind) is tuple:                    # tuple[X, ...]
+        require(error, isinstance(raw, (list, tuple)), key, f"expected a list, got {raw!r}")
+        return tuple(convert_json(error, typing.get_args(kind)[0], item, key) for item in raw)
+    if is_dataclass(kind):
+        return build_dataclass(error, kind, key, raw)
+    if kind is bool or kind is str:
+        wanted = "true or false" if kind is bool else "a string"
+        require(error, isinstance(raw, kind), key, f"expected {wanted}, got {raw!r}")
+        return raw
+    require(error, isinstance(raw, (int, float)) and not isinstance(raw, bool), key,
+            f"expected a number, got {raw!r}")
+    require(error, kind is float or isinstance(raw, int) or raw.is_integer(), key,
+            f"expected an integer, got {raw!r}")
+    return kind(raw)
+
+
+def build_dataclass(error, cls, section: str, values: dict, /, **given):
+    """`cls` from the JSON object `values` at dotted key `section`, each value
+    converted to its field's annotated type (`convert_json`). A failed
+    conversion, the constructor's TypeError (an unknown or missing key) and
+    `cls`'s ValueError, which opens with the field's name, raise
+    `error(key, message)` on that field's key, else on `section`."""
+    hints = typing.get_type_hints(cls)
+    fields = {name: convert_json(error, hints[name], raw, f"{section}.{name}")
+              if name in hints else raw for name, raw in values.items()}
+    try:
+        return cls(**given, **fields)
+    except (TypeError, ValueError) as exc:
+        name = re.match(r"\w*", str(exc)).group()
+        raise error(f"{section}.{name}" if name in fields else section, str(exc)) from None
 
 
 def parse_bones(source: str, what: str, edges: list) -> tuple[tuple[int, int], ...]:

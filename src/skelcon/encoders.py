@@ -28,7 +28,7 @@ from dataclasses import dataclass, asdict, field, replace
 import numpy as np
 
 from . import nn
-from .data import NUM_ACTORS, atomic_open, parse_json_object
+from .data import NUM_ACTORS, atomic_open, build_dataclass, manifest_error, parse_json_object
 from .errors import DegenerateEmbeddingError, ParseError
 from .represent import REPRESENTATIONS, graph_adjacency
 
@@ -415,16 +415,12 @@ def load_checkpoint(path) -> EncoderState:
         blob = fh.read()
     manifest = parse_json_object(path, payload, "manifest", None,
                                  (("config", dict), ("step", int), ("params", dict)))
-    fields = dict(manifest["config"])
-    fields.pop("scale", None)  # written by older versions, unused
-    actors = fields.pop("actors", NUM_ACTORS)  # written by older versions, always 2
+    manifest["config"].pop("scale", None)  # written by older versions, unused
+    actors = manifest["config"].pop("actors", NUM_ACTORS)  # older versions, always 2
     if actors != NUM_ACTORS:
         raise ParseError(f"{path}: manifest 'config.actors' is {actors!r}, the data "
                          f"holds {NUM_ACTORS} actors")
-    try:
-        config = EncoderConfig(**fields)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: manifest 'config': {exc}") from None
+    config = build_dataclass(manifest_error(path), EncoderConfig, "config", manifest["config"])
     shapes = _param_shapes(config)
     wanted, index = _param_index(shapes), manifest["params"]
     for name in sorted(wanted.keys() | index.keys()):

@@ -5,20 +5,23 @@ import dataclasses
 import itertools
 import json
 import os
+import re
 import shutil
 import struct
 import subprocess
 import sys
 import tempfile
+import typing
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skelcon import cli
+from skelcon.augment import AugmentationSpec, _resample_plan
 from skelcon.cli import main
 from skelcon.contrast import Schedule, TrainerConfig, load_trainer, pretrain
 from skelcon.config import (
@@ -30,7 +33,8 @@ from skelcon.config import (
 )
 from skelcon.data import SYNTHETIC_MINIMUMS, generate_synthetic, save_dataset
 from skelcon.downstream import FinetuneSchedule, ProbeSchedule, export_embeddings, summarize
-from skelcon.encoders import (CHECKPOINT_MAGIC, EncoderState, desk_config, init_encoder,
+from skelcon.encoders import (CHECKPOINT_MAGIC, EncoderConfig, EncoderState, desk_config,
+                              init_encoder,
                               load_checkpoint, save_checkpoint)
 from skelcon.errors import ConfigError, ParseError, SchemaError
 from skelcon.nn import blas_core
@@ -504,6 +508,9 @@ def test_cli_exit_codes(tmp_path, capsys):
     refused(["pretrain"] + _sets(["dataset.source=file",
                                   f"dataset.path={tmp_path / 'missing.skl'}"]),
             "dataset.path")
+    refused(["pretrain", "--resume", str(tmp_path / "missing.trainer.json")] + _sets(),
+            "--resume")
+    refused(["pretrain", "--resume", str(tmp_path)] + _sets(), "--resume")   # a directory
 
     # 3: runtime failure (corrupt checkpoint payload), still before --out is made
     corrupt = tmp_path / "corrupt.ckpt"
@@ -617,6 +624,8 @@ _TRAINER_MUTATIONS = [
      ParseError, "manifest", "'trainer'"),
     ("bones-not-pairs", _edit_manifest(lambda record: {**record, "bones": [[0, 1.5]]}),
      ParseError, "manifest", "'bones'"),
+    *((f"negative-{key}", _edit_manifest(lambda record, key=key: {**record, key: -1}),
+       ParseError, "manifest", f"'{key}'") for key in ("seed", "epoch", "step")),
     ("no-encoder", _edit_manifest(lambda record: {**record, "encoders": {}}),
      SchemaError, "manifest", "'encoders.SEQ'"),
     ("key-config", _key_of_another_config, SchemaError, "manifest", "'encoders.SEQ'"),
@@ -655,6 +664,70 @@ def test_load_trainer_names_the_file_and_key_of_a_malformed_bundle(
     assert main(["probe", "--out", str(tmp_path / "p"), "--checkpoint", str(manifest)]
                 + _sets()) == 3
     assert f"error: {error.__name__}" in capsys.readouterr().err
+
+
+def _edit_checkpoint_config(path, edit):
+    """Apply `edit` to the `config` object of the CKPT1 file at `path`,
+    keeping its parameter blob."""
+    raw = path.read_bytes()
+    start = len(CHECKPOINT_MAGIC) + 4
+    (length,) = struct.unpack("<I", raw[len(CHECKPOINT_MAGIC):start])
+    manifest = json.loads(raw[start:start + length])
+    edit(manifest["config"])
+    payload = json.dumps(manifest, sort_keys=True).encode()
+    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(payload)) + payload
+                     + raw[start + length:])
+
+
+def _edit_trainer_manifest(path, section, edit):
+    """Apply `edit` to the TRAINER1 manifest at `path`, or to its `section`."""
+    record = json.loads(path.read_text())
+    edit(record if section is None else record[section])
+    path.write_text(json.dumps(record))
+
+
+# Values of another type for a field of each scalar type: a bool where a
+# number belongs, a string, a non-whole float for an int, a number for a bool
+# or a string.
+_WRONG_TYPE = {int: (True, "x", 1.5), float: (True, "x"), bool: ("x", 1), str: (True, 1.5)}
+# (dataclass, its config section, the file that stores it, its section there)
+_STORED = [(EncoderConfig, "encoders.SEQ", "epoch0002.SEQ.query.ckpt", "config"),
+           (TrainerConfig, "trainer", "epoch0002.trainer.json", "trainer"),
+           (AugmentationSpec, "augment", "epoch0002.trainer.json", "aug")]
+
+
+def _wrong_type_cases():
+    for cls, section, name, stored in _STORED:
+        hints = typing.get_type_hints(cls)
+        for field in dataclasses.fields(cls):
+            kind, args = hints[field.name], typing.get_args(hints[field.name])
+            if type(None) in args:                                  # X | None
+                kind = next(k for k in args if k is not type(None))
+            for value in _WRONG_TYPE.get(kind, ()):
+                yield pytest.param(section, name, stored, field.name, value,
+                                   id=f"{stored}.{field.name}={value!r}")
+
+
+@pytest.mark.parametrize("section,name,stored,field,value", list(_wrong_type_cases()))
+def test_each_field_refuses_a_wrong_type_in_the_config_and_in_the_artifact(
+        tmp_path, tiny_bundle, section, name, stored, field, value):
+    """Every number, bool and str field of the dataclasses a CKPT1 or TRAINER1
+    file stores follows one rule wherever it is read: a value of another type
+    is a ConfigError naming the config key, and a ParseError naming the file
+    and its key there."""
+    with pytest.raises(ConfigError, match=re.escape(f"{section}.{field}")):
+        resolve_config({}, [(f"{section}.{field}", value)])
+    path = tmp_path / name
+    shutil.copy(tiny_bundle / name, path)
+    if name.endswith(".ckpt"):
+        _edit_checkpoint_config(path, lambda config: config.update({field: value}))
+        read = load_checkpoint
+    else:
+        _edit_trainer_manifest(path, stored, lambda config: config.update({field: value}))
+        read = load_trainer
+    with pytest.raises(ParseError) as caught:
+        read(path)
+    assert str(path) in str(caught.value) and f"'{stored}.{field}'" in str(caught.value)
 
 
 def test_cli_resume_continues_from_manifest(tmp_path):
@@ -823,24 +896,16 @@ _BUNDLE_FILES = ("epoch0002.trainer.json", "epoch0002.SEQ.query.ckpt",
                  "epoch0002.SEQ.key.ckpt", "epoch0002.aux.npz")
 
 
-@settings(max_examples=30, derandomize=True, deadline=None)
-@given(data=st.data())
-def test_a_damaged_bundle_is_refused_without_writing_out(tiny_bundle, data):
-    """A bundle file cut at a drawn byte, or with a drawn bit flipped: a probe
-    from it and a resume of it end in exit 0, 2 or 3, never in an exception,
-    and a refused one leaves its --out as it was."""
-    name = data.draw(st.sampled_from(_BUNDLE_FILES), label="file")
-    raw = bytearray((tiny_bundle / name).read_bytes())
-    if data.draw(st.booleans(), label="cut"):
-        raw = raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
-    else:
-        bit = data.draw(st.integers(0, 8 * len(raw) - 1), label="bit")
-        raw[bit // 8] ^= 1 << (bit % 8)
+def _probe_and_resume(tiny_bundle, damage):
+    """Copy `tiny_bundle` and `damage(copy)`; then a probe from the copy and a
+    resume of it end in exit 0, 2 or 3, never in an exception, and a refused
+    one leaves its --out as it was."""
     with tempfile.TemporaryDirectory() as tmp:
         run, fresh = Path(tmp) / "run", Path(tmp) / "probe"
         shutil.copytree(tiny_bundle, run)
-        (run / name).write_bytes(bytes(raw))
+        damage(run)
         before = _tree(run)
+        _resample_plan.cache_clear()      # as in a fresh process: no plan cached for an equal int
         manifest = str(run / "epoch0002.trainer.json")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -852,6 +917,65 @@ def test_a_damaged_bundle_is_refused_without_writing_out(tiny_bundle, data):
                     + _sets(["trainer.epochs=4"]))
         assert code in (0, 2, 3)
         assert code == 0 or _tree(run) == before
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_a_damaged_bundle_is_refused_without_writing_out(tiny_bundle, data):
+    """A bundle file cut at a drawn byte, or with a drawn bit flipped, is
+    probed and resumed as `_probe_and_resume` states."""
+    name = data.draw(st.sampled_from(_BUNDLE_FILES), label="file")
+    raw = bytearray((tiny_bundle / name).read_bytes())
+    if data.draw(st.booleans(), label="cut"):
+        raw = raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
+    else:
+        bit = data.draw(st.integers(0, 8 * len(raw) - 1), label="bit")
+        raw[bit // 8] ^= 1 << (bit % 8)
+    _probe_and_resume(tiny_bundle, lambda run: (run / name).write_bytes(bytes(raw)))
+
+
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# Each field a type edit may hit, as (section of the manifest, or "config" of
+# the query CKPT1, or None for the manifest itself; key), and each edit, as a
+# function of the field's value (None drops the key).
+_BUNDLE_FIELDS = ([("trainer", f.name) for f in dataclasses.fields(TrainerConfig)]
+                  + [("aug", f.name) for f in dataclasses.fields(AugmentationSpec)]
+                  + [(None, key) for key in ("seed", "epoch", "step")]
+                  + [("config", f.name) for f in dataclasses.fields(EncoderConfig)])
+_FIELD_EDITS = {
+    "drop": None,
+    "negative": lambda value: -value if _number(value) and value else -1,
+    "float": lambda value: float(value) if _number(value) else 1.5,
+    "true": lambda value: True, "string": lambda value: "x", "null": lambda value: None,
+    "list": lambda value: [1], "object": lambda value: {},
+}
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(field=st.sampled_from(_BUNDLE_FIELDS), edit=st.sampled_from(sorted(_FIELD_EDITS)))
+@example(field=("aug", "output_length"), edit="float")
+@example(field=(None, "epoch"), edit="negative")
+def test_a_bundle_with_an_edited_field_is_refused_without_writing_out(tiny_bundle, field, edit):
+    """One field of the bundle's manifest or query CKPT1 (`_BUNDLE_FIELDS`)
+    dropped, given another type, or made negative (`_FIELD_EDITS`), is probed
+    and resumed as `_probe_and_resume` states."""
+    section, key = field
+
+    def mutate(fields):
+        if _FIELD_EDITS[edit] is None:
+            del fields[key]
+        else:
+            fields[key] = _FIELD_EDITS[edit](fields[key])
+
+    def damage(run):
+        if section == "config":
+            _edit_checkpoint_config(run / _BUNDLE_FILES[1], mutate)
+        else:
+            _edit_trainer_manifest(run / _BUNDLE_FILES[0], section, mutate)
+    _probe_and_resume(tiny_bundle, damage)
 
 
 def test_cli_sweep_grid_and_cell_isolation(tmp_path):
@@ -987,7 +1111,7 @@ def test_cli_scoring_tasks_refuse_unlabeled_samples(tmp_path, capsys, task):
                     + _sets(extra))
     assert code == 3
     assert "DegenerateTaskError" in capsys.readouterr().err
-    assert not (tmp_path / task / "metrics.json").exists()
+    assert not (tmp_path / task).exists()
 
 
 def test_cli_export_keeps_unlabeled_samples(tmp_path):
@@ -999,3 +1123,4 @@ def test_cli_export_keeps_unlabeled_samples(tmp_path):
     labels = [json.loads(line)["label"]
               for line in (out / "embeddings.jsonl").read_text().splitlines()]
     assert None in labels
+    _pretrain(tmp_path, "unlabeled", extra)            # pretraining reads no labels
