@@ -73,6 +73,16 @@ class JitterParams:
             raise ValueError("jitter matrix entries must lie in [-1, 1]")
 
 
+def _check_output_length(value) -> None:
+    """`ValueError` naming `output_length` unless `value` is an int (not a
+    bool) of at least 2: `_resample_plan` caches plans by value, and a float
+    equal to a cached int would be served the int's plan."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"output_length must be an int, got {value!r}")
+    if value < 2:
+        raise ValueError(f"output_length must be >= 2, got {value}")
+
+
 @dataclass(frozen=True)
 class CropResizeParams:
     """Temporal window [start, start + length) plus the resample target."""
@@ -86,8 +96,7 @@ class CropResizeParams:
             raise ValueError(f"length_ratio {self.length_ratio} outside (0, 1]")
         if self.start < 0:
             raise ValueError("negative start frame")
-        if self.output_length < 2:
-            raise ValueError("output length must be >= 2")
+        _check_output_length(self.output_length)
 
     def crop_length(self, frames: int) -> int:
         # ceiling guarantees at least one frame for any positive ratio
@@ -113,8 +122,7 @@ class AugmentationSpec:
             raise ValueError(f"l_min {self.l_min} outside (0, 1]")
         if self.jitter_joints < 1:
             raise ValueError(f"jitter_joints must be >= 1, got {self.jitter_joints}")
-        if self.output_length < 2:
-            raise ValueError(f"output_length must be >= 2, got {self.output_length}")
+        _check_output_length(self.output_length)
 
 
 # ---------------------------------------------------------------------------

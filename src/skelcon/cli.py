@@ -27,7 +27,7 @@ from .config import (ExperimentConfig, parse_config, parse_override,
                      resolve_config, write_resolved)
 from .data import atomic_open
 from .encoders import CHECKPOINT_MAGIC, EncoderConfig, EncoderState, load_checkpoint, write_json
-from .errors import ConfigError, SkelconError
+from .errors import ConfigError, SchemaError, SkelconError
 from .nn import BLAS_THREAD_VARS, blas_core, conv_workers, usable_cpus
 
 FORMAT_VERSIONS = {"dataset": "SKL1", "checkpoint": "CKPT1", "trainer": "TRAINER1"}
@@ -56,10 +56,6 @@ def _load(config: ExperimentConfig):
     split = config.dataset.split(dataset)
     return (dataset, split, dataset.subset(list(split.train_ids)),
             dataset.subset(list(split.test_ids)))
-
-
-def _write_json(out_dir, name: str, record: dict) -> None:
-    write_json(os.path.join(out_dir, name), record)
 
 
 def _environment() -> dict:
@@ -137,7 +133,8 @@ def _trainer(config: ExperimentConfig, out_dir, resume, data) -> contrast.Traine
     a fresh one, or the bundle at `resume`, refused if the config would train
     it differently (only the epoch count may change, and must leave epochs to
     train), if it saw other data, or if `out_dir`'s loss log lacks its steps
-    (`contrast.kept_loss_log`). An unrecorded batch size or hash is not checked."""
+    (`contrast.kept_loss_log`), or if its step count is not its epochs'
+    (`contrast.check_step`). An unrecorded batch size or hash is not checked."""
     digest = hashlib.sha256()
     for sample in data[2]:
         coords = np.ascontiguousarray(sample.sequence.coords)
@@ -165,6 +162,10 @@ def _trainer(config: ExperimentConfig, out_dir, resume, data) -> contrast.Traine
         if trainer.dataset_sha256 not in (None, digest.hexdigest()):
             raise ConfigError(f"dataset: the training sequences differ from those of the "
                               f"run resumed from {resume}")
+        try:
+            contrast.check_step(trainer, len(data[2]))
+        except SchemaError as exc:
+            raise SchemaError(f"{resume}: {exc}") from None
         try:
             contrast.check_epochs_left(trainer, config.schedule)
         except ValueError as exc:
@@ -223,7 +224,7 @@ def _report(args, config: ExperimentConfig, task: str, protocol: str, metrics):
     record = ds.summarize(task, protocol, [config.seed], [metrics.accuracy]).to_record()
     record.update(correct=metrics.correct, total=metrics.total,
                   per_class={str(k): v for k, v in metrics.per_class.items()})
-    _write_json(args.out, "metrics.json", record)
+    write_json(os.path.join(args.out, "metrics.json"), record)
     print(f"{task.rsplit('/', 1)[-1]} accuracy {metrics.accuracy:.4f} "
           f"({metrics.correct}/{metrics.total})")
     return _gate(config, metrics.accuracy), ["metrics.json"]
@@ -248,7 +249,7 @@ def _cmd_finetune(args, config: ExperimentConfig, start, data):
                           seeds=config.downstream.seeds,
                           crop_length=config.aug.output_length,
                           protocol=split.protocol)
-    _write_json(args.out, "metrics.json", summary.to_record())
+    write_json(os.path.join(args.out, "metrics.json"), summary.to_record())
     print(f"{summary.task}: mean accuracy {summary.mean:.4f} +/- {summary.std:.4f} "
           f"over seeds {list(summary.seeds)}")
     return _gate(config, summary.mean), ["metrics.json"]
@@ -276,17 +277,10 @@ def _cmd_augment_preview(args, config: ExperimentConfig, _, data, count: int = 4
             for role in ("query", "key"):
                 draw = draw_view(config.aug, seq.frames, seq.joints, rng)
                 view = apply_view(seq, draw, config.aug.output_length)
-                record["views"].append({
-                    "role": role,
-                    "kind": draw.kind,
-                    "crop": None if draw.crop is None else asdict(draw.crop),
-                    "shear": None if draw.shear is None else asdict(draw.shear),
-                    "jitter": None if draw.jitter is None else {
-                        "joint_subset": list(draw.jitter.joint_subset),
-                        "matrix": np.asarray(draw.jitter.matrix).tolist()},
-                    "coords": view.coords.tolist(),
-                })
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+                record["views"].append({"role": role, **asdict(draw),
+                                        "coords": view.coords.tolist()})
+            # the jitter matrix is the one array a draw holds
+            fh.write(json.dumps(record, sort_keys=True, default=np.ndarray.tolist) + "\n")
     print(f"wrote {len(picked)} augmented previews to {path}")
     return 0, ["preview.jsonl"]
 
@@ -376,7 +370,7 @@ def main(argv=None) -> int:
         start, data = _inputs(args, config)
         write_resolved(config, args.out)
         code, artifacts = _COMMANDS[args.subcommand](args, config, start, data)
-        _write_json(args.out, "run.json", {
+        write_json(os.path.join(args.out, "run.json"), {
             "run_id": config.run_id(args.subcommand),
             "subcommand": args.subcommand,
             "seed": config.seed,

@@ -14,9 +14,9 @@ lives in one place: a field's type is its annotation, which
 each value to; its range is checked by that dataclass, whose ValueError is
 raised again on the dotted key.  This module keeps only the
 rules that span sections (``jitter_joints`` below the joint count, a
-trained conv encoder's temporal kernel no longer than the crop) and the
-sweep.  Command-line overrides use the same dotted paths
-(``trainer.tau=0.05``).
+trained conv encoder's temporal kernel no longer than the crop, one
+projection width for every trained encoder) and the sweep.  Command-line
+overrides use the same dotted paths (``trainer.tau=0.05``).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import os
 from dataclasses import dataclass
 
 from .augment import AugmentationSpec
-from .contrast import Schedule, TrainerConfig
+from .contrast import Schedule, TrainerConfig, _check_projection_widths
 from .data import DatasetSpec, build_dataclass, convert_json, require
 from .downstream import DownstreamSpec
 from .encoders import EncoderConfig, write_json
@@ -182,6 +182,10 @@ def resolve_config(user_tree: dict, overrides=()) -> ExperimentConfig:
     trainer = _build(TrainerConfig, "trainer",
                      {k: v for k, v in tree["trainer"].items() if k not in schedule})
     encoders = _build_encoders(tree, dataset.joints, aug.output_length, trainer.representations)
+    try:
+        _check_projection_widths(trainer, encoders)
+    except ValueError as exc:
+        raise ConfigError(f"encoders.{exc}") from None
     return ExperimentConfig(resolved=tree, seed=seed, dataset=dataset, aug=aug,
                             encoders=encoders, trainer=trainer,
                             schedule=_build(Schedule, "trainer", schedule),

@@ -244,27 +244,21 @@ def info_nce(z_q: np.ndarray, z_k: np.ndarray, negatives,
 class MomentumPair:
     query: EncoderState
     key: EncoderState
-    momentum: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.momentum <= 1.0:
-            raise ValueError(f"momentum must be in [0,1], got {self.momentum}")
 
 
-def make_pair(config: EncoderConfig, seed: int, momentum: float = 0.999,
-              dtype=np.float32) -> MomentumPair:
+def make_pair(config: EncoderConfig, seed: int, dtype=np.float32) -> MomentumPair:
     query = init_encoder(config, seed, dtype=dtype)
-    return MomentumPair(query=query, key=query.copy(), momentum=momentum)
+    return MomentumPair(query=query, key=query.copy())
 
 
-def momentum_update(pair: MomentumPair) -> None:
-    """theta_k <- m*theta_k + (1-m)*theta_q, elementwise and exactly."""
-    m = pair.momentum
+def momentum_update(pair: MomentumPair, momentum: float) -> None:
+    """theta_k <- m*theta_k + (1-m)*theta_q with m = `momentum`, the
+    `TrainerConfig.momentum` of the trainer, elementwise and exactly."""
     for name, q in pair.query.params.items():
         k = pair.key.params[name]
         if k.shape != q.shape:
             raise ContractError(f"parameter {name}: key shape {k.shape} != query {q.shape}")
-        pair.key.params[name] = m * k + (1.0 - m) * q
+        pair.key.params[name] = momentum * k + (1.0 - momentum) * q
     pair.key.step = pair.query.step
 
 
@@ -344,6 +338,20 @@ class LossReport:
                 "neg_logit_mean": self.neg_logit_mean}
 
 
+def _check_projection_widths(config: TrainerConfig,
+                            encoder_configs: dict[str, EncoderConfig]) -> None:
+    """`ValueError` naming the first trained representation whose encoder
+    projects to another width than the first's: the inter modes contrast
+    each representation's queries with another's keys and queue."""
+    first, *others = config.representations
+    width = encoder_configs[first].projection_dim
+    for rep in others:
+        if encoder_configs[rep].projection_dim != width:
+            raise ValueError(f"{rep}.projection_dim: {encoder_configs[rep].projection_dim} "
+                             f"differs from {first}'s {width}, and mode {config.mode!r} "
+                             f"contrasts their embeddings")
+
+
 def make_trainer(config: TrainerConfig, encoder_configs: dict[str, EncoderConfig],
                  aug: AugmentationSpec, bones, seed: int,
                  dtype=np.float32) -> TrainerState:
@@ -351,11 +359,11 @@ def make_trainer(config: TrainerConfig, encoder_configs: dict[str, EncoderConfig
     missing = [r for r in reps if r not in encoder_configs]
     if missing:
         raise ValueError(f"no encoder config for representations {missing}")
+    _check_projection_widths(config, encoder_configs)
     pairs, queues, velocities = {}, {}, {}
     for rep in reps:
         enc_cfg = encoder_configs[rep]
-        pairs[rep] = make_pair(enc_cfg, seed * 4 + REP_IDS[rep],
-                               momentum=config.momentum, dtype=dtype)
+        pairs[rep] = make_pair(enc_cfg, seed * 4 + REP_IDS[rep], dtype=dtype)
         queues[rep] = NegativeQueue(config.queue_size, enc_cfg.projection_dim,
                                     dtype=dtype)
         velocities[rep] = {name: np.zeros_like(p)
@@ -443,7 +451,7 @@ def train_step(trainer: TrainerState, batch: list[SkeletonSequence],
         _sgd_update(pair.query.params, grads[rep], trainer.velocities[rep],
                     cfg.lr, cfg.weight_decay, cfg.opt_momentum)
         pair.query.step += 1
-        momentum_update(pair)
+        momentum_update(pair, cfg.momentum)
         trainer.queues[rep].push(z_k[rep])
     trainer.step += 1
     return report
@@ -592,7 +600,7 @@ def load_trainer(manifest_path) -> TrainerState:
         if key.config != query.config:
             raise SchemaError(f"{manifest_path}: manifest 'encoders.{rep}': the key "
                               "checkpoint's config differs from the query's")
-        pairs[rep] = MomentumPair(query=query, key=key, momentum=config.momentum)
+        pairs[rep] = MomentumPair(query=query, key=key)
     aux_path = os.path.join(base, manifest["aux"])
     aux = _read_aux(aux_path)
     layout = _aux_layout(config, pairs)
@@ -621,6 +629,20 @@ def check_epochs_left(trainer: TrainerState, schedule: Schedule) -> None:
     if trainer.epoch >= schedule.epochs:
         raise ValueError(f"trainer already at epoch {trainer.epoch}, "
                          f"schedule ends at {schedule.epochs}")
+
+
+def check_step(trainer: TrainerState, train_size: int) -> None:
+    """`SchemaError` unless `trainer.step` is the number of steps its `epoch`
+    full epochs over `train_size` sequences take at its recorded batch size,
+    ``epoch * ceil(train_size / batch_size)``; a trainer that records no
+    batch size is not checked."""
+    if trainer.batch_size is None:
+        return
+    steps = trainer.epoch * -(-train_size // trainer.batch_size)
+    if trainer.step != steps:
+        raise SchemaError(f"manifest 'step' is {trainer.step}, but {trainer.epoch} epoch(s) "
+                          f"of {train_size} sequences at batch size {trainer.batch_size} "
+                          f"take {steps} steps")
 
 
 def kept_loss_log(out_dir, step: int) -> list[str]:
@@ -665,6 +687,7 @@ def pretrain(trainer: TrainerState, sequences: list[SkeletonSequence],
     if not sequences:
         raise ValueError("pretrain needs a nonempty dataset")
     check_epochs_left(trainer, schedule)
+    check_step(trainer, len(sequences))
     kept = [] if out_dir is None else kept_loss_log(out_dir, trainer.step)
     if trainer.step == 0 and all(len(q) == 0 for q in trainer.queues.values()):
         warmup_queues(trainer, sequences)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import nn
 from .augment import CropResizeParams, temporal_crop_resize
 from .data import LabeledSample, atomic_open
 from .encoders import (EncoderConfig, EncoderState, encoder_forward, encoder_backward,
@@ -31,20 +32,12 @@ from .represent import REPRESENTATIONS, batch_views
 # feature extraction
 # ---------------------------------------------------------------------------
 
-def _center_window(coords: np.ndarray, length: int) -> np.ndarray:
-    """The central `length` frames of a sequence at least that long."""
-    start = (coords.shape[0] - length) // 2
-    return coords[start:start + length]
-
-
 def center_crop(seq, length: int = 64):
     """Deterministic evaluation window: central `length` frames, or a linear
     resample of the whole sequence when it is shorter."""
-    t = seq.frames
-    if t == length:
-        return seq
-    if t > length:
-        return seq.with_coords(_center_window(seq.coords, length))
+    if seq.frames >= length:
+        start = (seq.frames - length) // 2
+        return seq.with_coords(seq.coords[start:start + length])
     return temporal_crop_resize(
         seq, CropResizeParams(length_ratio=1.0, start=0, output_length=length))
 
@@ -77,20 +70,15 @@ def _class_targets(labels, task: str, where: str):
 _MEMO_ENTRIES = 4   # feature sets kept per EncoderState, least recently used dropped
 
 
-def _memo_key(state: EncoderState, bones, samples: list[LabeledSample],
-              crop_length: int, batch_size: int) -> str:
+def _memo_key(state: EncoderState, bones, clips: list, crop_length: int,
+              batch_size: int) -> str:
     """sha256 over all the encoder reads: its config and parameters, the bone
-    list, the crop and batch sizes and each sample's crop input. A
-    sequence at least `crop_length` long enters as its center window cast
-    to the encoder's dtype, which `batch_views` only re-indexes; a shorter
-    one is resampled before the cast, so its raw coords enter."""
+    list, the crop and batch sizes and each `center_crop` clip of `clips`
+    cast to the encoder's dtype, which `batch_views` only re-indexes."""
     bones = tuple(tuple(int(v) for v in edge) for edge in bones)
     h = hashlib.sha256(repr((state.config, bones, crop_length, batch_size)).encode())
     arrays = [(name, state.params[name]) for name in sorted(state.params)]
-    for s in samples:
-        coords = s.sequence.coords
-        arrays.append(("", _center_window(coords, crop_length).astype(state.dtype)
-                       if coords.shape[0] >= crop_length else coords))
+    arrays += [("", clip.coords.astype(state.dtype)) for clip in clips]
     for name, arr in arrays:
         arr = np.ascontiguousarray(arr)
         h.update(repr((name, arr.dtype.str, arr.shape)).encode())
@@ -98,15 +86,15 @@ def _memo_key(state: EncoderState, bones, samples: list[LabeledSample],
     return h.hexdigest()
 
 
-def _encode(state: EncoderState, samples: list[LabeledSample], bones,
-            crop_length: int, batch_size: int) -> np.ndarray:
-    """Backbone features of `samples`, one forward-only batch at a time."""
-    if not samples:
+def _encode(state: EncoderState, clips: list, bones, batch_size: int) -> np.ndarray:
+    """Backbone features of the `center_crop` clips `clips`, one forward-only
+    batch at a time."""
+    if not clips:
         raise ValueError("feature extraction needs a nonempty split")
     rep, dtype = state.config.representation, state.dtype
     parts = []
-    for start in range(0, len(samples), batch_size):
-        seqs = [center_crop(s.sequence, crop_length) for s in samples[start:start + batch_size]]
+    for start in range(0, len(clips), batch_size):
+        seqs = clips[start:start + batch_size]
         f, _ = encoder_forward(state.config, state.params, batch_views(seqs, rep, dtype), bones)
         parts.append(f)
     return np.concatenate(parts, axis=0)
@@ -120,17 +108,18 @@ def extract_features(state: EncoderState, samples: list[LabeledSample], bones,
     the same state and inputs returns a copy of the stored features without
     running the encoder. The key is a sha256 over the encoder config, every
     parameter's name, dtype, shape and bytes, the bone list,
-    `crop_length`, `batch_size` and the frames each sample's center crop
-    reads (see `_memo_key`), so an in-place edit of the parameters or of
+    `crop_length`, `batch_size` and each sample's `center_crop` clip
+    (see `_memo_key`), so an in-place edit of the parameters or of
     the samples' coords, or another bone list, misses the memo. A state
     keeps its last `_MEMO_ENTRIES` results for as long as it lives;
     `load_checkpoint` and `EncoderState.copy` start empty.
     """
     memo = state.feature_memo
-    key = _memo_key(state, bones, samples, crop_length, batch_size)
+    clips = [center_crop(s.sequence, crop_length) for s in samples]
+    key = _memo_key(state, bones, clips, crop_length, batch_size)
     feats = memo.pop(key, None)
     if feats is None:
-        feats = _encode(state, samples, bones, crop_length, batch_size)
+        feats = _encode(state, clips, bones, batch_size)
     memo[key] = feats                      # the most recently used entry is last
     while len(memo) > _MEMO_ENTRIES:
         del memo[next(iter(memo))]
@@ -396,17 +385,17 @@ def _finetune_one(init_state: EncoderState, train: list[LabeledSample],
             idx = order[start:start + schedule.batch_size]
             feats, cache = encoder_forward(config, state.params, x[idx],
                                            bones, want_cache=True)
-            logits = feats @ head["cls.w"] + head["cls.b"]
+            logits, cls_cache = nn.linear_forward(feats, head["cls.w"], head["cls.b"])
             _, dlogits = _softmax_ce(logits.astype(np.float64), y[idx])
-            dlogits = dlogits.astype(dtype)
-            grads = {"cls.w": feats.T @ dlogits, "cls.b": dlogits.sum(axis=0)}
-            dfeats = dlogits @ head["cls.w"].T
-            grads.update(encoder_backward(cache, dfeats))
+            dfeats, dw, db = nn.linear_backward(dlogits.astype(dtype), cls_cache)
+            grads = encoder_backward(cache, dfeats) | {"cls.w": dw, "cls.b": db}
             opt.update(trained, grads, lr)
 
     # `state` dies here, so a memo entry would never be read: no key is made
-    feats = _encode(state, test, bones, crop_length, batch_size=64)
-    predictions = classes[np.argmax(feats @ head["cls.w"] + head["cls.b"], axis=1)]
+    feats = _encode(state, [center_crop(s.sequence, crop_length) for s in test], bones,
+                    batch_size=64)
+    logits, _ = nn.linear_forward(feats, head["cls.w"], head["cls.b"])
+    predictions = classes[np.argmax(logits, axis=1)]
     return _score(predictions, _labels(test))
 
 

@@ -143,11 +143,12 @@ def _param_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
 
 def init_encoder(config: EncoderConfig, seed: int,
                  dtype=np.float32) -> EncoderState:
-    """Deterministic small-magnitude init: uniform(-s, s) with s = fan_in^-1/2."""
+    """Deterministic small-magnitude init: uniform(-s, s) with s = fan_in^-1/2
+    for weights; every 1-D parameter is a bias, and starts at zero."""
     rng = np.random.default_rng((int(seed), 0xE0C0))
     params: dict[str, np.ndarray] = {}
     for name, shape in _param_shapes(config).items():
-        if name.endswith(".b") or name.endswith("b1") or name.endswith("b2"):
+        if len(shape) == 1:
             params[name] = np.zeros(shape, dtype=dtype)
             continue
         if len(shape) == 4:

@@ -84,8 +84,8 @@ def batch_views(seqs: list[SkeletonSequence], representation: str,
     of `dtype` (by default the first sequence's coordinate dtype).
 
     IMG and STG -> (N, 3, T, M*J);  SEQ -> (N, T, M*J*3).
-    Graph encoders receive `graph_adjacency` separately; the bone tree is
-    checked there, once, and not per batch.
+    The STG encoder builds `graph_adjacency` from the bone list on each
+    forward pass, which checks the bone tree there, once per batch.
     """
     if representation not in REPRESENTATIONS:
         raise ValueError(f"unknown representation {representation!r}")

@@ -193,6 +193,20 @@ def test_crop_resize_equals_the_uncached_formula_for_every_crop_length(output_le
         assert temporal_crop_resize(seq, p).coords.tobytes() == want        # plan reused
 
 
+@pytest.mark.parametrize("value", [8.0, True, "8"])
+def test_output_length_that_is_not_an_int_is_refused_after_a_cached_int_plan(value):
+    """A plan cached for the int 8 must not let 8.0 through: each spec
+    refuses a length that is not an int, whatever the process resampled
+    before."""
+    seq = _random_seq(np.random.default_rng(12), t=16)
+    make_query_key_pair(seq, AugmentationSpec(output_length=8, jitter_joints=2),
+                        np.random.default_rng(0))
+    with pytest.raises(ValueError, match="^output_length must be an int"):
+        AugmentationSpec(output_length=value, jitter_joints=2)
+    with pytest.raises(ValueError, match="^output_length must be an int"):
+        CropResizeParams(length_ratio=1.0, start=0, output_length=value)
+
+
 def test_cached_resample_plans_are_read_only():
     seq = _random_seq(np.random.default_rng(10), t=12)
     p = CropResizeParams(length_ratio=0.5, start=2, output_length=9)

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from skelcon import cli
 from skelcon.augment import AugmentationSpec, _resample_plan
 from skelcon.cli import main
-from skelcon.contrast import Schedule, TrainerConfig, load_trainer, pretrain
+from skelcon.contrast import Schedule, TrainerConfig, load_trainer, make_trainer, pretrain
 from skelcon.config import (
     DEFAULTS,
     parse_config,
@@ -35,7 +35,7 @@ from skelcon.data import SYNTHETIC_MINIMUMS, generate_synthetic, save_dataset
 from skelcon.downstream import FinetuneSchedule, ProbeSchedule, export_embeddings, summarize
 from skelcon.encoders import (CHECKPOINT_MAGIC, EncoderConfig, EncoderState, desk_config,
                               init_encoder,
-                              load_checkpoint, save_checkpoint)
+                              load_checkpoint, save_checkpoint, write_json)
 from skelcon.errors import ConfigError, ParseError, SchemaError
 from skelcon.nn import blas_core
 
@@ -310,9 +310,9 @@ def test_json_artifact_write_that_fails_midway_keeps_the_previous_file(artifact,
     writers = {
         "config.json": lambda value: write_resolved(
             dataclasses.replace(config, resolved={**config.resolved, "zz": value}), tmp_path),
-        "run.json": lambda value: cli._write_json(tmp_path, "run.json", {"a": 1, "zz": value}),
-        "metrics.json": lambda value: cli._write_json(
-            tmp_path, "metrics.json", dataclasses.replace(summary, seeds=(value,)).to_record()),
+        "run.json": lambda value: write_json(tmp_path / "run.json", {"a": 1, "zz": value}),
+        "metrics.json": lambda value: write_json(
+            tmp_path / "metrics.json", dataclasses.replace(summary, seeds=(value,)).to_record()),
     }
     writers[artifact](0)
     before = (tmp_path / artifact).read_bytes()
@@ -943,7 +943,8 @@ def _number(value) -> bool:
 # function of the field's value (None drops the key).
 _BUNDLE_FIELDS = ([("trainer", f.name) for f in dataclasses.fields(TrainerConfig)]
                   + [("aug", f.name) for f in dataclasses.fields(AugmentationSpec)]
-                  + [(None, key) for key in ("seed", "epoch", "step")]
+                  + [(None, key) for key in ("seed", "epoch", "step", "bones", "encoders",
+                                             "aux", "batch_size", "dataset_sha256")]
                   + [("config", f.name) for f in dataclasses.fields(EncoderConfig)])
 _FIELD_EDITS = {
     "drop": None,
@@ -958,6 +959,11 @@ _FIELD_EDITS = {
 @given(field=st.sampled_from(_BUNDLE_FIELDS), edit=st.sampled_from(sorted(_FIELD_EDITS)))
 @example(field=("aug", "output_length"), edit="float")
 @example(field=(None, "epoch"), edit="negative")
+@example(field=(None, "bones"), edit="list")
+@example(field=(None, "encoders"), edit="object")
+@example(field=(None, "aux"), edit="string")
+@example(field=(None, "batch_size"), edit="negative")
+@example(field=(None, "dataset_sha256"), edit="true")
 def test_a_bundle_with_an_edited_field_is_refused_without_writing_out(tiny_bundle, field, edit):
     """One field of the bundle's manifest or query CKPT1 (`_BUNDLE_FIELDS`)
     dropped, given another type, or made negative (`_FIELD_EDITS`), is probed
@@ -1025,6 +1031,48 @@ def test_cli_resume_rejects_a_changed_config(tmp_path, capsys):
                     + _sets(["trainer.epochs=4"] + drift)) == 2
         assert drift[0].split("=")[0] in capsys.readouterr().err
     assert (out / "config.json").read_bytes() == before
+
+
+@pytest.mark.parametrize("mode,reps", [("inter", ["SEQ", "STG"]),
+                                       ("inter3", ["IMG", "SEQ", "STG"])])
+def test_inter_modes_refuse_encoders_of_different_projection_widths(tmp_path, capsys,
+                                                                     mode, reps):
+    """Each representation's queries meet another's keys, so one width must
+    hold for all: a ConfigError (exit 2) naming the key before --out is
+    made, and a ValueError from `make_trainer` for a library caller."""
+    out = tmp_path / "pre"
+    extra = [f"trainer.mode={mode}", f"trainer.representations={json.dumps(reps)}",
+             "encoders.IMG.projection_dim=8", "encoders.STG.projection_dim=64"]
+    assert main(["pretrain", "--out", str(out)] + _sets(extra)) == 2
+    assert "config error: encoders.STG.projection_dim: 64 differs" in capsys.readouterr().err
+    assert not out.exists()
+    encoders = {rep: desk_config(rep, 5, hidden=4, projection_dim=64 if rep == "STG" else 8)
+                for rep in reps}
+    with pytest.raises(ValueError, match="^STG.projection_dim: 64 differs"):
+        make_trainer(TrainerConfig(mode, tuple(reps)), encoders,
+                     AugmentationSpec(output_length=8, jitter_joints=2),
+                     generate_synthetic(3, 4, 16, 5, seed=0).bones, 0)
+
+
+def test_cli_resume_refuses_a_bundle_whose_step_is_not_its_epochs(tmp_path, tiny_bundle,
+                                                                     capsys):
+    """A 2-epoch TINY bundle takes 2 x ceil(6 / 4) = 4 steps; one edited to
+    step 3 is a SchemaError naming 'step' (exit 3) that writes nothing, and
+    the library's `pretrain` refuses it too."""
+    run = tmp_path / "run"
+    shutil.copytree(tiny_bundle, run)
+    manifest = run / "epoch0002.trainer.json"
+    _edit_trainer_manifest(manifest, None, lambda record: record.update(step=3))
+    before = _tree(run)
+    assert main(["pretrain", "--out", str(run), "--resume", str(manifest)]
+                + _sets(["trainer.epochs=4"])) == 3
+    err = capsys.readouterr().err
+    assert f"error: SchemaError: {manifest}: manifest 'step' is 3" in err
+    assert "take 4 steps" in err
+    assert _tree(run) == before
+    sequences = [s.sequence for s in generate_synthetic(3, 4, 16, 5, seed=0).samples[:6]]
+    with pytest.raises(SchemaError, match="manifest 'step' is 3"):
+        pretrain(load_trainer(manifest), sequences, Schedule(epochs=4, batch_size=4))
 
 
 def test_cli_refuses_a_negative_seed_flag_before_writing_anything(tmp_path, capsys):

@@ -297,8 +297,8 @@ def test_unit_norm_checks_reject_nan():
 # momentum (EMA) updates
 # ---------------------------------------------------------------------------
 
-def _drifted_pair(momentum):
-    pair = make_pair(desk_config("SEQ", 5, hidden=4), seed=0, momentum=momentum)
+def _drifted_pair():
+    pair = make_pair(desk_config("SEQ", 5, hidden=4), seed=0)
     rng = np.random.default_rng(2)
     for p in pair.query.params.values():
         p += rng.normal(scale=0.1, size=p.shape).astype(p.dtype)
@@ -306,27 +306,27 @@ def _drifted_pair(momentum):
 
 
 def test_momentum_one_freezes_key():
-    pair = _drifted_pair(1.0)
+    pair = _drifted_pair()
     before = {k: v.copy() for k, v in pair.key.params.items()}
-    momentum_update(pair)
+    momentum_update(pair, 1.0)
     for name in before:
         assert np.array_equal(pair.key.params[name], before[name])
 
 
 def test_momentum_zero_copies_query():
-    pair = _drifted_pair(0.0)
-    momentum_update(pair)
+    pair = _drifted_pair()
+    momentum_update(pair, 0.0)
     for name, q in pair.query.params.items():
         assert np.array_equal(pair.key.params[name], q)
 
 
 def test_momentum_update_is_exact_ema():
-    pair = _drifted_pair(0.999)
-    m = pair.momentum
+    pair = _drifted_pair()
+    m = 0.999
     expected = {name: (m * pair.key.params[name]
                        + (1.0 - m) * pair.query.params[name]).astype(np.float32)
                 for name in pair.key.params}
-    momentum_update(pair)
+    momentum_update(pair, m)
     for name in expected:
         assert np.array_equal(pair.key.params[name], expected[name])
 

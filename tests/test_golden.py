@@ -1,6 +1,7 @@
 """Golden artifact digests: the INTER3 pretraining run of
-`test_sample_workers` at one BLAS thread, and an STG probe on its last
-bundle, must write the bytes recorded in ``golden/inter3.json``.
+`test_sample_workers` at one BLAS thread, an STG probe and a semi-supervised
+SEQ finetune on its last bundle, and an augment preview must write the bytes
+recorded in ``golden/inter3.json``.
 
 The digests hold only in the numeric environment they were made in; in
 another one the test skips and names each fact that differs.  A change
@@ -35,15 +36,23 @@ def environment() -> dict:
 
 def artifact_digests(tmp: Path) -> dict:
     """sha256 of the resolved config, loss log, every CKPT1, aux blob and
-    TRAINER1 manifest of the run, and of the probe's metrics.json. The
-    probe's config.json names a temporary path, so it is left out."""
-    run, probe = tmp / "run", tmp / "probe"
+    TRAINER1 manifest of the run, of the probe's and the finetune's
+    metrics.json and of the preview's preview.jsonl. The config.json of a
+    run that reads the bundle names a temporary path, so it is left out."""
+    run, probe, finetune, preview = (tmp / name for name in
+                                     ("run", "probe", "finetune", "preview"))
     _pretrain_in_subprocess(run)
-    _cli_in_subprocess("probe", probe, ["--checkpoint", str(run / "epoch0002.trainer.json"),
-                                        "--set", "downstream.representation=STG"])
+    bundle = ["--checkpoint", str(run / "epoch0002.trainer.json")]
+    _cli_in_subprocess("probe", probe, [*bundle, "--set", "downstream.representation=STG"])
+    _cli_in_subprocess("finetune", finetune, [
+        *bundle, *(a for s in ("downstream.representation=SEQ", "downstream.rho=0.5",
+                               "downstream.seeds=[0,1]", "downstream.finetune.epochs=2")
+                   for a in ("--set", s))])
+    _cli_in_subprocess("augment-preview", preview)
     files = [p for p in run.iterdir()
              if p.suffix in (".jsonl", ".ckpt", ".npz") or p.name.endswith(".trainer.json")]
-    files += [run / "config.json", probe / "metrics.json"]
+    files += [run / "config.json", probe / "metrics.json", finetune / "metrics.json",
+              preview / "preview.jsonl"]
     return {str(p.relative_to(tmp)): hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(files)}
 
