@@ -74,10 +74,10 @@ class JitterParams:
 
 
 def _check_output_length(value) -> None:
-    """`ValueError` naming `output_length` unless `value` is an int (not a
-    bool) of at least 2: `_resample_plan` caches plans by value, and a float
-    equal to a cached int would be served the int's plan."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    """`ValueError` naming `output_length` unless `value` is an int (a bool
+    is not) of at least 2: `_resample_plan` caches plans by value, and a
+    float equal to a cached int would be served the int's plan."""
+    if type(value) is not int:
         raise ValueError(f"output_length must be an int, got {value!r}")
     if value < 2:
         raise ValueError(f"output_length must be >= 2, got {value}")
