@@ -218,16 +218,16 @@ def linear_probe(features_train: np.ndarray, labels_train: np.ndarray,
     for epoch in range(schedule.epochs):
         if epoch in schedule.decay_epochs:
             lr *= schedule.decay_factor
-        _, dlogits = _softmax_ce(x @ w + b, y)
-        dw = x.T @ dlogits
-        db = dlogits.sum(axis=0)
+        logits, cache = nn.linear_forward(x, w, b)
+        _, dlogits = _softmax_ce(logits, y)
+        _, dw, db = nn.linear_backward(dlogits, cache)
         vw = schedule.momentum * vw + dw
         vb = schedule.momentum * vb + db
         w -= lr * vw
         b -= lr * vb
     x_test = (np.asarray(features_test, dtype=np.float64) - mean) / scale
-    predictions = classes[np.argmax(x_test @ w + b, axis=1)]
-    return _score(predictions, _scorable(labels_test, "linear probe"))
+    logits, _ = nn.linear_forward(x_test, w, b)
+    return _score(classes[np.argmax(logits, axis=1)], _scorable(labels_test, "linear probe"))
 
 
 # ---------------------------------------------------------------------------

@@ -15,18 +15,19 @@ that BLAS leaves idle.  With none of them set BLAS already uses every core
 and each op runs as one block.  A block runs its samples' GEMMs and bias
 adds; with ``relu=True`` it also applies the ReLU that follows the op to
 the rows it has just written, and the backward masks those rows of
-``dout`` before its GEMMs read them.  `transpose_copy` copies a transpose
-that keeps the sample axis first in the same blocks.  Every sample's GEMMs
-are the same calls whatever the block, and the sums over samples and graph
-conv's joint-mixing GEMM run once in the calling thread, so the bytes never
-depend on the worker count.  They do depend on the BLAS thread count: BLAS
-pinned to one thread is the configuration whose bytes do not depend on the
-host's core count.
+``dout`` before its GEMMs read them.  The temporal conv runs one GEMM per
+sample over that sample's im2col, in a column buffer each block reuses.
+`transpose_copy` copies a transpose that keeps the sample axis first in the
+same blocks.  Every sample's GEMMs are the same calls whatever the block,
+and the sums over samples and graph conv's joint-mixing GEMM run once in
+the calling thread, so the bytes never depend on the worker count.  No
+GEMM reads a strided time window, and on the OpenBLAS build tested the
+bytes do not depend on the BLAS thread count either
+(`test_inter3_run_writes_the_same_bytes_at_one_two_and_four_blas_threads`).
 """
 
 from __future__ import annotations
 
-import math
 import os
 
 import numpy as np
@@ -86,16 +87,9 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_drop_pool)
 
 
-def _per_sample(block, n):
-    """Run `block(lo, hi)` over `min(workers, n)` contiguous sample blocks:
-    the first in the calling thread, the rest on the pool.
-
-    A block writes only into arrays the calling thread allocated, through
-    ``out=`` and in-place ops, and calls nothing but numpy.  glibc gives
-    each thread its own heap arena, so array temporaries made in a worker
-    would raise the peak RSS; and a tracer's span stack stays on the
-    calling thread.
-    """
+def _block_count(n):
+    """The number of sample blocks `_per_sample` splits n samples into;
+    makes the pool on first use."""
     global _pool
     if _pool is None:
         # imported here: concurrent.futures loads logging, 0.8 MB of RSS in
@@ -104,15 +98,28 @@ def _per_sample(block, n):
         workers = conv_workers()
         _pool = (workers, ThreadPoolExecutor(workers - 1, thread_name_prefix="skelcon-conv")
                   if workers > 1 else None)
-    workers, executor = _pool
-    blocks = min(workers, n)
-    if blocks <= 1:
-        block(0, n)
+    return max(1, min(_pool[0], n))
+
+
+def _per_sample(block, n):
+    """Run `block(k, lo, hi)` over the `_block_count(n)` contiguous sample
+    blocks k = 0, 1, ...: the first in the calling thread, the rest on the
+    pool.
+
+    A block writes only into arrays the calling thread allocated, through
+    ``out=`` and in-place ops, and calls nothing but numpy; its index k
+    picks the block's own scratch buffers.  glibc gives each thread its own
+    heap arena, so array temporaries made in a worker would raise the peak
+    RSS; and a tracer's span stack stays on the calling thread.
+    """
+    blocks = _block_count(n)
+    if blocks == 1:
+        block(0, 0, n)
         return
     edges = [n * k // blocks for k in range(blocks + 1)]
-    futures = [executor.submit(block, lo, hi) for lo, hi in zip(edges[1:-1], edges[2:])]
+    futures = [_pool[1].submit(block, k, edges[k], edges[k + 1]) for k in range(1, blocks)]
     try:
-        block(0, edges[1])
+        block(0, 0, edges[1])
     finally:
         for future in futures:       # every block ends before its arrays are used
             future.exception()
@@ -146,7 +153,7 @@ def transpose_copy(x, axes):
     view = x.transpose(axes)
     out = np.empty(view.shape, dtype=x.dtype)
 
-    def block(lo, hi):
+    def block(_, lo, hi):
         out[lo:hi] = view[lo:hi]
 
     _per_sample(block, x.shape[0])
@@ -156,7 +163,11 @@ def transpose_copy(x, axes):
 def sigmoid(x, out=None):
     # tanh form: no masked branches, and it saturates to exactly 0 and 1;
     # `out` may be `x`, and each step has the bytes of 0.5 * (1 + tanh(0.5 x))
-    y = np.multiply(x, 0.5, out=out)
+    return _sigmoid_of_half(np.multiply(x, 0.5, out=out))
+
+
+def _sigmoid_of_half(y):
+    """sigmoid(2 y), in place on `y`: the steps of `sigmoid` after its halving."""
     np.tanh(y, out=y)
     y += 1.0
     y *= 0.5
@@ -209,14 +220,20 @@ def mean_pool_backward(dout, cache):
 
 
 # ---------------------------------------------------------------------------
-# temporal convolution (stride 1) as one shifted matmul per kernel tap
+# temporal convolution (stride 1) as one GEMM per sample over its im2col
 # ---------------------------------------------------------------------------
 #
 # The encoders convolve (N, C, T, V) along T only, with (kt x 1) and 1x1
 # kernels.  Tap i multiplies w[:, :, i, 0] into the input shifted by
-# i - pad[0]: output row r reads input row r + i - pad[0], so the tap only
-# touches the output rows whose input row lies in [0, T); the padding is
-# never materialized.
+# i - pad[0]: output row r reads input row r + i - pad[0], or zero when that
+# row lies outside [0, T).  A sample's column matrix stacks its kt shifted
+# windows on the GEMM's inner axis, (C, kt) rows by (t_out, V) columns, so
+# the conv is one (F, C kt) @ (C kt, t_out V) GEMM per sample (im2col,
+# Chellapilla et al., 2006).  Each sample block reuses one column buffer of
+# one sample, which stays in cache; its zero margins are written once.  The
+# input gradient is the same construction over dout with the flipped kernel
+# and pad kt - 1 - pad[0].  A 1x1 unpadded kernel needs no columns: its
+# input is its own column matrix, and a block runs one batched matmul.
 
 def _taps(t, kt, pad, t_out):
     """Yield (i, output rows, input rows) for every tap that reaches the
@@ -227,11 +244,14 @@ def _taps(t, kt, pad, t_out):
             yield i, slice(lo, hi), slice(lo + i - pad, hi + i - pad)
 
 
-def _scratch(buf, lo, hi, *shape):
-    """A C-contiguous (hi - lo, *shape) view into rows lo:hi of the (N, size)
-    scratch `buf`: each sample block keeps to its own rows, and BLAS writes
-    a contiguous output faster than a strided one."""
-    return buf[lo:hi].reshape(-1)[:(hi - lo) * math.prod(shape)].reshape(hi - lo, *shape)
+def _im2col(cols, src, pad):
+    """Copy the shifted windows of one sample's (C, T, V) rows `src` into its
+    zero-margined (C, kt, t_out, V) column buffer `cols`; return that as the
+    (C kt, t_out V) GEMM operand."""
+    c, kt, t_out, v = cols.shape
+    for i, o, rows in _taps(src.shape[1], kt, pad, t_out):
+        cols[:, i, o] = src[:, rows]
+    return cols.reshape(c * kt, t_out * v)
 
 
 def conv2d_forward(x, w, b, pad=(0, 0), relu=False):
@@ -244,32 +264,24 @@ def conv2d_forward(x, w, b, pad=(0, 0), relu=False):
         raise ValueError(f"conv2d convolves along T only: needs a (kt, 1) kernel and "
                          f"pad (p, 0), got w {w.shape} and pad {tuple(pad)}")
     t_out = t + 2 * pad[0] - kt + 1
-    taps = list(_taps(t, kt, pad[0], t_out))
-    out = np.empty((n, f, t_out, v), dtype=np.result_type(x, w, b))
-    # The first tap reaches every output (a 1x1 or unpadded kernel): its
-    # product becomes the output, and tap + b has the bytes of b + tap.
-    first = taps.pop(0) if taps and taps[0][1] == slice(0, t_out) else None
-    if taps:
-        scratch = np.empty((n, f * t_out * v), dtype=np.result_type(x, w))
+    out = np.empty((n, f, t_out * v), dtype=np.result_type(x, w, b))
+    wk = w.reshape(f, c * kt)
+    pointwise = kt == 1 and pad[0] == 0
+    if not pointwise:
+        cols = np.zeros((_block_count(n), c, kt, t_out, v), dtype=x.dtype)
 
-    def block(lo, hi):
-        o_blk = out[lo:hi]
-        if first is None:
-            o_blk[...] = b[:, None, None]
+    def block(k, lo, hi):
+        if pointwise:
+            np.matmul(wk, x[lo:hi].reshape(hi - lo, c, -1), out=out[lo:hi])
         else:
-            i, _, rows = first
-            np.matmul(w[:, :, i, 0], x[lo:hi, :, rows].reshape(hi - lo, c, -1),
-                      out=o_blk.reshape(hi - lo, f, -1))
-            o_blk += b[:, None, None]
-        for i, o, rows in taps:
-            xs = x[lo:hi, :, rows].reshape(hi - lo, c, -1)
-            p = np.matmul(w[:, :, i, 0], xs, out=_scratch(scratch, lo, hi, f, xs.shape[2]))
-            o_blk[:, :, o] += p.reshape(hi - lo, f, -1, v)
+            for s in range(lo, hi):
+                np.matmul(wk, _im2col(cols[k], x[s], pad[0]), out=out[s])
+        out[lo:hi] += b[:, None]
         if relu:
-            np.maximum(o_blk, 0.0, out=o_blk)
+            np.maximum(out[lo:hi], 0.0, out=out[lo:hi])
 
     _per_sample(block, n)
-    return out, (x, x.shape, w.shape, pad, w)
+    return out.reshape(n, f, t_out, v), (x, x.shape, w.shape, pad, w)
 
 
 def conv2d_backward(dout, cache, relu_out=None):
@@ -278,28 +290,33 @@ def conv2d_backward(dout, cache, relu_out=None):
     x, x_shape, w_shape, pad, w = cache
     n, c, t, v = x_shape
     f, _, kt, _ = w_shape
-    taps = list(_taps(t, kt, pad[0], dout.shape[2]))
     dout, mask = _relu_mask(dout, relu_out)
-    dx = np.zeros(x_shape, dtype=dout.dtype)
-    # each sample's dw product per tap, summed over samples below
-    dws = np.empty((len(taps), n, f, c), dtype=np.result_type(dout, x))
-    scratch = np.empty((n, c * t * v), dtype=np.result_type(w, dout))
+    dx = np.empty((n, c, t * v), dtype=dout.dtype)
+    # each sample's dw, transposed: cols(x_s) @ dout_s^T runs faster than
+    # dout_s @ cols(x_s)^T; summed over samples below
+    dws = np.empty((n, c * kt, f), dtype=np.result_type(dout, x))
+    w_flip = w[:, :, ::-1, 0].transpose(1, 0, 2).reshape(c, f * kt)
+    pointwise = kt == 1 and pad[0] == 0
+    if not pointwise:
+        blocks = _block_count(n)
+        x_cols = np.zeros((blocks, c, kt, dout.shape[2], v), dtype=x.dtype)
+        d_cols = np.zeros((blocks, f, kt, t, v), dtype=dout.dtype)
 
-    def block(lo, hi):
+    def block(k, lo, hi):
         mask(lo, hi)
-        for k, (i, o, rows) in enumerate(taps):
-            ds = dout[lo:hi, :, o].reshape(hi - lo, f, -1)
-            xs = x[lo:hi, :, rows].reshape(hi - lo, c, -1)
-            np.matmul(ds, xs.transpose(0, 2, 1), out=dws[k, lo:hi])
-            p = np.matmul(w[:, :, i, 0].T, ds, out=_scratch(scratch, lo, hi, c, xs.shape[2]))
-            dx[lo:hi, :, rows] += p.reshape(hi - lo, c, -1, v)
+        if pointwise:
+            ds = dout[lo:hi].reshape(hi - lo, f, -1)
+            np.matmul(x[lo:hi].reshape(hi - lo, c, -1), ds.transpose(0, 2, 1), out=dws[lo:hi])
+            np.matmul(w_flip, ds, out=dx[lo:hi])
+            return
+        for s in range(lo, hi):
+            ds = dout[s].reshape(f, -1)
+            np.matmul(_im2col(x_cols[k], x[s], pad[0]), ds.T, out=dws[s])
+            np.matmul(w_flip, _im2col(d_cols[k], dout[s], kt - 1 - pad[0]), out=dx[s])
 
     _per_sample(block, n)
     db = dout.sum(axis=(0, 2, 3))
-    dw = np.zeros(w_shape, dtype=dout.dtype)
-    for k, (i, _, _) in enumerate(taps):
-        dw[:, :, i, 0] = dws[k].sum(axis=0)
-    return dx, dw, db
+    return dx.reshape(x_shape), dws.sum(axis=0).T.reshape(w_shape), db
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +334,10 @@ def conv2d_backward(dout, cache, relu_out=None):
 # and run as one recurrence over a leading direction axis (Appleyard et al.,
 # arXiv 1604.01946).  The recurrence is time-major: row s of direction j is
 # the step that reads frame s, or frame T-1-s when j runs reversed, so each
-# step's slab (k, N, .) is contiguous and both directions share one batched
-# matmul.
+# step's slabs (k, N, .) are contiguous and both directions share one batched
+# matmul.  The [z | r] and n pre-activations sit in two such arrays, and the
+# z and r columns of w, u and b are halved first: sigmoid(a) reads a / 2, and
+# a power-of-two scale is exact, so every byte is that of the unscaled form.
 
 def _steps(a, flips):
     """Frame-major (N, T, k, C) -> step-major (T, k, N, C)."""
@@ -358,26 +377,33 @@ def gru_forward(x, w, u, b, reverse=False):
         raise ValueError("reverse=True needs one direction; the second of a packed "
                          "pair is always reversed")
     flips = (False, True) if k == 2 else (reverse,)
-    uk = u.reshape(hdim, k, g).transpose(1, 0, 2)                   # (k, H, 3H)
-    # x w + b per step, overwritten in place by [z | r | n]
-    gates = _steps((x @ w + b).reshape(n, t, k, g), flips)
+    half = np.tile(np.repeat([0.5, 0.5, 1.0], hdim), k)
+
+    def halved(a):
+        return a * half.astype(a.dtype)
+
+    uk = halved(u).reshape(hdim, k, g).transpose(1, 0, 2)           # (k, H, 3H)
+    u_zr, u_n = np.ascontiguousarray(uk[..., :2 * hdim]), np.ascontiguousarray(uk[..., 2 * hdim:])
+    pre = (x @ halved(w) + halved(b)).reshape(n, t, k, g)
+    # step-major pre-activations, overwritten in place by sigmoid [z | r] and tanh n
+    zrs, cands = _steps(pre[..., :2 * hdim], flips), _steps(pre[..., 2 * hdim:], flips)
+    del pre
     hs = np.zeros((t + 1, k, n, hdim), dtype=x.dtype)   # hs[0] is the initial state
     qs = np.empty((t, k, n, hdim), dtype=x.dtype)       # h_{t-1} Un per step
+    hu = np.empty((k, n, 2 * hdim), dtype=x.dtype)
     tmp = np.empty((k, n, hdim), dtype=x.dtype)
     for step in range(t):
-        h, gs, h_new = hs[step], gates[step], hs[step + 1]
-        hu = np.matmul(h, uk)
-        zr, cand, q = gs[..., :2 * hdim], gs[..., 2 * hdim:], qs[step]
-        zr += hu[..., :2 * hdim]
-        sigmoid(zr, out=zr)
+        h, zr, cand, q, h_new = hs[step], zrs[step], cands[step], qs[step], hs[step + 1]
+        zr += np.matmul(h, u_zr, out=hu)
+        _sigmoid_of_half(zr)
         z, r = zr[..., :hdim], zr[..., hdim:]
-        q[...] = hu[..., 2 * hdim:]
+        np.matmul(h, u_n, out=q)
         cand += np.multiply(r, q, out=tmp)
         np.tanh(cand, out=cand)
         np.multiply(z, h, out=h_new)
         np.subtract(1.0, z, out=tmp)
         h_new += np.multiply(tmp, cand, out=tmp)
-    cache = (x, w, u, gates, qs, hs, flips)
+    cache = (x, w, u, zrs, cands, qs, hs, flips)
     outputs = _frames(hs[1:], flips).reshape(n, t, k * hdim)
     return outputs, hs[t].transpose(1, 0, 2).reshape(n, k * hdim).copy(), cache
 
@@ -390,7 +416,7 @@ def gru_backward(doutputs, dh_final, cache):
     final state (N, H*k), or None.  Returns (dx, dw, du, db) with dx in
     original frame order and dw, du, db packed like w, u, b.
     """
-    x, w, u, gates, qs, hs, flips = cache
+    x, w, u, zrs, nn_, qs, hs, flips = cache
     n, t, d = x.shape
     hdim, width = u.shape
     k, g = len(flips), 3 * hdim
@@ -398,7 +424,7 @@ def gru_backward(doutputs, dh_final, cache):
     # d(x w + b) = dh_t * [cz | cr | cn] and d(h_{t-1} u) = dh_t * [cz | cr | cn r],
     # with dh_t tiled over the three gates.  Only dh is carried through time;
     # coef_h holds [cz | cr | cn r] and du is summed as the steps go.
-    z, r, nn_ = gates[..., :hdim], gates[..., hdim:2 * hdim], gates[..., 2 * hdim:]
+    z, r = zrs[..., :hdim], zrs[..., hdim:]
     coef_h = np.empty((t, k, n, 3, hdim), dtype=x.dtype)
     cz, cr, cnr = coef_h[..., 0, :], coef_h[..., 1, :], coef_h[..., 2, :]
     omz = np.subtract(1.0, z)
@@ -465,7 +491,7 @@ def graph_conv_forward(x, a_hat, w, b, relu=False):
     mixed = (x.reshape(-1, j) @ a_hat.T).reshape(n, c, t * v)
     y = np.empty((n, w.shape[1], t * v), dtype=np.result_type(mixed, w, b))
 
-    def block(lo, hi):
+    def block(_, lo, hi):
         np.matmul(w.T, mixed[lo:hi], out=y[lo:hi])
         y[lo:hi] += b[:, None]
         if relu:
@@ -485,7 +511,7 @@ def graph_conv_backward(dout, cache, relu_out=None):
     dws = np.empty((n, *w.shape), dtype=np.result_type(mixed, d))     # per sample
     dmixed = np.empty(mixed.shape, dtype=np.result_type(w, d))
 
-    def block(lo, hi):
+    def block(_, lo, hi):
         mask(lo, hi)
         np.matmul(mixed[lo:hi], d[lo:hi].transpose(0, 2, 1), out=dws[lo:hi])
         np.matmul(w, d[lo:hi], out=dmixed[lo:hi])

@@ -84,7 +84,7 @@ def test_forward_only_pass_frees_each_layer_cache_as_it_goes(monkeypatch):
     def recording(*args, **kwargs):
         alive.append(sum(ref() is not None for ref in gates))
         out = gru_forward(*args, **kwargs)
-        gates.append(weakref.ref(out[2][3]))     # the cache's (T, 2, N, 3H) gate tensor
+        gates.append(weakref.ref(out[2][3]))     # the cache's (T, 2, N, 2H) [z | r] gates
         return out
 
     monkeypatch.setattr(nn, "gru_forward", recording)

@@ -114,27 +114,54 @@ def test_conv2d_matches_direct_sum_oracle(kernel, pad):
     assert np.allclose(db, want_db, rtol=0, atol=1e-12)
 
 
-def _conv2d_bias_fill(x, w, b, pad):
-    """conv2d_forward summed in its reference order: the bias is filled in
-    first, then each tap's product is added into the rows it reaches."""
+@pytest.mark.usefixtures("conv_workers")
+@pytest.mark.parametrize("kernel,pad", [((3, 1), (3, 0)), ((1, 1), (1, 0))])
+def test_conv2d_with_padding_wider_than_the_kernel_matches_the_oracle(kernel, pad):
+    """Output rows that no tap reaches hold the bias; the input gradient's
+    flipped correlation then runs at a negative pad."""
+    rng = np.random.default_rng(16)
+    x, w, b = rng.normal(size=(2, 3, 7, 4)), rng.normal(size=(4, 3, *kernel)), rng.normal(size=4)
+    out, cache = nn.conv2d_forward(x, w, b, pad=pad)
+    dout = rng.normal(size=out.shape)
+    want = _conv2d_oracle(x, w, b, pad, dout)
+    for got, expected in zip((out, *nn.conv2d_backward(dout, cache)), want):
+        assert got.shape == expected.shape
+        assert np.allclose(got, expected, rtol=0, atol=1e-12)
+
+
+def _columns(a, kt, pad, rows):
+    """Each sample's (C kt, rows V) column matrix of `a`, built with np.pad:
+    row (c, i) holds channel c shifted by i - pad along T."""
+    padded = np.pad(a, ((0, 0), (0, 0), (pad, pad), (0, 0)))
+    cols = np.stack([padded[:, :, i:i + rows] for i in range(kt)], axis=2)
+    return cols.reshape(len(a), a.shape[1] * kt, -1)
+
+
+def _conv2d_im2col(x, w, b, pad):
+    """conv2d_forward in plain numpy: b + w_k @ cols(x), one GEMM per sample."""
     n, c, t, v = x.shape
     f, _, kt, _ = w.shape
     t_out = t + 2 * pad[0] - kt + 1
-    out = np.empty((n, f, t_out, v), dtype=np.result_type(x, w, b))
-    out[...] = b[:, None, None]
-    for i, o, rows in nn._taps(t, kt, pad[0], t_out):
-        xs = x[:, :, rows]
-        out[:, :, o] += np.matmul(w[:, :, i, 0], xs.reshape(n, c, -1)).reshape(n, f, -1, v)
-    return out
+    cols = _columns(x, kt, pad[0], t_out)
+    out = [b[:, None] + w.reshape(f, c * kt) @ col for col in cols]
+    return np.array(out, dtype=np.result_type(x, w, b)).reshape(n, f, t_out, v)
 
 
-@pytest.mark.usefixtures("conv_workers")
-@pytest.mark.parametrize("rep", ["IMG", "STG"])
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_conv2d_forward_equals_the_bias_fill_sum_at_every_encoder_conv(
-        monkeypatch, rep, dtype):
-    """The 1x1 convs take their first tap's product as the output; every
-    conv an encoder runs must still give the bytes of the reference sum."""
+def _conv2d_im2col_backward(dout, x, w, pad):
+    """conv2d_backward in plain numpy: dw is the transpose of the sum of
+    cols(x_s) @ dout_s^T over the samples in order, and dx_s is the flipped
+    kernel times cols(dout_s)."""
+    n, c, t, v = x.shape
+    f, _, kt, _ = w.shape
+    dm = dout.reshape(n, f, -1)
+    dw = np.sum([col @ d.T for d, col in zip(dm, _columns(x, kt, pad[0], dout.shape[2]))], axis=0).T
+    w_flip = np.flip(w[..., 0], axis=2).transpose(1, 0, 2).reshape(c, f * kt)
+    dx = [w_flip @ col for col in _columns(dout, kt, kt - 1 - pad[0], t)]
+    return np.array(dx).reshape(x.shape), dw.reshape(w.shape), dout.sum(axis=(0, 2, 3))
+
+
+def _encoder_convs(monkeypatch, rep, dtype):
+    """(x, w, b, pad) of every conv2d_forward call of an encoder forward."""
     calls, forward = [], nn.conv2d_forward
 
     def record(x, w, b, pad=(0, 0), relu=False):
@@ -148,14 +175,41 @@ def test_conv2d_forward_equals_the_bias_fill_sum_at_every_encoder_conv(
               for k, v in encoders.init_encoder(config, seed=0).params.items()}
     encoders.encoder_forward(config, params, rng.normal(size=(4, 3, 32, 50)).astype(dtype),
                              chain_tree_bones(25))
+    monkeypatch.undo()
     kernels = [w.shape[2:] for _, w, _, _ in calls]
     assert kernels == ([(1, 1), (5, 1), (1, 1)] if rep == "IMG" else [(5, 1)])
-    for x, w, b, pad in calls:
+    return calls
+
+
+@pytest.mark.usefixtures("conv_workers")
+@pytest.mark.parametrize("rep", ["IMG", "STG"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv2d_forward_equals_the_per_sample_im2col_gemm_at_every_encoder_conv(
+        monkeypatch, rep, dtype):
+    """Every conv an encoder runs gives the bytes of b + w_k @ cols(x)."""
+    for x, w, b, pad in _encoder_convs(monkeypatch, rep, dtype):
         for bias in (b, b.astype(np.float64)):     # a wider bias widens the output
-            out, _ = forward(x, w, bias, pad)
-            want = _conv2d_bias_fill(x, w, bias, pad)
+            out, _ = nn.conv2d_forward(x, w, bias, pad)
+            want = _conv2d_im2col(x, w, bias, pad)
             assert out.dtype == want.dtype == np.result_type(x, w, bias)
             assert out.tobytes() == want.tobytes()
+
+
+@pytest.mark.usefixtures("conv_workers")
+@pytest.mark.parametrize("rep", ["IMG", "STG"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv2d_backward_equals_the_per_sample_im2col_gemms_at_every_encoder_conv(
+        monkeypatch, rep, dtype):
+    """dx, dw and db of every encoder conv, ReLU fused, have the bytes of the
+    plain-numpy im2col backward."""
+    for x, w, b, pad in _encoder_convs(monkeypatch, rep, dtype):
+        for bias in (b, b.astype(np.float64)):
+            out, cache = nn.conv2d_forward(x, w, bias, pad, relu=True)
+            dout = np.cos(out)
+            grads = nn.conv2d_backward(dout, cache, relu_out=out)
+            want = _conv2d_im2col_backward(nn.relu_backward(dout, out), x, w, pad)
+            assert [(g.dtype, g.shape) for g in grads] == [(g.dtype, g.shape) for g in want]
+            assert [g.tobytes() for g in grads] == [g.tobytes() for g in want]
 
 
 @pytest.mark.usefixtures("conv_workers")
@@ -368,6 +422,30 @@ def test_packed_gru_forward_is_byte_identical_to_two_single_direction_calls(n, t
     assert out.dtype == h_final.dtype == dtype
     assert out.tobytes() == np.concatenate([out_f, out_b], axis=2).tobytes()
     assert h_final.tobytes() == np.concatenate([h_f, h_b], axis=1).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n, t, d, h", [(1, 5, 7, 4), (3, 7, 5, 4), (16, 32, 150, 32)])
+def test_gru_forward_keeps_the_bytes_of_the_sigmoid_of_the_unhalved_sums(n, t, d, h, dtype):
+    """gru_forward halves the z and r columns of w, u and b instead of its
+    sigmoid's input; a power-of-two scale is exact, so every byte is that of
+    the plain recurrence over one (N, 3H) gate slab per step."""
+    rng = np.random.default_rng(14)
+    x = rng.normal(size=(n, t, d)).astype(dtype)
+    w, u, b = ((rng.normal(size=shape) * 0.3).astype(dtype)
+               for shape in ((d, 3 * h), (h, 3 * h), (3 * h,)))
+    pre = (x @ w + b).transpose(1, 0, 2)
+    state, want = np.zeros((n, h), dtype), []
+    for step in range(t):
+        hu = np.matmul(state[None], u[None])[0]
+        zr = nn.sigmoid(pre[step, :, :2 * h] + hu[:, :2 * h])
+        z, r = zr[:, :h], zr[:, h:]
+        cand = np.tanh(pre[step, :, 2 * h:] + r * hu[:, 2 * h:])
+        state = z * state + (1.0 - z) * cand
+        want.append(state)
+    out, h_final, _ = nn.gru_forward(x, w, u, b)
+    assert out.tobytes() == np.stack(want, axis=1).tobytes()
+    assert h_final.tobytes() == state.tobytes()
 
 
 @pytest.mark.parametrize("w_cols, u_cols, b_cols, reverse", [   # H = 4: 3H = 12, 6H = 24

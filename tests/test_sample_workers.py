@@ -153,11 +153,11 @@ INTER3 = ["dataset.num_classes=3", "dataset.samples_per_class=8", "dataset.frame
 _CLI = "import sys; from skelcon.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
-def _cli_in_subprocess(subcommand, out, extra=(), cpus=None):
-    """`skelcon <subcommand> --out out` over the INTER3 config at one BLAS
-    thread; returns the run's `environment` block."""
+def _cli_in_subprocess(subcommand, out, extra=(), cpus=None, blas_threads=1):
+    """`skelcon <subcommand> --out out` over the INTER3 config at
+    `blas_threads` BLAS threads; returns the run's `environment` block."""
     src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads))
     env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
     args = [subcommand, "--out", str(out), *(a for s in INTER3 for a in ("--set", s)), *extra]
     pin = None if cpus is None else (lambda: os.sched_setaffinity(0, cpus))
@@ -167,8 +167,8 @@ def _cli_in_subprocess(subcommand, out, extra=(), cpus=None):
     return json.loads((out / "run.json").read_text())["environment"]
 
 
-def _pretrain_in_subprocess(out, cpus=None):
-    return _cli_in_subprocess("pretrain", out, cpus=cpus)
+def _pretrain_in_subprocess(out, cpus=None, blas_threads=1):
+    return _cli_in_subprocess("pretrain", out, cpus=cpus, blas_threads=blas_threads)
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
@@ -185,3 +185,18 @@ def test_inter3_run_pinned_to_one_cpu_writes_the_bytes_of_an_unpinned_run(tmp_pa
     for name in names:
         assert (tmp_path / "pinned" / name).read_bytes() == \
             (tmp_path / "free" / name).read_bytes(), name
+
+
+def test_inter3_run_writes_the_same_bytes_at_one_two_and_four_blas_threads(tmp_path):
+    """BLAS may split a GEMM over its threads; no artifact byte may depend
+    on how many it uses (the conv worker count changes with it too)."""
+    runs = {}
+    for threads in (1, 2, 4):
+        env = _pretrain_in_subprocess(tmp_path / f"blas{threads}", blas_threads=threads)
+        assert env["blas_threads"]["OPENBLAS_NUM_THREADS"] == str(threads)
+        runs[threads] = {p.name: p.read_bytes() for p in (tmp_path / f"blas{threads}").iterdir()
+                         if p.suffix in (".jsonl", ".ckpt", ".npz")}
+    assert len(runs[1]) == 15      # the loss log, 2 epochs x (6 CKPT1 + 1 aux blob)
+    for threads in (2, 4):
+        assert sorted(runs[threads]) == sorted(runs[1])
+        assert [name for name in runs[1] if runs[threads][name] != runs[1][name]] == [], threads
