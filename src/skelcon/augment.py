@@ -69,7 +69,7 @@ class JitterParams:
         m = np.asarray(self.matrix, dtype=np.float64)
         if m.shape != (3, 3):
             raise ValueError(f"jitter matrix must be 3x3, got {m.shape}")
-        if np.abs(m).max() > 1.0:
+        if not np.abs(m).max() <= 1.0:  # NaN fails too
             raise ValueError("jitter matrix entries must lie in [-1, 1]")
 
 
@@ -131,7 +131,8 @@ class AugmentationSpec:
 
 def pose_augment(seq: SkeletonSequence, p: ShearParams) -> SkeletonSequence:
     """Apply the same unit-diagonal shear to every joint at every frame."""
-    return seq.with_coords(seq.coords @ p.matrix())
+    coords = seq.coords
+    return seq.with_coords((coords.reshape(-1, 3) @ p.matrix()).reshape(coords.shape))
 
 
 def joint_jitter(seq: SkeletonSequence, p: JitterParams) -> SkeletonSequence:
@@ -142,8 +143,14 @@ def joint_jitter(seq: SkeletonSequence, p: JitterParams) -> SkeletonSequence:
         raise ValueError(f"joint index {subset.max()} out of range for J={joints}")
     if len(p.joint_subset) >= joints:
         raise ValueError(f"|j|={len(p.joint_subset)} must be < J={joints}")
-    out = seq.coords.copy()
-    out[:, :, subset, :] = out[:, :, subset, :] @ np.asarray(p.matrix, dtype=np.float64)
+    coords = seq.coords
+    moved = coords.reshape(-1, 3) @ np.asarray(p.matrix, dtype=np.float64)
+    picked = np.zeros((joints, 3), dtype=bool)
+    picked[subset] = True
+    out = coords.copy()
+    # one row of joints per frame and actor; float32 coords stay float32
+    np.copyto(out.reshape(-1, joints * 3), moved.reshape(-1, joints * 3),
+              where=picked.reshape(-1))
     return seq.with_coords(out)
 
 
@@ -156,21 +163,29 @@ def temporal_crop_resize(seq: SkeletonSequence, p: CropResizeParams) -> Skeleton
     if p.start + length > frames:
         raise ValueError(
             f"crop [{p.start}, {p.start + length}) exceeds sequence of {frames} frames")
-    window = seq.coords[p.start:p.start + length]
-    lo, hi, w_lo, w_hi = _resample_plan(length, p.output_length)
-    return seq.with_coords(w_lo * window[lo] + w_hi * window[hi])
+    coords = seq.coords
+    rows = coords[p.start:p.start + length].reshape(length, -1)
+    index, weights = _resample_plan(length, p.output_length)
+    taken, n = rows.take(index, axis=0), p.output_length    # the lo rows, then the hi rows
+    # two half-size products rather than one over all 2n rows, whose
+    # temporaries fragment the heap more (a higher peak RSS, same bytes)
+    out = taken[:n] * weights[:n]
+    out += taken[n:] * weights[n:]
+    return seq.with_coords(out.reshape(n, *coords.shape[1:]))
 
 
 @functools.lru_cache(maxsize=512)
-def _resample_plan(length: int, output_length: int) -> tuple[np.ndarray, ...]:
-    """Frame indices and weights that resample `length` frames linearly to
-    `output_length`: output frame i is ``w_lo[i] * x[lo[i]] + w_hi[i] * x[hi[i]]``.
+def _resample_plan(length: int, output_length: int) -> tuple[np.ndarray, np.ndarray]:
+    """Frame indices and a weight column that resample `length` frames
+    linearly to `output_length`, lo frames first, then hi frames: with
+    L = output_length, output frame i is
+    ``weights[i] * x[index[i]] + weights[L + i] * x[index[L + i]]``.
     Cached per length pair, so the arrays are read-only."""
     positions = np.linspace(0.0, length - 1, output_length)
     lo = np.floor(positions).astype(np.intp)
     hi = np.minimum(lo + 1, length - 1)
-    frac = (positions - lo)[:, None, None, None]
-    plan = (lo, hi, 1.0 - frac, frac)
+    frac = positions - lo
+    plan = (np.concatenate([lo, hi]), np.concatenate([1.0 - frac, frac])[:, None])
     for arr in plan:
         arr.flags.writeable = False
     return plan
@@ -181,8 +196,7 @@ def _resample_plan(length: int, output_length: int) -> tuple[np.ndarray, ...]:
 # ---------------------------------------------------------------------------
 
 def draw_shear(rng: np.random.Generator) -> ShearParams:
-    v = rng.uniform(-1.0, 1.0, size=6)
-    return ShearParams(*v)
+    return ShearParams(*rng.uniform(-1.0, 1.0, size=6).tolist())
 
 
 def draw_jitter(rng: np.random.Generator, joints: int, count: int) -> JitterParams:
@@ -190,7 +204,7 @@ def draw_jitter(rng: np.random.Generator, joints: int, count: int) -> JitterPara
         raise ValueError(f"|j|={count} must be < J={joints}")
     subset = rng.choice(joints, size=count, replace=False)
     matrix = rng.uniform(-1.0, 1.0, size=(3, 3))
-    return JitterParams(joint_subset=tuple(int(j) for j in subset), matrix=matrix)
+    return JitterParams(joint_subset=tuple(subset.tolist()), matrix=matrix)
 
 
 def draw_crop(rng: np.random.Generator, frames: int, l_min: float,

@@ -134,7 +134,13 @@ def _trainer(config: ExperimentConfig, out_dir, resume, data) -> contrast.Traine
     it differently (only the epoch count may change, and must leave epochs to
     train), if it saw other data, or if `out_dir`'s loss log lacks its steps
     (`contrast.kept_loss_log`), or if its step count is not its epochs'
-    (`contrast.check_step`). An unrecorded batch size or hash is not checked."""
+    (`contrast.check_step`). An unrecorded batch size or hash is not checked.
+    Either way the queue must hold a batch (`contrast.check_queue_holds_a_batch`)."""
+    try:
+        contrast.check_queue_holds_a_batch(config.trainer, config.schedule.batch_size,
+                                           len(data[2]))
+    except ValueError as exc:
+        raise ConfigError(f"trainer.queue_size: {exc}") from None
     digest = hashlib.sha256()
     for sample in data[2]:
         coords = np.ascontiguousarray(sample.sequence.coords)
@@ -180,7 +186,9 @@ def _inputs(args, config: ExperimentConfig) -> tuple:
     is written: (what the run starts from, `_load`'s data). That is the
     encoder of a downstream task (`_encoder`), the trainer of `pretrain`
     (`_trainer`), the grid of `sweep` (each cell loads its own data), or None.
-    A scored task's data must be labeled throughout (`downstream._scorable`)."""
+    A scored task's data must be labeled throughout (`downstream._scorable`),
+    and each seed's labeled subset of a finetune must hold two classes
+    (`downstream.labeled_subsets`)."""
     if args.subcommand == "sweep":
         if config.sweep is None:
             raise ConfigError("sweep.key: the sweep subcommand needs sweep.key+values "
@@ -191,8 +199,10 @@ def _inputs(args, config: ExperimentConfig) -> tuple:
         ds._scorable(ds._labels(data[0].samples), args.subcommand)
     if args.subcommand == "pretrain":
         return _trainer(config, args.out, args.resume, data), data
-    return (_encoder(config, args.subcommand) if args.subcommand in _ENCODER_TASKS
-            else None), data
+    start = _encoder(config, args.subcommand) if args.subcommand in _ENCODER_TASKS else None
+    if args.subcommand == "finetune":
+        ds.labeled_subsets(ds._labels(data[2]), config.downstream.rho, config.downstream.seeds)
+    return start, data
 
 
 # ---------------------------------------------------------------------------

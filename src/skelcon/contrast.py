@@ -462,20 +462,18 @@ def warmup_queues(trainer: TrainerState, sequences: list[SkeletonSequence],
     """Seed every queue with key-encoder embeddings of augmented views.
 
     One pass over the data (stopping once full) so early steps are never
-    contrasted against off-manifold random vectors. Each view is the key
-    that `make_query_key_pair` would make from the same rng stream.
+    contrasted against off-manifold random vectors. Each slot holds one view
+    of its sequence, drawn from the ``(seed, _TAG_WARMUP)`` stream in slot
+    order; no query is drawn beside it.
     """
     rng = np.random.default_rng((trainer.seed, _TAG_WARMUP))
-    need = min(trainer.config.queue_size, len(sequences))
-    picked = sequences[:need]
+    aug = trainer.aug
+    picked = sequences[:min(trainer.config.queue_size, len(sequences))]
     for start in range(0, len(picked), batch_size):
-        chunk = picked[start:start + batch_size]
-        views = []
-        for seq in chunk:
-            # the query is drawn to keep the rng stream, but never applied
-            draw_view(trainer.aug, seq.frames, seq.joints, rng)
-            key = draw_view(trainer.aug, seq.frames, seq.joints, rng)
-            views.append(apply_view(seq, key, trainer.aug.output_length))
+        views = []      # frees the last chunk's views before this chunk's are made
+        for seq in picked[start:start + batch_size]:
+            views.append(apply_view(seq, draw_view(aug, seq.frames, seq.joints, rng),
+                                    aug.output_length))
         for rep in trainer.representations:
             z, _ = _embed(trainer, rep, trainer.pairs[rep].key, views, False)
             trainer.queues[rep].push(z)
@@ -631,6 +629,17 @@ def check_epochs_left(trainer: TrainerState, schedule: Schedule) -> None:
                          f"schedule ends at {schedule.epochs}")
 
 
+def check_queue_holds_a_batch(config: TrainerConfig, batch_size: int,
+                              train_size: int) -> None:
+    """`ValueError` unless every queue holds the keys of one batch, which is
+    ``min(batch_size, train_size)`` sequences: a batch larger than the data
+    is clipped to it."""
+    batch = min(batch_size, train_size)
+    if config.queue_size < batch:
+        raise ValueError(f"queue_size {config.queue_size} cannot hold a batch of {batch} "
+                         f"keys (batch_size {batch_size}, {train_size} training sequences)")
+
+
 def check_step(trainer: TrainerState, train_size: int) -> None:
     """`SchemaError` unless `trainer.step` is the number of steps its `epoch`
     full epochs over `train_size` sequences take at its recorded batch size,
@@ -687,6 +696,7 @@ def pretrain(trainer: TrainerState, sequences: list[SkeletonSequence],
     if not sequences:
         raise ValueError("pretrain needs a nonempty dataset")
     check_epochs_left(trainer, schedule)
+    check_queue_holds_a_batch(trainer.config, schedule.batch_size, len(sequences))
     check_step(trainer, len(sequences))
     kept = [] if out_dir is None else kept_loss_log(out_dir, trainer.step)
     if trainer.step == 0 and all(len(q) == 0 for q in trainer.queues.values()):

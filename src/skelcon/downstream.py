@@ -312,6 +312,16 @@ def stratified_subset(labels: np.ndarray, rho: float, seed: int) -> np.ndarray:
     return np.sort(np.concatenate(picked))
 
 
+def labeled_subsets(labels: np.ndarray, rho: float, seeds) -> list[np.ndarray]:
+    """Each seed's `stratified_subset` of `labels`; one with fewer than 2
+    classes raises `DegenerateTaskError`, since finetuning cannot learn from it."""
+    labels = np.asarray(labels)
+    subsets = [stratified_subset(labels, rho, seed) for seed in seeds]
+    for subset in subsets:
+        _class_targets(labels[subset], "finetune", "labeled subset")
+    return subsets
+
+
 @dataclass(frozen=True)
 class SeedSummary:
     task: str
@@ -419,8 +429,7 @@ def finetune(checkpoint, train: list[LabeledSample], test: list[LabeledSample],
     labels = _scorable(_labels(train), "finetune")
     _scorable(_labels(test), "finetune")
     accuracies = []
-    for seed in seeds:
-        subset = stratified_subset(labels, rho, seed)
+    for seed, subset in zip(seeds, labeled_subsets(labels, rho, seeds)):
         labeled = [train[i] for i in subset]
         if mode == "supervised-only":
             init = init_encoder(config, int(seed))

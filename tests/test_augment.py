@@ -129,6 +129,16 @@ def test_jitter_validates_subset():
         JitterParams(joint_subset=(0,), matrix=np.full((3, 3), 1.5))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_jitter_matrix_that_is_not_finite_is_refused(bad):
+    matrix = np.full((3, 3), 0.5)
+    matrix[1, 2] = bad
+    with pytest.raises(ValueError, match="jitter matrix entries"):
+        JitterParams(joint_subset=(1, 2), matrix=matrix)
+    with pytest.raises(ValueError, match="jitter matrix entries"):
+        JitterParams(joint_subset=(1, 2), matrix=np.full((3, 3), bad))
+
+
 # ---------------------------------------------------------------------------
 # temporal crop-resize
 # ---------------------------------------------------------------------------
@@ -305,3 +315,70 @@ def test_fixed_spatial_modes_draw_that_kind():
     assert draw_view(jitter_spec, 16, 5, rng).kind == "jitter"
     none_spec = AugmentationSpec(spatial_mode="none", output_length=8)
     assert draw_view(none_spec, 16, 5, rng).kind == "none"
+
+
+# ---------------------------------------------------------------------------
+# the kernels keep the bytes of the plain formulas
+# ---------------------------------------------------------------------------
+
+def _view_by_the_formulas(coords, draw, output_length):
+    """`apply_view` written as the plain numpy formulas: a crop blended with
+    (L, 1, 1, 1) weights, ``coords @ S`` for a shear, and the fancy-indexed
+    subset ``@ M`` written into a copy for a jitter."""
+    crop = draw.crop
+    if crop is None and coords.shape[0] != output_length:
+        crop = CropResizeParams(length_ratio=1.0, start=0, output_length=output_length)
+    if crop is not None:
+        length = crop.crop_length(coords.shape[0])
+        window = coords[crop.start:crop.start + length]
+        positions = np.linspace(0.0, length - 1, crop.output_length)
+        lo = np.floor(positions).astype(np.intp)
+        hi = np.minimum(lo + 1, length - 1)
+        frac = (positions - lo)[:, None, None, None]
+        coords = (1.0 - frac) * window[lo] + frac * window[hi]
+    if draw.kind == "pose":
+        coords = coords @ draw.shear.matrix()
+    elif draw.kind == "jitter":
+        subset = list(draw.jitter.joint_subset)
+        out = coords.copy()
+        out[:, :, subset, :] = out[:, :, subset, :] @ np.asarray(draw.jitter.matrix,
+                                                                dtype=np.float64)
+        coords = out
+    return coords
+
+
+def _record(coords):
+    return coords.dtype.str, coords.shape, coords.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_views_keep_the_bytes_and_dtype_of_the_plain_formulas(dtype):
+    """2400 views per dtype: every spatial mode, with and without the
+    temporal crop, at raw lengths equal to and other than the output
+    length, up to the benchmark's 96 frames, 25 joints and crop 64."""
+    rng = np.random.default_rng(21)
+    views = 0
+    for case in range(40):
+        joints = (5, 12, 25)[case % 3]
+        output_length = (8, 32, 64)[case % 3 if case % 5 else 2]
+        frames = output_length if case % 4 == 0 else int(rng.integers(4, 97))
+        coords = rng.normal(size=(frames, 2, joints, 3)).astype(dtype)
+        coords[:, 1] *= case % 2             # a padded second actor in half the cases
+        seq = SkeletonSequence(coords, "pin")
+        for mode in ("none", "pose", "jitter"):
+            for temporal in (True, False):
+                spec = AugmentationSpec(spatial_mode=mode, temporal=temporal,
+                                        output_length=output_length,
+                                        jitter_joints=min(15, joints - 1))
+                for pair in range(5):
+                    pair_rng = np.random.default_rng((case, pair))
+                    query, key = make_query_key_pair(seq, spec, pair_rng)
+                    pair_rng = np.random.default_rng((case, pair))
+                    draws = [draw_view(spec, frames, joints, pair_rng) for _ in range(2)]
+                    for view, draw in zip((query, key), draws):
+                        want = _record(_view_by_the_formulas(coords, draw, output_length))
+                        assert _record(view.coords) == want, (case, mode, temporal, draw)
+                        assert _record(apply_view(seq, draw, output_length).coords) == want
+                        views += 1
+    assert views == 2400
+

@@ -1162,6 +1162,47 @@ def test_cli_scoring_tasks_refuse_unlabeled_samples(tmp_path, capsys, task):
     assert not (tmp_path / task).exists()
 
 
+@pytest.mark.parametrize("extra", [
+    ["trainer.queue_size=2"],
+    ["trainer.queue_size=3", "trainer.mode=inter", 'trainer.representations=["SEQ","STG"]',
+     "encoders.STG.hidden=4", "encoders.STG.projection_dim=8"],
+    ["trainer.queue_size=5", "trainer.batch_size=100"],        # clipped to the 6 sequences
+])
+def test_cli_refuses_a_queue_smaller_than_a_batch_before_writing(tmp_path, capsys, extra):
+    out = tmp_path / "pre"
+    assert main(["pretrain", "--out", str(out)] + _sets(extra)) == 2
+    err = capsys.readouterr().err
+    assert "config error: trainer.queue_size: " in err and "cannot hold a batch" in err
+    assert not out.exists()
+
+
+def test_cli_trains_with_a_batch_larger_than_the_data_if_the_queue_holds_the_data(tmp_path):
+    _pretrain(tmp_path, extra=["trainer.queue_size=6", "trainer.batch_size=100"])
+
+
+def test_a_sweep_cell_whose_queue_cannot_hold_a_batch_is_a_failed_cell(tmp_path):
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--out", str(out)]
+                + _sets(["sweep.key=trainer.queue_size", "sweep.values=[8,2]"])) == 3
+    records = [json.loads(l) for l in (out / "sweep.jsonl").read_text().splitlines()]
+    assert [r["status"] for r in records] == ["ok", "failed"]
+    assert records[1]["error"].startswith("ConfigError: trainer.queue_size: ")
+    assert not (out / "cells" / "cell01").exists()
+
+
+def test_cli_refuses_a_labeled_subset_of_one_class_before_writing(tmp_path, capsys):
+    _, manifest = _pretrain(tmp_path)
+    out = tmp_path / "finetune"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")      # rho leaves classes empty: a plain draw
+        code = main(["finetune", "--out", str(out), "--checkpoint", str(manifest)]
+                    + _sets(["downstream.rho=0.01", "downstream.finetune.epochs=1"]))
+    assert code == 3
+    assert ("error: DegenerateTaskError: finetune needs >= 2 classes, labeled subset has 1"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_cli_export_keeps_unlabeled_samples(tmp_path):
     _, manifest = _pretrain(tmp_path)
     extra = _unlabeled_dataset(tmp_path) + ["dataset.train_fraction=0.05"]

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skelcon.augment import AugmentationSpec, make_query_key_pair
+from skelcon.augment import AugmentationSpec, apply_view, draw_view, make_query_key_pair
 from skelcon.contrast import (
     _CHUNK_ROWS,
     _TAG_WARMUP,
@@ -453,6 +453,28 @@ def test_an_stg_trainer_refuses_a_graph_that_is_not_a_tree_before_it_trains():
     assert trainer.step == 0 and len(trainer.queues["STG"]) == 0
 
 
+@pytest.mark.parametrize("mode, reps, queue_size, batch_size, refused", [
+    ("intra", ("SEQ",), 3, 4, True),
+    ("inter", ("SEQ", "STG"), 3, 4, True),
+    ("intra", ("SEQ",), 4, 4, False),
+    ("intra", ("SEQ",), 8, 100, False),        # the batch is clipped to the 8 sequences
+    ("intra", ("SEQ",), 7, 100, True),
+])
+def test_pretrain_refuses_a_queue_smaller_than_a_batch_before_the_warm_up(
+        tmp_path, mode, reps, queue_size, batch_size, refused):
+    trainer = _make_trainer(mode, reps, queue_size=queue_size)
+    seqs = [s.sequence for s in _dataset().samples]
+    schedule = Schedule(epochs=1, batch_size=batch_size)
+    if not refused:
+        assert len(pretrain(trainer, seqs, schedule)) == -(-len(seqs) // batch_size)
+        return
+    with pytest.raises(ValueError, match=f"^queue_size {queue_size} cannot hold a batch of "
+                                         f"{min(batch_size, len(seqs))} keys"):
+        pretrain(trainer, seqs, schedule, out_dir=tmp_path / "out")
+    assert all(len(q) == 0 for q in trainer.queues.values()) and trainer.step == 0
+    assert not (tmp_path / "out").exists()
+
+
 def test_trainer_config_validation():
     with pytest.raises(ValueError):
         TrainerConfig("solo", ("SEQ",))
@@ -500,14 +522,15 @@ def test_warmup_fills_queues_with_unit_keys():
     assert np.allclose(norms, 1.0, atol=1e-3)
 
 
-def test_warmed_queues_equal_the_keys_of_make_query_key_pair():
+def test_warmed_queues_hold_one_drawn_view_per_slot_through_the_key_encoder():
     trainer = _make_trainer("inter", ("SEQ", "STG"), queue_size=6)
     oracle = _make_trainer("inter", ("SEQ", "STG"), queue_size=6)
     seqs = [s.sequence for s in _dataset().samples]
     warmup_queues(trainer, seqs, batch_size=4)
     rng = np.random.default_rng((oracle.seed, _TAG_WARMUP))
     for start in (0, 4):
-        keys = [make_query_key_pair(seq, oracle.aug, rng)[1]
+        keys = [apply_view(seq, draw_view(oracle.aug, seq.frames, seq.joints, rng),
+                           oracle.aug.output_length)
                 for seq in seqs[start:min(start + 4, 6)]]
         for rep in oracle.representations:
             oracle.queues[rep].push(_embed(oracle, rep, oracle.pairs[rep].key, keys, False)[0])

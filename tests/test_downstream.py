@@ -3,6 +3,7 @@
 import gc
 import json
 import math
+import warnings
 import weakref
 from dataclasses import replace
 
@@ -23,6 +24,7 @@ from skelcon.downstream import (
     extract_features,
     finetune,
     knn_retrieve,
+    labeled_subsets,
     linear_probe,
     pca2d,
     stratified_subset,
@@ -356,6 +358,28 @@ def test_stratified_subset_falls_back_when_too_small():
     with pytest.warns(UserWarning, match="non-stratified"):
         subset = stratified_subset(labels, 0.1, seed=0)
     assert len(subset) == round(0.1 * len(labels))
+
+
+def test_finetune_refuses_a_one_class_subset_of_any_seed_before_training(monkeypatch):
+    labels = np.array([0] * 2 + [1] * 50)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")                 # each draw is the plain fallback
+        classes = {seed: len(np.unique(labels[stratified_subset(labels, 0.04, seed)]))
+                   for seed in range(20)}
+        good = min(seed for seed, n in classes.items() if n == 2)
+        bad = min(seed for seed, n in classes.items() if n == 1)
+        subsets = labeled_subsets(labels, 0.04, (good,))
+        assert [s.tolist() for s in subsets] == [stratified_subset(labels, 0.04, good).tolist()]
+        with pytest.raises(DegenerateTaskError, match="labeled subset has 1"):
+            labeled_subsets(labels, 0.04, (good, bad))
+
+        ds = _dataset(classes=2, instances=26, frames=16)
+        ds.samples[:] = [replace(s, label=int(y)) for s, y in zip(ds.samples, labels)]
+        monkeypatch.setattr(downstream, "_finetune_one", lambda *a, **k: pytest.fail("trained"))
+        state = init_encoder(desk_config("SEQ", ds.joint_count, hidden=4), seed=0)
+        with pytest.raises(DegenerateTaskError, match="labeled subset has 1"):
+            finetune(state, ds.samples, ds.samples, ds.bones, rho=0.04, seeds=(good, bad),
+                     crop_length=16)
 
 
 def test_stratified_subset_rho_validation():

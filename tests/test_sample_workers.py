@@ -200,3 +200,28 @@ def test_inter3_run_writes_the_same_bytes_at_one_two_and_four_blas_threads(tmp_p
     for threads in (2, 4):
         assert sorted(runs[threads]) == sorted(runs[1])
         assert [name for name in runs[1] if runs[threads][name] != runs[1][name]] == [], threads
+
+
+# The downstream tasks on the INTER3 bundle: the conv, graph-conv and GRU ops
+# all run forward, and each finetune runs its encoder's backward too.
+_FINETUNE = ["downstream.rho=0.5", "downstream.seeds=[0,1]", "downstream.finetune.epochs=2"]
+_EVAL_TASKS = [("probe", "IMG", []), ("retrieve", "STG", []),
+               *(("finetune", rep, _FINETUNE) for rep in ("IMG", "SEQ", "STG"))]
+
+
+def test_eval_on_an_inter3_bundle_writes_the_same_metrics_at_one_two_and_four_blas_threads(
+        tmp_path):
+    """The eval path keeps its bytes at any BLAS thread count too: the
+    metrics.json of each task on one bundle."""
+    _pretrain_in_subprocess(tmp_path / "run")
+    bundle = ["--checkpoint", str(tmp_path / "run" / "epoch0002.trainer.json")]
+    for task, rep, sets in _EVAL_TASKS:
+        sets = [f"downstream.representation={rep}", *sets]
+        written = {}
+        for threads in (1, 2, 4):
+            out = tmp_path / f"{task}.{rep}.blas{threads}"
+            env = _cli_in_subprocess(task, out, [*bundle, *(a for s in sets for a in ("--set", s))],
+                                     blas_threads=threads)
+            assert env["blas_threads"]["OPENBLAS_NUM_THREADS"] == str(threads)
+            written[threads] = (out / "metrics.json").read_bytes()
+        assert written[2] == written[1] and written[4] == written[1], (task, rep)
