@@ -186,8 +186,9 @@ def _inputs(args, config: ExperimentConfig) -> tuple:
     is written: (what the run starts from, `_load`'s data). That is the
     encoder of a downstream task (`_encoder`), the trainer of `pretrain`
     (`_trainer`), the grid of `sweep` (each cell loads its own data), or None.
-    A scored task's data must be labeled throughout (`downstream._scorable`),
-    and each seed's labeled subset of a finetune must hold two classes
+    Each split side the task reads must be nonempty. A scored task's data
+    must be labeled throughout (`downstream._scorable`), and each seed's
+    labeled subset of a finetune must hold two classes
     (`downstream.labeled_subsets`)."""
     if args.subcommand == "sweep":
         if config.sweep is None:
@@ -195,6 +196,14 @@ def _inputs(args, config: ExperimentConfig) -> tuple:
                               "or sweep.cells in the config")
         return config.sweep, None
     data = _load(config)
+    for side, samples, tasks in (("training", data[2], ("pretrain", *_SCORED_TASKS)),
+                                 ("test", data[3], _ENCODER_TASKS)):
+        if args.subcommand in tasks and not samples:
+            protocol = config.dataset.protocol
+            key = "train_fraction" if protocol == "random" else "protocol"
+            raise ConfigError(f"dataset.{key}: the {protocol} split of {len(data[0].samples)} "
+                              f"samples leaves the {side} side empty, and "
+                              f"{args.subcommand} reads it")
     if args.subcommand in _SCORED_TASKS:
         ds._scorable(ds._labels(data[0].samples), args.subcommand)
     if args.subcommand == "pretrain":

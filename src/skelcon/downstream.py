@@ -21,6 +21,7 @@ import numpy as np
 
 from . import nn
 from .augment import CropResizeParams, temporal_crop_resize
+from .contrast import _sgd_update
 from .data import LabeledSample, atomic_open
 from .encoders import (EncoderConfig, EncoderState, encoder_forward, encoder_backward,
                        init_encoder)
@@ -48,9 +49,11 @@ def _labels(samples: list[LabeledSample]) -> np.ndarray:
 
 
 def _scorable(labels, task: str) -> np.ndarray:
-    """Labels a scoring task may use: an unlabeled sample (-1) is refused
-    rather than scored as a class of its own."""
+    """Labels a scoring task may use; it refuses an empty set, and an
+    unlabeled sample (-1) rather than score it as a class of its own."""
     labels = np.asarray(labels)
+    if labels.size == 0:
+        raise DegenerateTaskError(f"{task}: no samples to score")
     if np.any(labels < 0):
         raise DegenerateTaskError(
             f"{task}: {int(np.sum(labels < 0))} sample(s) have no label (-1); "
@@ -198,8 +201,8 @@ def _softmax_ce(logits: np.ndarray, y_index: np.ndarray):
 def linear_probe(features_train: np.ndarray, labels_train: np.ndarray,
                  features_test: np.ndarray, labels_test: np.ndarray,
                  schedule: ProbeSchedule = ProbeSchedule()) -> Metrics:
-    """Full-batch gradient descent with momentum on a softmax classifier over
-    frozen features; returns top-1 accuracy on the test split.
+    """Full-batch momentum SGD (pretraining's step, no weight decay) on a
+    softmax classifier over frozen features; returns test top-1 accuracy.
 
     Features are standardized with training-split statistics before the
     classifier: small encoders concentrate their outputs in a narrow cone,
@@ -211,22 +214,18 @@ def linear_probe(features_train: np.ndarray, labels_train: np.ndarray,
     x = np.asarray(features_train, dtype=np.float64)
     mean, scale = x.mean(axis=0), x.std(axis=0) + 1e-8
     x = (x - mean) / scale
-    w = np.zeros((x.shape[1], len(classes)))
-    b = np.zeros(len(classes))
-    vw, vb = np.zeros_like(w), np.zeros_like(b)
+    params = {"w": np.zeros((x.shape[1], len(classes))), "b": np.zeros(len(classes))}
+    velocity = {k: np.zeros_like(v) for k, v in params.items()}
     lr = schedule.lr
     for epoch in range(schedule.epochs):
         if epoch in schedule.decay_epochs:
             lr *= schedule.decay_factor
-        logits, cache = nn.linear_forward(x, w, b)
+        logits, cache = nn.linear_forward(x, params["w"], params["b"])
         _, dlogits = _softmax_ce(logits, y)
         _, dw, db = nn.linear_backward(dlogits, cache)
-        vw = schedule.momentum * vw + dw
-        vb = schedule.momentum * vb + db
-        w -= lr * vw
-        b -= lr * vb
+        _sgd_update(params, {"w": dw, "b": db}, velocity, lr, 0.0, schedule.momentum)
     x_test = (np.asarray(features_test, dtype=np.float64) - mean) / scale
-    logits, _ = nn.linear_forward(x_test, w, b)
+    logits, _ = nn.linear_forward(x_test, params["w"], params["b"])
     return _score(classes[np.argmax(logits, axis=1)], _scorable(labels_test, "linear probe"))
 
 
@@ -393,13 +392,11 @@ def _finetune_one(init_state: EncoderState, train: list[LabeledSample],
         order = np.random.default_rng((int(seed), 0xF1E8, epoch)).permutation(n)
         for start in range(0, n, schedule.batch_size):
             idx = order[start:start + schedule.batch_size]
-            feats, cache = encoder_forward(config, state.params, x[idx],
-                                           bones, want_cache=True)
-            logits, cls_cache = nn.linear_forward(feats, head["cls.w"], head["cls.b"])
+            feats, tape = encoder_forward(config, state.params, x[idx],
+                                          bones, want_cache=True)
+            logits = tape.linear(head, "cls", feats)
             _, dlogits = _softmax_ce(logits.astype(np.float64), y[idx])
-            dfeats, dw, db = nn.linear_backward(dlogits.astype(dtype), cls_cache)
-            grads = encoder_backward(cache, dfeats) | {"cls.w": dw, "cls.b": db}
-            opt.update(trained, grads, lr)
+            opt.update(trained, encoder_backward(tape, dlogits.astype(dtype)), lr)
 
     # `state` dies here, so a memo entry would never be read: no key is made
     feats = _encode(state, [center_crop(s.sequence, crop_length) for s in test], bones,

@@ -14,8 +14,8 @@ IMG and STG read the same (N, 3, T, V) batch and keep every tensor in
 adjacency from it on each forward pass.
 
 Each encoder ends in a two-layer projection head producing L2-normalized
-embeddings (128-d by default).  Forward passes can retain caches so that
-exact analytic parameter gradients flow back through the whole stack.
+embeddings (128-d by default).  A forward pass that keeps its cache records
+every op, head included, on one tape; its replay is the one backward path.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .represent import REPRESENTATIONS, graph_adjacency
 
 CHECKPOINT_MAGIC = b"CKPT1\n"
 _NORM_FLOOR = 1e-12         # smallest projected norm `head_forward` normalizes
+_HEAD = ("head.w1", "head.b1", "head.w2", "head.b2")   # `head_backward`'s gradients
 
 
 @dataclass(frozen=True)
@@ -169,8 +170,8 @@ class _Tape(list):
 
     A step is ``(names, backward)``: ``backward(d)`` returns the input
     gradient followed by the gradients of the parameters in ``names``.
-    Steps call ``nn.<op>`` through the module when they run, so an op
-    patched on ``nn`` is seen by both passes.
+    Steps call ``nn.<op>`` and the head through their modules when they
+    run, so an op patched there is seen by both passes.
     """
 
     def replay(self, d):
@@ -201,33 +202,27 @@ class _Tape(list):
         self.append(((f"{layer}.w", f"{layer}.b"), lambda d: nn.linear_backward(d, c)))
         return y
 
-    def bigru(self, params, layer, x):
-        """Both directions of a GRU layer as one packed `nn.gru_forward`,
-        outputs [fwd | bwd] (N, T, 2H)."""
+    def bigru(self, params, layer, x, final=False):
+        """Both directions of a GRU layer as one packed `nn.gru_forward`:
+        outputs [fwd | bwd] (N, T, 2H), or with `final` its (N, 2H) final states."""
         names = tuple(f"{layer}.{direction}.{k}" for direction in ("fwd", "bwd")
                       for k in ("w", "u", "b"))
         w, u, b = (np.concatenate([params[f"{layer}.fwd.{k}"], params[f"{layer}.bwd.{k}"]],
                                   axis=-1) for k in ("w", "u", "b"))
-        y, _, c = nn.gru_forward(x, w, u, b)
+        y, h, c = nn.gru_forward(x, w, u, b)
         g = u.shape[1] // 2
 
         def backward(d):
-            dx, *grads = nn.gru_backward(d, None, c)
+            dx, *grads = nn.gru_backward(None, d, c) if final else nn.gru_backward(d, None, c)
             return (dx, *(a[..., :g] for a in grads), *(a[..., g:] for a in grads))
         self.append((names, backward))
-        return y
+        return h if final else y
 
-    def final_states(self, y):
-        """(N, 2H) final states of a bidirectional layer: the forward
-        direction's at the last frame, the backward direction's at frame 0."""
-        shape, h = y.shape, y.shape[2] // 2
-
-        def backward(d):
-            dy = np.zeros(shape, dtype=d.dtype)
-            dy[:, -1, :h], dy[:, 0, h:] = d[:, :h], d[:, h:]
-            return (dy,)
-        self.append(((), backward))
-        return np.concatenate([y[:, -1, :h], y[:, 0, h:]], axis=1)
+    def head(self, params, feats):
+        """The projection head (`head_forward`) as one op."""
+        z, c = head_forward(params, feats)
+        self.append((_HEAD, lambda d: head_backward(d, c)))
+        return z
 
     def relu(self, x):
         y, c = nn.relu_forward(x)
@@ -254,9 +249,10 @@ class _NoTape(_Tape):
 
 
 def _seq_forward(config, params, x, tape):
+    final = config.seq_pooling == "final"
     for layer in range(config.depth):
-        x = tape.bigru(params, f"gru{layer}", x)
-    return tape.final_states(x) if config.seq_pooling == "final" else tape.pool(x, (1,))
+        x = tape.bigru(params, f"gru{layer}", x, final and layer == config.depth - 1)
+    return x if final else tape.pool(x, (1,))
 
 
 def _img_forward(config, params, x, tape):
@@ -312,9 +308,9 @@ def encoder_backward(cache, dfeat: np.ndarray):
     return cache.replay(dfeat)
 
 
-def head_forward(params: dict, feats: np.ndarray, want_cache: bool = False):
-    """Two-layer projection plus exact L2 normalization; a projected vector
-    with a (near-)zero norm raises `DegenerateEmbeddingError`."""
+def head_forward(params: dict, feats: np.ndarray):
+    """Two-layer projection plus exact L2 normalization -> (z, cache); a
+    projected vector with a (near-)zero norm raises `DegenerateEmbeddingError`."""
     hidden, c1 = nn.linear_forward(feats, params["head.w1"], params["head.b1"])
     hidden, r1 = nn.relu_forward(hidden)
     y, c2 = nn.linear_forward(hidden, params["head.w2"], params["head.b2"])
@@ -324,32 +320,28 @@ def head_forward(params: dict, feats: np.ndarray, want_cache: bool = False):
         raise DegenerateEmbeddingError(
             f"projected vector {bad} has norm {float(norms.flat[bad]):.3e}")
     z = y / norms
-    cache = (c1, r1, c2, z, norms) if want_cache else None
-    return z, cache
+    return z, (c1, r1, c2, z, norms)
 
 
-def head_backward(params: dict, cache, dz: np.ndarray):
+def head_backward(dz: np.ndarray, cache):
+    """(dfeat, dw1, db1, dw2, db2) of `head_forward`."""
     c1, r1, c2, z, norms = cache
     # y = z * norm; dL/dy = (dz - z (z . dz)) / norm
     dy = (dz - z * np.sum(z * dz, axis=-1, keepdims=True)) / norms
     dh, dw2, db2 = nn.linear_backward(dy, c2)
     dh = nn.relu_backward(dh, r1)
     dfeat, dw1, db1 = nn.linear_backward(dh, c1)
-    return dfeat, {"head.w1": dw1, "head.b1": db1, "head.w2": dw2, "head.b2": db2}
+    return dfeat, dw1, db1, dw2, db2
 
 
 def embed_forward(config, params, x, bones=None, want_cache=False):
-    """views -> unit-norm embeddings; cache covers backbone and head."""
-    feats, enc_cache = encoder_forward(config, params, x, bones, want_cache)
-    z, head_cache = head_forward(params, feats, want_cache)
-    return z, ((enc_cache, head_cache) if want_cache else None)
+    """views -> unit-norm embeddings; the cache is the tape, head included."""
+    feats, tape = encoder_forward(config, params, x, bones, want_cache)
+    return (_NoTape() if tape is None else tape).head(params, feats), tape
 
 
 def embed_backward(config, params, cache, dz):
-    enc_cache, head_cache = cache
-    dfeat, grads = head_backward(params, head_cache, dz)
-    grads.update(encoder_backward(enc_cache, dfeat))
-    return grads
+    return encoder_backward(cache, dz)
 
 
 # ---------------------------------------------------------------------------

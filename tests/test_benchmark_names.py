@@ -42,6 +42,29 @@ def test_every_traced_name_exists_and_the_encoder_tape_calls_through_nn():
     assert not hasattr(encoders.embed_forward, "__wrapped__")
 
 
+def test_the_head_spans_fire_once_per_embed_call():
+    """The head is a step of the encoder's tape; the traced `head_forward`
+    and `head_backward` must still run once per `embed_forward` and
+    `embed_backward` call, or their per-layer metrics would read 0."""
+    bones = chain_tree_bones(5)
+    tracer = tracer_module.Tracer().install()
+    try:
+        for rep, shape in SHAPES.items():
+            config = encoders.desk_config(rep, 5, hidden=4, projection_dim=8)
+            params = encoders.init_encoder(config, seed=0).params
+            x = np.random.default_rng(0).normal(size=shape).astype(np.float32)
+            encoders.embed_forward(config, params, x, bones)
+            z, cache = encoders.embed_forward(config, params, x, bones, True)
+            encoders.embed_backward(config, params, cache, np.ones_like(z))
+        names = [span[1] for span in tracer.spans]
+    finally:
+        tracer.uninstall()
+    for head, embed, calls in (("head_forward", "embed_forward", 6),
+                               ("head_backward", "embed_backward", 3)):
+        assert sum(name.startswith(f"encoders.{embed}.") for name in names) == calls
+        assert names.count(f"encoders.{head}") == calls, head
+
+
 def _conv_macs(n, c, f, h, w, kt):
     return n * f * h * w * c * kt          # stride 1, same padding
 

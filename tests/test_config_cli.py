@@ -1213,3 +1213,39 @@ def test_cli_export_keeps_unlabeled_samples(tmp_path):
               for line in (out / "embeddings.jsonl").read_text().splitlines()]
     assert None in labels
     _pretrain(tmp_path, "unlabeled", extra)            # pretraining reads no labels
+
+
+_TWO_SAMPLES = ["dataset.num_classes=2", "dataset.samples_per_class=1"]
+
+
+@pytest.mark.parametrize("task,fraction,side", [
+    ("pretrain", 0.05, "training"), ("probe", 0.05, "training"),
+    ("retrieve", 0.05, "training"), ("finetune", 0.05, "training"),
+    ("probe", 0.95, "test"), ("retrieve", 0.95, "test"),
+    ("finetune", 0.95, "test"), ("export", 0.95, "test"),
+])
+def test_cli_refuses_an_empty_split_side_before_writing(tmp_path, tiny_bundle, capsys,
+                                                        task, fraction, side):
+    """Two samples split 0.05/0.95 leave the training side empty, and
+    0.95/0.05 the test side: a task that reads that side is a config error
+    naming the split fraction, and `--out` is never made."""
+    out = tmp_path / task
+    argv = [task, "--out", str(out)] + _sets(_TWO_SAMPLES + [f"dataset.train_fraction={fraction}"])
+    if task != "pretrain":
+        argv += ["--checkpoint", str(tiny_bundle / "epoch0002.trainer.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: dataset.train_fraction: the random split of 2 "
+                          f"samples leaves the {side} side empty, and {task} reads it")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("task,fraction", [("pretrain", 0.95), ("export", 0.05)])
+def test_cli_runs_a_task_whose_own_split_side_is_nonempty(tmp_path, tiny_bundle, task,
+                                                          fraction):
+    """Pretraining reads no test side and export no training side."""
+    argv = [task, "--out", str(tmp_path / task)] + _sets(
+        _TWO_SAMPLES + [f"dataset.train_fraction={fraction}"])
+    if task != "pretrain":
+        argv += ["--checkpoint", str(tiny_bundle / "epoch0002.trainer.json")]
+    assert main(argv) == 0

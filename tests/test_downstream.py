@@ -273,6 +273,17 @@ def test_probe_needs_two_classes():
         linear_probe(x, y, x, y)
 
 
+def test_scoring_an_empty_labelled_set_is_a_degenerate_task():
+    """An empty set has no accuracy: the probe and retrieval refuse it by
+    name instead of dividing by its size."""
+    x, y = _separable(classes=2, dim=4, seed=4)
+    empty_x, empty_y = np.zeros((0, 4)), np.zeros(0, int)
+    with pytest.raises(DegenerateTaskError, match="^linear probe: no samples to score$"):
+        linear_probe(x, y, empty_x, empty_y)
+    with pytest.raises(DegenerateTaskError, match="^retrieval: no samples to score$"):
+        knn_retrieve(build_index(x, y), empty_x, empty_y)
+
+
 def test_probe_handles_noncontiguous_labels():
     x_train, y_train = _separable(classes=3, seed=2)
     remap = {0: 4, 1: 17, 2: 9}
@@ -537,3 +548,24 @@ def test_finetune_makes_no_memo_key(monkeypatch):
                        schedule=FinetuneSchedule(epochs=1), seeds=(0, 1), crop_length=8)
     assert len(summary.per_seed) == 2
     assert state.feature_memo == {}
+
+
+@pytest.mark.parametrize("rep", ["SEQ", "IMG", "STG"])
+def test_finetune_trains_the_backbone_and_the_classifier(monkeypatch, rep):
+    """Each optimizer step gets a gradient for every encoder parameter but
+    the projection head's, and for the classifier's `cls.w` and `cls.b`."""
+    ds = _dataset(frames=12)
+    train, test = _split(ds)
+    state = init_encoder(desk_config(rep, ds.joint_count, hidden=4), seed=0)
+    seen, update = [], downstream._Adam.update
+
+    def recorded(self, params, grads, lr):
+        seen.append(set(grads))
+        assert all(grads[k].shape == params[k].shape for k in grads)
+        update(self, params, grads, lr)
+
+    monkeypatch.setattr(downstream._Adam, "update", recorded)
+    finetune(state, train, test, ds.bones, rho=1.0, schedule=FinetuneSchedule(epochs=1),
+             seeds=(0,), crop_length=8)
+    wanted = {k for k in state.params if not k.startswith("head.")} | {"cls.w", "cls.b"}
+    assert seen and all(names == wanted for names in seen)

@@ -135,11 +135,13 @@ def test_degenerate_embedding_raises():
 
 
 @pytest.mark.usefixtures("conv_workers")
-@pytest.mark.parametrize("rep, pooling", [("IMG", "final"), ("SEQ", "final"), ("STG", "final"),
-                                          ("SEQ", "mean")],
-                         ids=["IMG", "SEQ", "STG", "SEQ-mean"])
-def test_embedding_gradients(fd_check, rep, pooling):
-    """End-to-end backbone+head gradient against central differences.
+@pytest.mark.parametrize("rep, pooling, depth",
+                         [("IMG", "final", 1), ("SEQ", "final", 1), ("STG", "final", 1),
+                          ("SEQ", "mean", 1), ("SEQ", "final", 2)],
+                         ids=["IMG", "SEQ", "STG", "SEQ-mean", "SEQ-depth2"])
+def test_embedding_gradients(fd_check, rep, pooling, depth):
+    """End-to-end backbone+head gradient against central differences, for
+    every parameter; at depth 2 only the last SEQ layer yields final states.
 
     The check runs at a generic parameter point: biases are nudged off
     zero first, because zero-initialized biases place ReLU pre-activations
@@ -147,8 +149,8 @@ def test_embedding_gradients(fd_check, rep, pooling):
     produce exact zeros), where the loss is legitimately one-sided in the
     biases and finite differences measure the two-sided average."""
     rng = np.random.default_rng(10)
-    config = dataclasses.replace(desk_config(rep, JOINTS, hidden=4, projection_dim=6),
-                                 seq_pooling=pooling)
+    config = dataclasses.replace(desk_config(rep, JOINTS, hidden=4, depth=depth,
+                                             projection_dim=6), seq_pooling=pooling)
     state = init_encoder(config, seed=5, dtype=np.float64)
     for name, value in state.params.items():
         if ".b" in name:
@@ -166,6 +168,7 @@ def test_embedding_gradients(fd_check, rep, pooling):
         return float(np.sum(out * probe))
 
     grads = embed_backward(config, state.params, cache, probe)
+    assert set(grads) == set(state.params)
     fd_check(loss, state.params, grads, rng, samples_per_array=3)
 
 
