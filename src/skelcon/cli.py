@@ -12,7 +12,6 @@ included; 4 metrics below a configured acceptance threshold.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import platform
@@ -32,7 +31,11 @@ from .nn import BLAS_THREAD_VARS, blas_core, conv_workers, usable_cpus
 
 FORMAT_VERSIONS = {"dataset": "SKL1", "checkpoint": "CKPT1", "trainer": "TRAINER1"}
 _ENCODER_TASKS = ("probe", "retrieve", "finetune", "export")
-_SCORED_TASKS = ("probe", "retrieve", "finetune")         # each refuses unlabeled samples
+_SCORED_TASKS = ("probe", "retrieve", "finetune", "sweep")  # each refuses unlabeled samples
+_TRAINING_READERS = ("pretrain", "augment-preview", *_SCORED_TASKS)
+# the config key of each `contrast.check_resume` refusal, by the name its ValueError begins with
+_RESUME_KEYS = {"sequences": "dataset", "queue_size": "trainer.queue_size",
+                "epochs": "trainer.epochs", "batch_size": "trainer.batch_size"}
 
 
 # ---------------------------------------------------------------------------
@@ -50,12 +53,25 @@ def _build_config(args) -> ExperimentConfig:
     return resolve_config({}, overrides)
 
 
-def _load(config: ExperimentConfig):
-    """Load and split the data: (dataset, split, train, test)."""
+def _load(config: ExperimentConfig, task: str):
+    """Load and split the data, (dataset, split, train, test), and check it
+    for `task` (a subcommand; a sweep cell pretrains and probes): each split
+    side the task reads must be nonempty, and a scored task's samples must be
+    labeled throughout (`downstream._scorable`)."""
     dataset = config.dataset.load()
     split = config.dataset.split(dataset)
-    return (dataset, split, dataset.subset(list(split.train_ids)),
+    data = (dataset, split, dataset.subset(list(split.train_ids)),
             dataset.subset(list(split.test_ids)))
+    for side, samples, readers in (("training", data[2], _TRAINING_READERS),
+                                   ("test", data[3], (*_ENCODER_TASKS, "sweep"))):
+        if task in readers and not samples:
+            protocol = config.dataset.protocol
+            key = "train_fraction" if protocol == "random" else "protocol"
+            raise ConfigError(f"dataset.{key}: the {protocol} split of {len(dataset.samples)} "
+                              f"samples leaves the {side} side empty, and {task} reads it")
+    if task in _SCORED_TASKS:
+        ds._scorable(ds._labels(dataset.samples), task)
+    return data
 
 
 def _environment() -> dict:
@@ -128,24 +144,12 @@ def _gate(config: ExperimentConfig, mean_accuracy: float) -> int:
 
 
 def _trainer(config: ExperimentConfig, out_dir, resume, data) -> contrast.TrainerState:
-    """The trainer that pretrains into `out_dir` on `data`'s training split,
-    recording the sha256 over its sequences' coords (dtype, shape, bytes):
+    """The trainer that pretrains into `out_dir` on `data`'s training split:
     a fresh one, or the bundle at `resume`, refused if the config would train
-    it differently (only the epoch count may change, and must leave epochs to
-    train), if it saw other data, or if `out_dir`'s loss log lacks its steps
-    (`contrast.kept_loss_log`), or if its step count is not its epochs'
-    (`contrast.check_step`). An unrecorded batch size or hash is not checked.
-    Either way the queue must hold a batch (`contrast.check_queue_holds_a_batch`)."""
-    try:
-        contrast.check_queue_holds_a_batch(config.trainer, config.schedule.batch_size,
-                                           len(data[2]))
-    except ValueError as exc:
-        raise ConfigError(f"trainer.queue_size: {exc}") from None
-    digest = hashlib.sha256()
-    for sample in data[2]:
-        coords = np.ascontiguousarray(sample.sequence.coords)
-        digest.update(f"{coords.dtype.str}{coords.shape}".encode())
-        digest.update(coords.tobytes())
+    it differently (only the epoch count may change). Either way it must pass
+    `contrast.check_resume`, whose `ValueError` is a `ConfigError` on the key
+    it names, and it records the sha256 of its training sequences."""
+    sequences = [s.sequence for s in data[2]]
     if not resume:
         trainer = contrast.make_trainer(config.trainer, config.encoders,
                                         config.aug, data[0].bones, config.seed)
@@ -159,25 +163,18 @@ def _trainer(config: ExperimentConfig, out_dir, resume, data) -> contrast.Traine
                      for rep in trainer.representations]
         drift = [f"{name}.{key}" for name, saved, wanted in sections
                  for key, value in asdict(saved).items() if asdict(wanted)[key] != value]
-        if trainer.batch_size not in (None, config.schedule.batch_size):
-            drift.append("trainer.batch_size")
         if trainer.seed != config.seed:
             drift.append("seed")
         if drift:
             raise ConfigError(f"{', '.join(drift)}: differ from the run resumed from {resume}")
-        if trainer.dataset_sha256 not in (None, digest.hexdigest()):
-            raise ConfigError(f"dataset: the training sequences differ from those of the "
-                              f"run resumed from {resume}")
-        try:
-            contrast.check_step(trainer, len(data[2]))
-        except SchemaError as exc:
-            raise SchemaError(f"{resume}: {exc}") from None
-        try:
-            contrast.check_epochs_left(trainer, config.schedule)
-        except ValueError as exc:
-            raise ConfigError(f"trainer.epochs: {exc}") from None
-        contrast.kept_loss_log(out_dir, trainer.step)
-    trainer.dataset_sha256 = digest.hexdigest()
+    try:
+        contrast.check_resume(trainer, sequences, config.schedule, out_dir)
+    except ValueError as exc:
+        raise ConfigError(f"{_RESUME_KEYS[str(exc).split(' ', 1)[0]]}: {exc}") from None
+    except SchemaError as exc:
+        raise SchemaError(f"{resume}: {exc}") from None
+    if trainer.step == 0 or trainer.dataset_sha256 is None:   # else check_resume compared it
+        trainer.dataset_sha256 = contrast.sequences_sha256(sequences)
     return trainer
 
 
@@ -185,27 +182,15 @@ def _inputs(args, config: ExperimentConfig) -> tuple:
     """Resolve and check everything `args.subcommand` reads, before anything
     is written: (what the run starts from, `_load`'s data). That is the
     encoder of a downstream task (`_encoder`), the trainer of `pretrain`
-    (`_trainer`), the grid of `sweep` (each cell loads its own data), or None.
-    Each split side the task reads must be nonempty. A scored task's data
-    must be labeled throughout (`downstream._scorable`), and each seed's
-    labeled subset of a finetune must hold two classes
-    (`downstream.labeled_subsets`)."""
+    (`_trainer`), the grid of `sweep` (each cell loads and checks its own
+    data), or None. A finetune's seeds must each draw a labeled subset of
+    two classes (`downstream.labeled_subsets`)."""
     if args.subcommand == "sweep":
         if config.sweep is None:
             raise ConfigError("sweep.key: the sweep subcommand needs sweep.key+values "
                               "or sweep.cells in the config")
         return config.sweep, None
-    data = _load(config)
-    for side, samples, tasks in (("training", data[2], ("pretrain", *_SCORED_TASKS)),
-                                 ("test", data[3], _ENCODER_TASKS)):
-        if args.subcommand in tasks and not samples:
-            protocol = config.dataset.protocol
-            key = "train_fraction" if protocol == "random" else "protocol"
-            raise ConfigError(f"dataset.{key}: the {protocol} split of {len(data[0].samples)} "
-                              f"samples leaves the {side} side empty, and "
-                              f"{args.subcommand} reads it")
-    if args.subcommand in _SCORED_TASKS:
-        ds._scorable(ds._labels(data[0].samples), args.subcommand)
+    data = _load(config, args.subcommand)
     if args.subcommand == "pretrain":
         return _trainer(config, args.out, args.resume, data), data
     start = _encoder(config, args.subcommand) if args.subcommand in _ENCODER_TASKS else None
@@ -315,7 +300,7 @@ def _cmd_sweep(args, config: ExperimentConfig, sweep, _):
             record = {"cell": cell, "index": i}
             try:
                 cell_config = resolve_config(config.resolved, list(cell.items()))
-                data = _load(cell_config)
+                data = _load(cell_config, "sweep")
                 trainer = _trainer(cell_config, cell_dir, None, data)
                 write_resolved(cell_config, cell_dir)
                 contrast.pretrain(trainer, [s.sequence for s in data[2]],

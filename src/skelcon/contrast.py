@@ -17,6 +17,7 @@ uninterrupted run.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import zipfile
@@ -622,51 +623,65 @@ def load_trainer(manifest_path) -> TrainerState:
         batch_size=manifest.get("batch_size"), dataset_sha256=manifest.get("dataset_sha256"))
 
 
-def check_epochs_left(trainer: TrainerState, schedule: Schedule) -> None:
-    """`ValueError` unless `trainer` has epochs left to train under `schedule`."""
+def sequences_sha256(sequences: list[SkeletonSequence]) -> str:
+    """The sha256 over the coords of `sequences` (dtype, shape, bytes), in order."""
+    digest = hashlib.sha256()
+    for seq in sequences:
+        coords = np.ascontiguousarray(seq.coords)
+        digest.update(f"{coords.dtype.str}{coords.shape}".encode())
+        digest.update(coords.tobytes())
+    return digest.hexdigest()
+
+
+def check_resume(trainer: TrainerState, sequences: list[SkeletonSequence],
+                 schedule: Schedule, out_dir=None) -> list[str]:
+    """Every rule for `pretrain` to continue `trainer` on `sequences` under
+    `schedule`, checked before anything is written. Returns the lines of
+    ``out_dir/loss_log.jsonl`` that the run keeps, the records of steps
+    0..step-1 (none without a directory or file); later lines (logged after
+    the last checkpoint, before a crash) and a torn last line go.
+
+    A `ValueError`, whose message begins with the name it refuses: empty
+    `sequences`; a `queue_size` below ``min(batch_size, len(sequences))``,
+    the keys of one batch; `epochs` that leave none to train; a `batch_size`
+    or `sequences_sha256` other than the trainer records (the digest is
+    computed only for a trainer that has taken a step). A `SchemaError` if
+    the step is not ``epoch * ceil(len(sequences) / batch_size)`` at the
+    recorded batch size, and a `ParseError` naming the log's line if a
+    record before the cut is not a JSON object whose integer ``step`` is its
+    own, or if too few are left (another run rewrote the log). A trainer
+    that records no batch size or hash is not checked for it."""
+    n = len(sequences)
+    if not n:
+        raise ValueError("sequences are empty: pretraining needs at least one")
+    batch = min(schedule.batch_size, n)
+    if trainer.config.queue_size < batch:
+        raise ValueError(f"queue_size {trainer.config.queue_size} cannot hold a batch of "
+                         f"{batch} keys (batch_size {schedule.batch_size}, {n} training "
+                         f"sequences)")
     if trainer.epoch >= schedule.epochs:
-        raise ValueError(f"trainer already at epoch {trainer.epoch}, "
-                         f"schedule ends at {schedule.epochs}")
-
-
-def check_queue_holds_a_batch(config: TrainerConfig, batch_size: int,
-                              train_size: int) -> None:
-    """`ValueError` unless every queue holds the keys of one batch, which is
-    ``min(batch_size, train_size)`` sequences: a batch larger than the data
-    is clipped to it."""
-    batch = min(batch_size, train_size)
-    if config.queue_size < batch:
-        raise ValueError(f"queue_size {config.queue_size} cannot hold a batch of {batch} "
-                         f"keys (batch_size {batch_size}, {train_size} training sequences)")
-
-
-def check_step(trainer: TrainerState, train_size: int) -> None:
-    """`SchemaError` unless `trainer.step` is the number of steps its `epoch`
-    full epochs over `train_size` sequences take at its recorded batch size,
-    ``epoch * ceil(train_size / batch_size)``; a trainer that records no
-    batch size is not checked."""
-    if trainer.batch_size is None:
-        return
-    steps = trainer.epoch * -(-train_size // trainer.batch_size)
-    if trainer.step != steps:
-        raise SchemaError(f"manifest 'step' is {trainer.step}, but {trainer.epoch} epoch(s) "
-                          f"of {train_size} sequences at batch size {trainer.batch_size} "
-                          f"take {steps} steps")
-
-
-def kept_loss_log(out_dir, step: int) -> list[str]:
-    """The first `step` lines of ``out_dir/loss_log.jsonl``, which a run
-    continuing from `step` keeps; they must be the records of steps 0..step-1.
-    Later lines (logged after the last checkpoint, before a crash) and a torn
-    last line go. A full line before the cut that is not a JSON object with an
-    integer ``step``, a record of another step, or too few records (another
-    run rewrote the file) raise `ParseError` naming it; a missing file keeps none."""
-    path = os.path.join(out_dir, "loss_log.jsonl")
+        raise ValueError(f"epochs {schedule.epochs} leave nothing to train, the trainer "
+                         f"is already at epoch {trainer.epoch}")
+    if trainer.batch_size is not None:
+        if schedule.batch_size != trainer.batch_size:
+            raise ValueError(f"batch_size {schedule.batch_size} is not the trainer's "
+                             f"recorded batch size {trainer.batch_size}")
+        steps = trainer.epoch * -(-n // trainer.batch_size)
+        if trainer.step != steps:
+            raise SchemaError(f"manifest 'step' is {trainer.step}, but {trainer.epoch} "
+                              f"epoch(s) of {n} sequences at batch size "
+                              f"{trainer.batch_size} take {steps} steps")
+    if trainer.step and trainer.dataset_sha256 is not None:
+        digest, recorded = sequences_sha256(sequences), trainer.dataset_sha256
+        if digest != recorded:
+            raise ValueError(f"sequences differ from the training data the trainer records: "
+                             f"sha256 {digest[:12]}..., not {recorded[:12]}...")
     kept = []
-    if os.path.exists(path):
+    path = None if out_dir is None else os.path.join(out_dir, "loss_log.jsonl")
+    if path is not None and os.path.exists(path):
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
-                if len(kept) == step or not line.endswith("\n"):
+                if len(kept) == trainer.step or not line.endswith("\n"):
                     break
                 record = parse_json_object(f"{path}: line {lineno}", line, "loss record",
                                            None, (("step", int),))
@@ -674,15 +689,16 @@ def kept_loss_log(out_dir, step: int) -> list[str]:
                     raise ParseError(f"{path}: line {lineno}: a record of step "
                                      f"{record['step']} where step {len(kept)} belongs")
                 kept.append(line)
-        if len(kept) < step:
+        if len(kept) < trainer.step:
             raise ParseError(f"{path}: {len(kept)} full records, but the run resumes "
-                             f"at step {step}")
+                             f"at step {trainer.step}")
     return kept
 
 
 def pretrain(trainer: TrainerState, sequences: list[SkeletonSequence],
              schedule: Schedule, out_dir=None) -> list[dict]:
-    """Run the contrastive loop over shuffled epochs.
+    """Run the contrastive loop over shuffled epochs, once `check_resume`
+    has passed the trainer, data and schedule.
 
     Writes one record per step to ``out_dir/loss_log.jsonl`` (when an output
     directory is given) after the records of earlier steps that the file
@@ -693,12 +709,7 @@ def pretrain(trainer: TrainerState, sequences: list[SkeletonSequence],
     because every rng is derived from (seed, tag, epoch, step), the resumed
     loss log is identical to the uninterrupted run's from that point on.
     """
-    if not sequences:
-        raise ValueError("pretrain needs a nonempty dataset")
-    check_epochs_left(trainer, schedule)
-    check_queue_holds_a_batch(trainer.config, schedule.batch_size, len(sequences))
-    check_step(trainer, len(sequences))
-    kept = [] if out_dir is None else kept_loss_log(out_dir, trainer.step)
+    kept = check_resume(trainer, sequences, schedule, out_dir)
     if trainer.step == 0 and all(len(q) == 0 for q in trainer.queues.values()):
         warmup_queues(trainer, sequences)
     trainer.batch_size = schedule.batch_size

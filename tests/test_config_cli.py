@@ -1108,6 +1108,51 @@ def test_cli_resume_of_a_manifest_without_a_dataset_hash_is_not_checked_for_it(t
     assert len(recorded) == len(resumed) == 64 and resumed != recorded
 
 
+def _training_sequences(extra=()):
+    """The training sequences of a TINY `pretrain` with the overrides `extra`."""
+    config = resolve_config({}, [parse_override(item) for item in TINY + list(extra)])
+    return [s.sequence for s in cli._load(config, "pretrain")[2]]
+
+
+# A resume of the 2-epoch TINY bundle at another batch size, and one on other
+# training data of the same length: (batch size, overrides, refusal).
+_LIBRARY_DRIFTS = {
+    "batch_size": (6, [], "^batch_size 6 is not the trainer's recorded batch size 4$"),
+    "dataset_sha256": (4, ["dataset.seed=7"],
+                       "^sequences differ from the training data the trainer records"),
+}
+
+
+@pytest.mark.parametrize("recorded", [True, False], ids=["recorded", "older-manifest"])
+@pytest.mark.parametrize("field", sorted(_LIBRARY_DRIFTS))
+def test_library_resume_refuses_a_batch_size_or_training_data_the_bundle_did_not_record(
+        tmp_path, tiny_bundle, field, recorded):
+    """`pretrain(load_trainer(m), ...)` refuses a batch size, or training
+    data, other than the one the bundle records, before it writes: the loss
+    log and the bundle keep their bytes. A manifest that does not record it
+    (an older TRAINER1) resumes as before."""
+    batch_size, extra, refusal = _LIBRARY_DRIFTS[field]
+    run = tmp_path / "run"
+    shutil.copytree(tiny_bundle, run)
+    manifest = run / "epoch0002.trainer.json"
+    if not recorded:
+        _edit_trainer_manifest(manifest, None, lambda record: record.pop(field))
+    before = _tree(run)
+    sequences = _training_sequences(extra)
+    assert len(sequences) == 6          # so the step count of the bundle still holds
+
+    def resume():
+        return pretrain(load_trainer(manifest), sequences,
+                        Schedule(epochs=3, batch_size=batch_size), out_dir=run)
+    if recorded:
+        with pytest.raises(ValueError, match=refusal):
+            resume()
+        assert _tree(run) == before
+    else:
+        steps = [record["step"] for record in resume()]
+        assert steps == list(range(4, 4 + -(-6 // batch_size)))
+
+
 def test_cli_reports_running_out_of_memory_as_a_runtime_failure(tmp_path, capsys, monkeypatch):
     def no_memory(*args, **kwargs):
         raise MemoryError("Unable to allocate 466. TiB for an array")
@@ -1223,6 +1268,7 @@ _TWO_SAMPLES = ["dataset.num_classes=2", "dataset.samples_per_class=1"]
     ("retrieve", 0.05, "training"), ("finetune", 0.05, "training"),
     ("probe", 0.95, "test"), ("retrieve", 0.95, "test"),
     ("finetune", 0.95, "test"), ("export", 0.95, "test"),
+    ("augment-preview", 0.05, "training"),
 ])
 def test_cli_refuses_an_empty_split_side_before_writing(tmp_path, tiny_bundle, capsys,
                                                         task, fraction, side):
@@ -1231,7 +1277,7 @@ def test_cli_refuses_an_empty_split_side_before_writing(tmp_path, tiny_bundle, c
     naming the split fraction, and `--out` is never made."""
     out = tmp_path / task
     argv = [task, "--out", str(out)] + _sets(_TWO_SAMPLES + [f"dataset.train_fraction={fraction}"])
-    if task != "pretrain":
+    if task in cli._ENCODER_TASKS:
         argv += ["--checkpoint", str(tiny_bundle / "epoch0002.trainer.json")]
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -1249,3 +1295,26 @@ def test_cli_runs_a_task_whose_own_split_side_is_nonempty(tmp_path, tiny_bundle,
     if task != "pretrain":
         argv += ["--checkpoint", str(tiny_bundle / "epoch0002.trainer.json")]
     assert main(argv) == 0
+
+
+@pytest.mark.parametrize("unlabeled", [False, True], ids=["empty-side", "unlabeled"])
+def test_a_sweep_cell_refused_for_its_data_is_a_failed_cell_that_writes_nothing(tmp_path,
+                                                                                unlabeled):
+    """Each cell pretrains and probes, so it is refused as those tasks are,
+    before its `config.json`: with two samples, cell 0's training side is
+    empty and cell 1's test side; a dataset with an unlabeled sample refuses
+    every cell."""
+    out = tmp_path / "sweep"
+    extra = (_unlabeled_dataset(tmp_path) + ["sweep.values=[0.4,0.6]"] if unlabeled
+             else _TWO_SAMPLES + ["sweep.values=[0.05,0.95]"])
+    extra.append("sweep.key=dataset.train_fraction")
+    assert main(["sweep", "--out", str(out)] + _sets(extra)) == 3
+    records = [json.loads(l) for l in (out / "sweep.jsonl").read_text().splitlines()]
+    for record, side in zip(records, ("training", "test")):
+        assert record["status"] == "failed"
+        assert record["error"] == (
+            "DegenerateTaskError: sweep: 1 sample(s) have no label (-1); only labeled "
+            "samples can be scored" if unlabeled else
+            "ConfigError: dataset.train_fraction: the random split of 2 "
+            f"samples leaves the {side} side empty, and sweep reads it")
+    assert len(records) == 2 and not (out / "cells").exists()

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skelcon import contrast
 from skelcon.augment import AugmentationSpec, apply_view, draw_view, make_query_key_pair
 from skelcon.contrast import (
     _CHUNK_ROWS,
@@ -475,6 +476,12 @@ def test_pretrain_refuses_a_queue_smaller_than_a_batch_before_the_warm_up(
     assert not (tmp_path / "out").exists()
 
 
+def test_pretrain_refuses_empty_sequences_before_it_writes(tmp_path):
+    with pytest.raises(ValueError, match="^sequences are empty"):
+        pretrain(_make_trainer(), [], Schedule(epochs=1, batch_size=4), out_dir=tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 def test_trainer_config_validation():
     with pytest.raises(ValueError):
         TrainerConfig("solo", ("SEQ",))
@@ -720,6 +727,22 @@ def test_resume_after_a_crash_between_checkpoints_logs_each_step_once(tmp_path):
     resumed = load_trainer(crashed / "epoch0002.trainer.json")
     pretrain(resumed, seqs, schedule, out_dir=crashed)
     assert (crashed / "loss_log.jsonl").read_bytes() == straight
+
+
+def test_pretrain_hashes_the_data_only_to_resume_a_trainer_that_records_a_hash(monkeypatch):
+    """A fresh trainer, recording a hash (as the CLI's does) or not, never
+    pays for the digest of its data; a trainer that has taken a step and
+    records one does."""
+    def digest(sequences):
+        raise AssertionError("sequences_sha256 called")
+    monkeypatch.setattr(contrast, "sequences_sha256", digest)
+    seqs = [s.sequence for s in _dataset().samples]
+    for recorded in (None, "0" * 64):
+        trainer = _make_trainer(seed=9)
+        trainer.dataset_sha256 = recorded
+        pretrain(trainer, seqs, Schedule(epochs=2, batch_size=4))
+    with pytest.raises(AssertionError, match="sequences_sha256 called"):
+        pretrain(trainer, seqs, Schedule(epochs=3, batch_size=4))
 
 
 def test_trainer_manifest_write_that_fails_midway_keeps_the_previous_file(
