@@ -143,12 +143,14 @@ def _gate(config: ExperimentConfig, mean_accuracy: float) -> int:
     return 0
 
 
-def _trainer(config: ExperimentConfig, out_dir, resume, data) -> contrast.TrainerState:
-    """The trainer that pretrains into `out_dir` on `data`'s training split:
-    a fresh one, or the bundle at `resume`, refused if the config would train
-    it differently (only the epoch count may change). Either way it must pass
-    `contrast.check_resume`, whose `ValueError` is a `ConfigError` on the key
-    it names, and it records the sha256 of its training sequences."""
+def _trainer(config: ExperimentConfig, out_dir, resume, data) -> tuple:
+    """(trainer, kept): the trainer that pretrains into `out_dir` on `data`'s
+    training split, a fresh one or the bundle at `resume`, refused if the
+    config would train it differently (only the epoch count may change).
+    Either way it must pass `contrast.check_resume`, whose `ValueError` is a
+    `ConfigError` on the key it names and whose loss-log lines are `kept`,
+    and it records the sha256 of its training sequences. The run trains it
+    with `contrast._train_epochs`, which does not check it again."""
     sequences = [s.sequence for s in data[2]]
     if not resume:
         trainer = contrast.make_trainer(config.trainer, config.encoders,
@@ -168,23 +170,23 @@ def _trainer(config: ExperimentConfig, out_dir, resume, data) -> contrast.Traine
         if drift:
             raise ConfigError(f"{', '.join(drift)}: differ from the run resumed from {resume}")
     try:
-        contrast.check_resume(trainer, sequences, config.schedule, out_dir)
+        kept = contrast.check_resume(trainer, sequences, config.schedule, out_dir)
     except ValueError as exc:
         raise ConfigError(f"{_RESUME_KEYS[str(exc).split(' ', 1)[0]]}: {exc}") from None
     except SchemaError as exc:
         raise SchemaError(f"{resume}: {exc}") from None
     if trainer.step == 0 or trainer.dataset_sha256 is None:   # else check_resume compared it
         trainer.dataset_sha256 = contrast.sequences_sha256(sequences)
-    return trainer
+    return trainer, kept
 
 
 def _inputs(args, config: ExperimentConfig) -> tuple:
     """Resolve and check everything `args.subcommand` reads, before anything
     is written: (what the run starts from, `_load`'s data). That is the
-    encoder of a downstream task (`_encoder`), the trainer of `pretrain`
-    (`_trainer`), the grid of `sweep` (each cell loads and checks its own
-    data), or None. A finetune's seeds must each draw a labeled subset of
-    two classes (`downstream.labeled_subsets`)."""
+    encoder of a downstream task (`_encoder`), the trainer of `pretrain` and
+    the loss-log lines it keeps (`_trainer`), the grid of `sweep` (each cell
+    loads and checks its own data), or None. A finetune's seeds must each
+    draw a labeled subset of two classes (`downstream.labeled_subsets`)."""
     if args.subcommand == "sweep":
         if config.sweep is None:
             raise ConfigError("sweep.key: the sweep subcommand needs sweep.key+values "
@@ -203,9 +205,10 @@ def _inputs(args, config: ExperimentConfig) -> tuple:
 # subcommands: each returns its exit code and the artifacts it wrote
 # ---------------------------------------------------------------------------
 
-def _cmd_pretrain(args, config: ExperimentConfig, trainer, data):
-    records = contrast.pretrain(trainer, [s.sequence for s in data[2]], config.schedule,
-                                out_dir=args.out)
+def _cmd_pretrain(args, config: ExperimentConfig, start, data):
+    trainer, kept = start
+    records = contrast._train_epochs(trainer, [s.sequence for s in data[2]],
+                                     config.schedule, args.out, kept)
     manifest = f"epoch{trainer.epoch:04d}.trainer.json"
     first, last = records[0]["total"], records[-1]["total"]
     print(f"pretrained {config.trainer.mode}({','.join(config.trainer.representations)}) "
@@ -301,10 +304,10 @@ def _cmd_sweep(args, config: ExperimentConfig, sweep, _):
             try:
                 cell_config = resolve_config(config.resolved, list(cell.items()))
                 data = _load(cell_config, "sweep")
-                trainer = _trainer(cell_config, cell_dir, None, data)
+                trainer, kept = _trainer(cell_config, cell_dir, None, data)
                 write_resolved(cell_config, cell_dir)
-                contrast.pretrain(trainer, [s.sequence for s in data[2]],
-                                  cell_config.schedule, out_dir=cell_dir)
+                contrast._train_epochs(trainer, [s.sequence for s in data[2]],
+                                       cell_config.schedule, cell_dir, kept)
                 rep = _representation(cell_config, trainer.representations, "the cell's trainer")
                 metrics = ds.linear_probe(
                     *_features(cell_config, trainer.pairs[rep].query, data),

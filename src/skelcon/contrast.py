@@ -709,7 +709,13 @@ def pretrain(trainer: TrainerState, sequences: list[SkeletonSequence],
     because every rng is derived from (seed, tag, epoch, step), the resumed
     loss log is identical to the uninterrupted run's from that point on.
     """
-    kept = check_resume(trainer, sequences, schedule, out_dir)
+    return _train_epochs(trainer, sequences, schedule, out_dir,
+                         check_resume(trainer, sequences, schedule, out_dir))
+
+
+def _train_epochs(trainer: TrainerState, sequences: list[SkeletonSequence],
+                  schedule: Schedule, out_dir, kept: list[str]) -> list[dict]:
+    """`pretrain` after its `check_resume`, which returned `kept`."""
     if trainer.step == 0 and all(len(q) == 0 for q in trainer.queues.values()):
         warmup_queues(trainer, sequences)
     trainer.batch_size = schedule.batch_size

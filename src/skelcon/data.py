@@ -2,14 +2,18 @@
 generator, `DatasetSpec`, which builds a run's dataset from its config, and
 `build_dataclass`, which makes each config and artifact section a dataclass.
 
-A skeleton sequence is a rank-4 float array of shape (T, M, J, 3): T frames,
-M actors (always 2, a missing second actor is an all-zeros slab), J joints,
-3 camera-space coordinates in meters.
+A skeleton sequence is a rank-4 float32 array of shape (T, M, J, 3): T
+frames, M actors (always 2, a missing second actor is an all-zeros slab), J
+joints, 3 camera-space coordinates in meters.  float32 is the precision of
+Kinect joints and the precision every encoder reads, and `generate_synthetic`
+and `load_dataset` both make float32 coords.  A caller's float64 sequences
+work too: the views compute in float64 whatever they are given, and
+`batch_views` casts to the encoder's dtype.
 
 The canonical on-disk format ("SKL1") is UTF-8 line-delimited JSON: a header
 line followed by one record per sequence.  Coordinates survive a
 write/read cycle bit-exactly because Python's JSON float formatting uses
-shortest round-trip repr.
+shortest round-trip repr, and every float32 value is exactly a double.
 """
 
 from __future__ import annotations
@@ -59,7 +63,8 @@ def chain_tree_bones(joints: int) -> tuple[tuple[int, int], ...]:
 
 @dataclass(frozen=True)
 class SkeletonSequence:
-    """One raw action sample: coordinates of shape (T, 2, J, 3) plus an id."""
+    """One raw action sample: coordinates of shape (T, 2, J, 3), float32 as
+    `generate_synthetic` and `load_dataset` make them, plus an id."""
 
     coords: np.ndarray
     sample_id: str
@@ -287,7 +292,8 @@ def save_dataset(dataset: Dataset, path) -> None:
 
 
 def load_dataset(path) -> Dataset:
-    """Load a canonical skeleton file.
+    """Load a canonical skeleton file, reading one line at a time and parsing
+    each record's coords straight to float32.
 
     Raises
     ------
@@ -300,13 +306,14 @@ def load_dataset(path) -> Dataset:
         A header whose bones are not a tree over its joints, or a record
         whose joint count or declared shape contradicts the header.
     ValidationError
-        A sequence with non-finite coordinates, naming the sample id.
+        A sequence with non-finite coordinates, or with a finite coordinate
+        beyond float32's range, naming the sample id.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
+    lines = _read_lines(path)
+    first = next(lines, None)
+    if first is None:
         raise ParseError(f"{path}: empty file")
-    header = parse_json_object(f"{path}: line 1", lines[0], "header", "SKL1",
+    header = parse_json_object(f"{path}: line 1", first, "header", "SKL1",
                                (("J", int), ("num_classes", int), ("bones", list)))
     joint_count, num_classes = header["J"], header["num_classes"]
     bones = parse_bones(f"{path}: line 1", "header", header["bones"])
@@ -317,7 +324,7 @@ def load_dataset(path) -> Dataset:
         raise SchemaError(f"{path}: line 1: {e}") from e
 
     samples: list[LabeledSample] = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(lines, start=2):
         if not line.strip():
             continue
         record_index = len(samples) + 1
@@ -326,8 +333,16 @@ def load_dataset(path) -> Dataset:
                                 (("T", int), ("M", int), ("J", int)),
                                 (("label", int), ("subject", int), ("view", int)))
         try:
-            coords = np.asarray(rec["coords"], dtype=np.float64)
             sample_id = str(rec["id"])
+            with np.errstate(over="raise"):
+                coords = np.asarray(rec["coords"], dtype=np.float32)
+        except FloatingPointError:
+            # a finite double that float32 would hold as inf
+            wide = np.abs(np.asarray(rec["coords"], dtype=np.float64))
+            raise ValidationError(
+                f"{path}: sample {sample_id!r}: coordinate of magnitude "
+                f"{float(wide[np.isfinite(wide)].max())!r} is outside float32's range "
+                f"(at most {float(np.finfo(np.float32).max)!r})") from None
         except (KeyError, TypeError, ValueError) as e:
             raise ParseError(f"{source}: bad record: {e}") from e
         declared = (rec["T"], rec["M"], rec["J"])
@@ -352,6 +367,15 @@ def load_dataset(path) -> Dataset:
                                      subject_id=rec.get("subject"), view_id=rec.get("view")))
     return Dataset(samples=samples, num_classes=num_classes,
                    joint_count=joint_count, bones=bones)
+
+
+def _read_lines(path):
+    """The lines of the text file at `path` without their line ends, read
+    one at a time, so a file is never held in memory whole."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            line = line.rstrip("\n")   # and the unstripped copy goes
+            yield line
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +415,7 @@ def generate_synthetic(num_classes: int, samples_per_class: int, frames: int,
     i.i.d. coordinate noise.  The signature (per-joint energy, relative
     frequencies) survives viewpoint and speed changes; the nuisances do not,
     which is exactly the invariance structure the augmentations model.
+    The motion is computed in float64 and rounded once into float32 coords.
     Pure function of its arguments: the same seed always yields the
     identical dataset.
     """
@@ -429,8 +454,8 @@ def generate_synthetic(num_classes: int, samples_per_class: int, frames: int,
             rot = np.array([[cos_y, -sin_y, 0.0], [sin_y, cos_y, 0.0], [0.0, 0.0, 1.0]])
             motion = motion @ rot.T
             motion = motion + rng.normal(scale=noise, size=motion.shape)
-            coords = np.zeros((frames, NUM_ACTORS, joints, 3))
-            coords[:, 0] = motion
+            coords = np.zeros((frames, NUM_ACTORS, joints, 3), dtype=np.float32)
+            coords[:, 0] = motion   # the one rounding of the float64 motion
             seq = SkeletonSequence(coords=coords, sample_id=f"synth-{c:02d}-{i:03d}")
             samples.append(LabeledSample(
                 sequence=seq,

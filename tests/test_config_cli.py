@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from skelcon import cli
+from skelcon import cli, contrast
 from skelcon.augment import AugmentationSpec, _resample_plan
 from skelcon.cli import main
 from skelcon.contrast import Schedule, TrainerConfig, load_trainer, make_trainer, pretrain
@@ -743,6 +743,21 @@ def test_cli_resume_continues_from_manifest(tmp_path):
     resumed = [json.loads(l) for l
                in (tmp_path / "steps" / "loss_log.jsonl").read_text().splitlines()]
     assert resumed == straight
+
+
+def test_cli_resume_checks_the_bundle_once(tmp_path, monkeypatch):
+    """A resumed `pretrain` runs `contrast.check_resume` once, before it
+    writes, so it hashes its training data and reads its loss log once."""
+    out, _ = _pretrain(tmp_path, extra=["trainer.epochs=1"])
+    calls = {"check_resume": 0, "sequences_sha256": 0}
+    for name in calls:
+        def counted(*args, _name=name, _wrapped=getattr(contrast, name), **kwargs):
+            calls[_name] += 1
+            return _wrapped(*args, **kwargs)
+        monkeypatch.setattr(contrast, name, counted)
+    assert main(["pretrain", "--out", str(out), "--resume", str(out / "epoch0001.trainer.json")]
+                + _sets(["trainer.epochs=2"])) == 0
+    assert calls == {"check_resume": 1, "sequences_sha256": 1}
 
 
 # `pretrain` whose process dies (exit 9, no clean-up) as soon as the epoch-2

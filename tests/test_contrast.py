@@ -635,6 +635,20 @@ def test_pretrain_loss_decreases_on_tiny_data():
     assert all(np.isfinite(r["total"]) for r in records)
 
 
+@pytest.mark.parametrize("reps", [("SEQ",), ("IMG", "SEQ", "STG")], ids=["intra", "inter3"])
+def test_pretrain_trains_float64_copies_of_float32_sequences_to_the_same_losses(reps):
+    """Float64 coords still train. The views compute in float64 either way
+    and `batch_views` casts them to the encoders' float32, so a float64 copy
+    of float32 coords gives the same loss records."""
+    seqs = [s.sequence for s in _dataset().samples]
+    assert {s.coords.dtype for s in seqs} == {np.dtype(np.float32)}
+    wide = [s.with_coords(s.coords.astype(np.float64)) for s in seqs]
+    mode = "intra" if len(reps) == 1 else "inter3"
+    runs = [pretrain(_make_trainer(mode, reps, queue_size=8), data,
+                     Schedule(epochs=2, batch_size=4)) for data in (seqs, wide)]
+    assert runs[0] == runs[1] and all(np.isfinite(r["total"]) for r in runs[1])
+
+
 # ---------------------------------------------------------------------------
 # save / resume replay
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Skeleton data types, canonical format, splits, and the synthetic generator."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,6 +60,15 @@ def test_generator_rejects_bad_arguments(kwargs):
         generate_synthetic(seed=0, **kwargs)
 
 
+def test_generator_holds_the_benchmark_data_in_float32():
+    """The 5 x 100 sequences of 96 frames, 2 actors and 25 joints that the
+    acceptance benchmark trains on hold 4-byte coordinates, so a wider
+    stored dtype fails here and not only in a peak-RSS reading."""
+    ds = generate_synthetic(5, 100, 96, 25, seed=0)
+    assert {s.sequence.coords.dtype for s in ds.samples} == {np.dtype(np.float32)}
+    assert sum(s.sequence.coords.nbytes for s in ds.samples) == 28_800_000
+
+
 def test_generator_second_actor_is_zero_padded():
     ds = generate_synthetic(2, 3, 16, 6, seed=5)
     for s in ds.samples:
@@ -115,8 +125,24 @@ def test_round_trip_is_bitwise(tmp_path):
         assert re.label == orig.label
         assert re.subject_id == orig.subject_id
         assert re.view_id == orig.view_id
-        assert re.sequence.coords.dtype == orig.sequence.coords.dtype
-        assert np.array_equal(re.sequence.coords, orig.sequence.coords)
+        assert re.sequence.coords.dtype == orig.sequence.coords.dtype == np.float32
+        assert re.sequence.coords.tobytes() == orig.sequence.coords.tobytes()
+
+
+def test_loader_reads_a_file_in_less_memory_than_its_size(tmp_path):
+    """The loader reads one line at a time: its traced peak stays below the
+    file's size, which holding the whole text (let alone twice) exceeds."""
+    ds = generate_synthetic(2, 20, 96, 25, seed=4)
+    path = tmp_path / "ds.skl"
+    save_dataset(ds, path)
+    tracemalloc.start()
+    try:
+        back = load_dataset(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(back) == len(ds)
+    assert peak < path.stat().st_size
 
 
 def test_loader_preserves_order(tmp_path):
@@ -160,6 +186,34 @@ def test_loader_validation_error_names_sample(tmp_path):
     lines[1] = json.dumps(record)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValidationError, match=record["id"]):
+        load_dataset(path)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", [1e39, -3.5e38, 1.7976931348623157e308])
+def test_loader_refuses_a_finite_coordinate_beyond_float32_range(tmp_path, value):
+    """A double that float32 would hold as inf is refused as out of range,
+    naming the sample, without numpy's overflow warning; the largest
+    float32 itself loads."""
+    path, lines = _tiny_file_lines(tmp_path)
+    record = json.loads(lines[2])
+    record["coords"][3][0][1][2] = float(np.finfo(np.float32).max)
+    lines[2] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    assert load_dataset(path)[1].sequence.coords[3, 0, 1, 2] == np.finfo(np.float32).max
+    record["coords"][5][0][2][1] = value
+    lines[2] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValidationError) as caught:
+        load_dataset(path)
+    assert f"sample {record['id']!r}: coordinate of magnitude {abs(value)!r} is outside " \
+        "float32's range" in str(caught.value)
+
+
+def test_loader_refuses_an_empty_file(tmp_path):
+    path = tmp_path / "empty.skl"
+    path.write_text("")
+    with pytest.raises(ParseError, match="empty file"):
         load_dataset(path)
 
 

@@ -75,6 +75,20 @@ def test_extract_features_is_deterministic_and_batch_invariant():
         extract_features(state, [], ds.bones)
 
 
+@pytest.mark.parametrize("crop", [16, 30], ids=["window", "resampled"])
+@pytest.mark.parametrize("rep", ["IMG", "SEQ", "STG"])
+def test_float64_coords_extract_the_bytes_of_their_float32_originals(rep, crop):
+    """Each encoder reads its float32 input from a float64 copy of the
+    coords as from the coords themselves, whether the crop is a window of
+    the 20 frames or a resample of them. Two states, so no memo hit."""
+    ds = _dataset()
+    wide = [replace(s, sequence=s.sequence.with_coords(s.sequence.coords.astype(np.float64)))
+            for s in ds.samples]
+    features = [extract_features(_states(ds, (rep,))[0], samples, ds.bones, crop_length=crop)[0]
+                for samples in (ds.samples, wide)]
+    assert features[0].tobytes() == features[1].tobytes()
+
+
 def test_extract_features_maps_missing_labels_to_minus_one():
     ds = _dataset()
     state = init_encoder(desk_config("SEQ", ds.joint_count, hidden=4), seed=0)
