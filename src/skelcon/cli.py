@@ -57,9 +57,13 @@ def _load(config: ExperimentConfig, task: str):
     """Load and split the data, (dataset, split, train, test), and check it
     for `task` (a subcommand; a sweep cell pretrains and probes): each split
     side the task reads must be nonempty, and a scored task's samples must be
-    labeled throughout (`downstream._scorable`)."""
+    labeled throughout (`downstream._scorable`). A protocol the samples lack
+    the metadata for is a ConfigError on `dataset.protocol`."""
     dataset = config.dataset.load()
-    split = config.dataset.split(dataset)
+    try:
+        split = config.dataset.split(dataset)
+    except ValueError as exc:
+        raise ConfigError(f"dataset.protocol: {exc}") from None
     data = (dataset, split, dataset.subset(list(split.train_ids)),
             dataset.subset(list(split.test_ids)))
     for side, samples, readers in (("training", data[2], _TRAINING_READERS),

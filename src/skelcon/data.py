@@ -292,90 +292,88 @@ def save_dataset(dataset: Dataset, path) -> None:
 
 
 def load_dataset(path) -> Dataset:
-    """Load a canonical skeleton file, reading one line at a time and parsing
-    each record's coords straight to float32.
+    """Load a canonical skeleton file: its header, then one `_read_record` per
+    non-blank line, read one line at a time. Every record key is declared: a
+    string ``id`` unique in the file, int ``T``, ``M`` and ``J``, a ``coords``
+    list parsed straight to float32, and int or null ``label``, ``subject``, ``view``.
 
     Raises
     ------
     ParseError
         Malformed JSON, a header that is missing, has no int ``J`` or
         ``num_classes`` or whose ``bones`` are not ``[int, int]`` edges, or a
-        record whose ``T``, ``M``, ``J``, ``label``, ``subject`` or ``view``
-        is not a JSON integer, naming the offending line and key.
+        record with a missing or mistyped key or ragged or non-numeric
+        coords, naming the offending line and key.
     SchemaError
-        A header whose bones are not a tree over its joints, or a record
-        whose joint count or declared shape contradicts the header.
+        A header whose bones are not a tree over its joints, a record whose
+        joint count, declared shape or label contradicts the header, or a
+        sample id an earlier record holds, naming the sample and both lines.
     ValidationError
-        A sequence with non-finite coordinates, or with a finite coordinate
-        beyond float32's range, naming the sample id.
+        A sequence that `validate_sequence` refuses (of rank 5, say, or with
+        a non-finite coordinate), or a finite coordinate beyond float32's
+        range, naming the sample id.
     """
-    lines = _read_lines(path)
-    first = next(lines, None)
-    if first is None:
-        raise ParseError(f"{path}: empty file")
-    header = parse_json_object(f"{path}: line 1", first, "header", "SKL1",
-                               (("J", int), ("num_classes", int), ("bones", list)))
-    joint_count, num_classes = header["J"], header["num_classes"]
-    bones = parse_bones(f"{path}: line 1", "header", header["bones"])
-    from .represent import graph_adjacency  # represent imports this module
-    try:
-        graph_adjacency(bones, joint_count)
-    except ValueError as e:
-        raise SchemaError(f"{path}: line 1: {e}") from e
-
-    samples: list[LabeledSample] = []
-    for lineno, line in enumerate(lines, start=2):
-        if not line.strip():
-            continue
-        record_index = len(samples) + 1
-        source = f"{path}: line {lineno} (record {record_index})"
-        rec = parse_json_object(source, line, "record", None,
-                                (("T", int), ("M", int), ("J", int)),
-                                (("label", int), ("subject", int), ("view", int)))
-        try:
-            sample_id = str(rec["id"])
-            with np.errstate(over="raise"):
-                coords = np.asarray(rec["coords"], dtype=np.float32)
-        except FloatingPointError:
-            # a finite double that float32 would hold as inf
-            wide = np.abs(np.asarray(rec["coords"], dtype=np.float64))
-            raise ValidationError(
-                f"{path}: sample {sample_id!r}: coordinate of magnitude "
-                f"{float(wide[np.isfinite(wide)].max())!r} is outside float32's range "
-                f"(at most {float(np.finfo(np.float32).max)!r})") from None
-        except (KeyError, TypeError, ValueError) as e:
-            raise ParseError(f"{source}: bad record: {e}") from e
-        declared = (rec["T"], rec["M"], rec["J"])
-        if coords.ndim != 4 or coords.shape[3] != 3:
-            raise SchemaError(
-                f"{path}: record {record_index}: coords shape {coords.shape} is not (T, M, J, 3)")
-        if coords.shape[:3] != declared:
-            raise SchemaError(
-                f"{path}: record {record_index}: declared (T,M,J)={declared} but coords are {coords.shape[:3]}")
-        if coords.shape[2] != joint_count:
-            raise SchemaError(
-                f"{path}: record {record_index}: J={coords.shape[2]} differs from header J={joint_count}")
-        seq = SkeletonSequence(coords=coords, sample_id=sample_id)
-        report = validate_sequence(seq)
-        if not report:
-            raise ValidationError(f"{path}: sample {sample_id!r}: {report.message}")
-        label = rec.get("label")
-        if label is not None and not 0 <= label < num_classes:
-            raise SchemaError(
-                f"{path}: record {record_index}: label {label} outside [0, {num_classes})")
-        samples.append(LabeledSample(sequence=seq, label=label,
-                                     subject_id=rec.get("subject"), view_id=rec.get("view")))
-    return Dataset(samples=samples, num_classes=num_classes,
-                   joint_count=joint_count, bones=bones)
-
-
-def _read_lines(path):
-    """The lines of the text file at `path` without their line ends, read
-    one at a time, so a file is never held in memory whole."""
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")   # and the unstripped copy goes
-            yield line
+        first = fh.readline()
+        if not first:
+            raise ParseError(f"{path}: empty file")
+        header = parse_json_object(f"{path}: line 1", first.rstrip("\n"), "header", "SKL1",
+                                   (("J", int), ("num_classes", int), ("bones", list)))
+        bones = parse_bones(f"{path}: line 1", "header", header["bones"])
+        from .represent import graph_adjacency  # represent imports this module
+        try:
+            graph_adjacency(bones, header["J"])
+        except ValueError as e:
+            raise SchemaError(f"{path}: line 1: {e}") from e
+        id_lines: dict[str, int] = {}
+        samples = [_read_record(path, lineno, line, header, id_lines)
+                   for lineno, line in enumerate(fh, start=2) if line.strip()]
+    return Dataset(samples=samples, num_classes=header["num_classes"],
+                   joint_count=header["J"], bones=bones)
+
+
+def _read_record(path, lineno: int, line: str, header: dict, id_lines: dict) -> LabeledSample:
+    """The sample of the SKL1 record on line `lineno`, checked against its key
+    declaration, `header` and `validate_sequence`. `id_lines` maps the id of
+    each earlier record to its line (so this is record ``len(id_lines) + 1``),
+    and this id joins it. The parsed JSON dies with the call."""
+    index = len(id_lines) + 1
+    source = f"{path}: line {lineno} (record {index})"
+    rec = parse_json_object(source, line.rstrip("\n"), "record", None,
+                            (("id", str), ("T", int), ("M", int), ("J", int), ("coords", list)),
+                            (("label", int), ("subject", int), ("view", int)))
+    sample_id = rec["id"]
+    if sample_id in id_lines:
+        raise SchemaError(f"{source}: sample {sample_id!r} already read on line {id_lines[sample_id]}")
+    id_lines[sample_id] = lineno
+    try:
+        with np.errstate(over="raise"):
+            coords = np.asarray(rec["coords"], dtype=np.float32)
+    except FloatingPointError:      # a finite double that float32 would hold as inf
+        wide = np.abs(np.asarray(rec["coords"], dtype=np.float64))
+        raise ValidationError(
+            f"{path}: sample {sample_id!r}: coordinate of magnitude "
+            f"{float(wide[np.isfinite(wide)].max())!r} is outside float32's range "
+            f"(at most {float(np.finfo(np.float32).max)!r})") from None
+    except (TypeError, ValueError) as e:    # ragged or non-numeric coords
+        raise ParseError(f"{source}: bad record: {e}") from e
+    declared = (rec["T"], rec["M"], rec["J"])
+    if coords.shape[:3] != declared:
+        raise SchemaError(
+            f"{path}: record {index}: declared (T,M,J)={declared} but coords are {coords.shape[:3]}")
+    if coords.shape[2] != header["J"]:
+        raise SchemaError(
+            f"{path}: record {index}: J={coords.shape[2]} differs from header J={header['J']}")
+    seq = SkeletonSequence(coords=coords, sample_id=sample_id)
+    report = validate_sequence(seq)
+    if not report:
+        raise ValidationError(f"{path}: sample {sample_id!r}: {report.message}")
+    label = rec.get("label")
+    if label is not None and not 0 <= label < header["num_classes"]:
+        raise SchemaError(
+            f"{path}: record {index}: label {label} outside [0, {header['num_classes']})")
+    return LabeledSample(sequence=seq, label=label,
+                         subject_id=rec.get("subject"), view_id=rec.get("view"))
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +487,8 @@ def make_split(dataset: Dataset, protocol: str = "random",
         train, test = [], []
         for s in dataset.samples:
             if s.subject_id is None or s.view_id is None:
-                raise ValueError(f"protocol {protocol!r} needs subject/view metadata")
+                raise ValueError(f"protocol {protocol!r} needs subject/view metadata, and "
+                                 f"sample {s.sequence.sample_id!r} has none")
             if protocol == "cross-subject":
                 is_train = s.subject_id % 2 == 0
             elif protocol == "cross-view":

@@ -1048,6 +1048,16 @@ def test_cli_resume_rejects_a_changed_config(tmp_path, capsys):
     assert (out / "config.json").read_bytes() == before
 
 
+def test_cli_resume_refuses_another_seed(tmp_path, capsys):
+    out, manifest = _pretrain(tmp_path)
+    before = (out / "config.json").read_bytes()
+    assert main(["pretrain", "--out", str(out), "--resume", str(manifest), "--seed", "8"]
+                + _sets(["trainer.epochs=4"])) == 2
+    assert capsys.readouterr().err == \
+        f"config error: seed: differ from the run resumed from {manifest}\n"
+    assert (out / "config.json").read_bytes() == before
+
+
 @pytest.mark.parametrize("mode,reps", [("inter", ["SEQ", "STG"]),
                                        ("inter3", ["IMG", "SEQ", "STG"])])
 def test_inter_modes_refuse_encoders_of_different_projection_widths(tmp_path, capsys,
@@ -1207,6 +1217,39 @@ def _unlabeled_dataset(tmp_path):
     return ["dataset.source=file", f"dataset.path={path}",
             "downstream.rho=0.5", "downstream.seeds=[0]",
             "downstream.finetune.epochs=1"]
+
+
+def _subjectless_dataset(tmp_path):
+    ds = generate_synthetic(3, 4, 16, 5, seed=0)
+    ds.samples = [dataclasses.replace(s, subject_id=None) for s in ds.samples]
+    path = tmp_path / "no_subjects.skl"
+    save_dataset(ds, path)
+    return ["dataset.source=file", f"dataset.path={path}"], ds.samples[0].sequence.sample_id
+
+
+_NO_METADATA = "protocol 'cross-subject' needs subject/view metadata, and sample {!r} has none"
+
+
+def test_cli_refuses_a_protocol_the_data_has_no_metadata_for_before_writing(tmp_path, capsys):
+    extra, first = _subjectless_dataset(tmp_path)
+    out = tmp_path / "pre"
+    assert main(["pretrain", "--out", str(out)]
+                + _sets(extra + ["dataset.protocol=cross-subject"])) == 2
+    assert capsys.readouterr().err == \
+        f"config error: dataset.protocol: {_NO_METADATA.format(first)}\n"
+    assert not out.exists()
+
+
+def test_a_sweep_cell_whose_protocol_the_data_cannot_support_is_a_failed_cell(tmp_path):
+    extra, first = _subjectless_dataset(tmp_path)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--out", str(out)]
+                + _sets(extra + ["sweep.key=dataset.protocol",
+                                 'sweep.values=["random","cross-subject"]'])) == 3
+    records = [json.loads(l) for l in (out / "sweep.jsonl").read_text().splitlines()]
+    assert [r["status"] for r in records] == ["ok", "failed"]
+    assert records[1]["error"] == f"ConfigError: dataset.protocol: {_NO_METADATA.format(first)}"
+    assert not (out / "cells" / "cell01").exists()
 
 
 @pytest.mark.parametrize("task", ["probe", "retrieve", "finetune"])

@@ -145,6 +145,28 @@ def test_loader_reads_a_file_in_less_memory_than_its_size(tmp_path):
     assert peak < path.stat().st_size
 
 
+def test_loader_holds_one_parsed_record_at_a_time(tmp_path):
+    """Each record's parsed JSON dies before the next line is parsed, so
+    beyond the coords it returns the loader's traced peak stays below two
+    parsed records, each measured as `json.loads` of one line."""
+    ds = generate_synthetic(2, 20, 96, 25, seed=4)
+    path = tmp_path / "ds.skl"
+    save_dataset(ds, path)
+    line = path.read_text().splitlines()[1]
+    tracemalloc.start()
+    try:
+        record = json.loads(line)
+        one_record, _ = tracemalloc.get_traced_memory()
+        del record
+        tracemalloc.reset_peak()
+        back = load_dataset(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    coords = sum(s.sequence.coords.nbytes for s in back.samples)
+    assert peak - coords < 2 * one_record
+
+
 def test_loader_preserves_order(tmp_path):
     ds = generate_synthetic(2, 3, 16, 5, seed=9)
     path = tmp_path / "ds.skl"
@@ -259,6 +281,89 @@ def test_loader_names_the_line_and_key_of_a_record_field_that_is_not_an_int(
     assert main(["probe", "--out", str(tmp_path / "probe"), "--set", "dataset.source=file",
                  "--set", f"dataset.path={path}"]) == 3
     assert "ParseError" in capsys.readouterr().err
+
+
+def _write_record(path, lines, index, record):
+    """Replace line `index` of `lines` by `record` and write them to `path`."""
+    lines[index] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda record: record.update(id=None), "record 'id' is not a JSON str"),
+    (lambda record: record.update(id=[1, 2]), "record 'id' is not a JSON str"),
+    (lambda record: record.update(id=7), "record 'id' is not a JSON str"),
+    (lambda record: record.pop("id"), "record has no 'id'"),
+    (lambda record: record.update(coords="x"), "record 'coords' is not a JSON list"),
+    (lambda record: record.update(coords=None), "record 'coords' is not a JSON list"),
+    (lambda record: record.pop("coords"), "record has no 'coords'"),
+], ids=["id-null", "id-list", "id-int", "no-id", "coords-str", "coords-null", "no-coords"])
+def test_loader_names_the_line_and_key_of_a_missing_or_mistyped_id_or_coords(
+        tmp_path, edit, message):
+    """`id` and `coords` are declared with the other record keys, so a
+    null, list or integer id no longer loads as its string."""
+    path, lines = _tiny_file_lines(tmp_path)
+    record = json.loads(lines[2])
+    edit(record)
+    _write_record(path, lines, 2, record)
+    with pytest.raises(ParseError) as caught:
+        load_dataset(path)
+    assert str(caught.value) == f"{path}: line 3 (record 2): {message}"
+
+
+def test_loader_refuses_a_duplicate_sample_id_naming_the_sample_and_both_lines(tmp_path):
+    """A dataset maps an id to one sample (`Dataset.subset`), so a record
+    reusing an earlier record's id is refused, not trained in its place."""
+    path, lines = _tiny_file_lines(tmp_path)
+    first = json.loads(lines[1])
+    record = json.loads(lines[3])
+    record["id"] = first["id"]
+    _write_record(path, lines, 3, record)
+    with pytest.raises(SchemaError) as caught:
+        load_dataset(path)
+    assert str(caught.value) == (f"{path}: line 4 (record 3): sample {first['id']!r} "
+                                 "already read on line 2")
+
+
+@pytest.mark.parametrize("edit", [
+    lambda coords: coords[0].pop(),                     # frame 0 holds one actor
+    lambda coords: coords[0][0][0].__setitem__(1, "a"),
+    lambda coords: coords[0][0][0].__setitem__(1, {}),
+], ids=["ragged", "string", "object"])
+def test_loader_names_the_line_of_coords_that_are_not_a_numeric_array(tmp_path, edit):
+    path, lines = _tiny_file_lines(tmp_path)
+    record = json.loads(lines[2])
+    edit(record["coords"])
+    _write_record(path, lines, 2, record)
+    with pytest.raises(ParseError, match=r"line 3 \(record 2\): bad record: "):
+        load_dataset(path)
+
+
+def test_loader_schema_error_on_coords_that_contradict_their_declared_shape(tmp_path):
+    path, lines = _tiny_file_lines(tmp_path)
+    record = json.loads(lines[2])
+    record["T"] += 1
+    _write_record(path, lines, 2, record)
+    with pytest.raises(SchemaError, match=r"record 2: declared \(T,M,J\)=\(9, 2, 5\) but "
+                                          r"coords are \(8, 2, 5\)"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("reshape,message", [
+    (lambda c: c[..., None], "coords must be a rank-4 array"),
+    (lambda c: c[..., :2], "last axis must be 3, got 2"),
+], ids=["rank-5", "last-axis-2"])
+def test_loader_refuses_coords_of_another_rank_or_last_axis_naming_the_sample(
+        tmp_path, reshape, message):
+    """`validate_sequence` holds the rank and last-axis rule, and the loader
+    does not restate it: such coords are a ValidationError naming the sample."""
+    path, lines = _tiny_file_lines(tmp_path)
+    record = json.loads(lines[2])
+    record["coords"] = reshape(np.array(record["coords"])).tolist()
+    _write_record(path, lines, 2, record)
+    with pytest.raises(ValidationError) as caught:
+        load_dataset(path)
+    assert f"{path}: sample {record['id']!r}: {message}" in str(caught.value)
 
 
 def test_loader_rejects_single_frame_sequences(tmp_path):

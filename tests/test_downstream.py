@@ -583,3 +583,23 @@ def test_finetune_trains_the_backbone_and_the_classifier(monkeypatch, rep):
              seeds=(0,), crop_length=8)
     wanted = {k for k in state.params if not k.startswith("head.")} | {"cls.w", "cls.b"}
     assert seen and all(names == wanted for names in seen)
+
+
+def test_finetune_decays_its_learning_rate_at_each_decay_epoch(monkeypatch):
+    """With one batch per epoch, the optimizer's epoch-e step gets `lr`
+    times `decay_factor` once for each decay epoch at or before e."""
+    ds = _dataset(frames=12)
+    train, test = _split(ds)
+    state = init_encoder(desk_config("SEQ", ds.joint_count, hidden=4), seed=0)
+    rates, update = [], downstream._Adam.update
+
+    def recorded(self, params, grads, lr):
+        rates.append(lr)
+        update(self, params, grads, lr)
+
+    monkeypatch.setattr(downstream._Adam, "update", recorded)
+    schedule = FinetuneSchedule(epochs=5, lr=0.01, decay_epochs=(1, 3), decay_factor=0.5,
+                                batch_size=len(train))
+    finetune(state, train, test, ds.bones, rho=1.0, schedule=schedule, seeds=(0,),
+             crop_length=8)
+    assert rates == [0.01, 0.005, 0.005, 0.0025, 0.0025]
